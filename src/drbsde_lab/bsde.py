@@ -1,17 +1,24 @@
-"""Backward solver for terminal-value equations with a nonlinear driver.
+"""Backward-induction kernel for equations with a nonlinear driver.
 
-The solver walks the lattice backward.  At each step the next-step slice is
-split into children, giving the exact conditional expectation ``E`` and the
-martingale integrand ``Z``; the new value is
+Every backward step in the package is :func:`step_candidate`.  It splits the
+next-step slice into children, giving the exact conditional expectation
+``E`` and the martingale integrand ``Z``, and hands them to
+:func:`_driver_update`, the one place the new value is computed:
 
 * explicit scheme:  ``y = E + dt * g(t, state, E, Z)``
 * implicit scheme:  ``y`` solves ``y = E + dt * g(t, state, y, Z)`` by a
   damped fixed point (damping ``1/(1 + dt*lam_plus)``, cap 100 iterations,
-  tolerance 1e-12); the driver is only one-sidedly monotone in ``y``, so the
-  undamped iteration may diverge.
+  tolerance 1e-12, else :class:`FixedPointError`); the driver is only
+  one-sidedly monotone in ``y``, so the undamped iteration may diverge.
 
-The same stepping kernel also powers the evaluation operator between two
-stopping rules and the axiom suite for it.
+A stopped driver (see ``generator.stop_generator``) is switched off inside
+:func:`step_candidate` itself, so every solver and oracle gives it the same
+meaning.  :func:`backward_induction` runs "step, then project" from the
+horizon to the root; the plain, reflected, doubly reflected, penalized and
+pasted solvers and the evaluation operator between two stopping rules are
+all projections plugged into it.  The independent oracles (the Snell
+recursion and the Dynkin pair table) keep their own loops over the same
+step.  The Monte Carlo backend shares :func:`_driver_update`.
 """
 
 from __future__ import annotations
@@ -64,33 +71,21 @@ def _nan_sup(x) -> float:
     return float(np.max(np.abs(x[keep])))
 
 
-def step_candidate(
-    lattice: Lattice,
-    g: Generator,
-    k: int,
-    next_values: np.ndarray,
-    scheme: str,
-    mask: Optional[np.ndarray] = None,
-    stats: Optional[dict] = None,
-):
-    """One backward step: returns ``(candidate, Z)`` at the step-``k`` nodes."""
-    down, up = lattice.split_children(next_values)
-    expectation = 0.5 * (down + up)
-    zval = (up - down) / (2.0 * lattice.sqrt_dt)
-    t = lattice.time(k)
-    states = lattice.states(k)
-    dt = lattice.dt
+def _driver_update(driver, expectation, dt: float, lam_plus: float, scheme: str,
+                   k: int, stats: Optional[dict] = None):
+    """New value from the conditional expectation ``E`` and ``driver(y)``.
 
-    def driver(y):
-        out = g.fn(t, states, y, zval)
-        return out if mask is None else mask * out
-
+    Explicit: ``E + dt * driver(E)``.  Implicit: the damped fixed point of
+    ``y = E + dt * driver(y)``; raises :class:`FixedPointError` (naming step
+    ``k``) when the cap is reached above tolerance.  ``stats`` collects the
+    largest iteration count.
+    """
     if scheme == "explicit":
-        return expectation + dt * driver(expectation), zval
+        return expectation + dt * driver(expectation)
     if scheme != "implicit":
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    damp = 1.0 / (1.0 + dt * g.lam_plus)
+    damp = 1.0 / (1.0 + dt * lam_plus)
     y = expectation + dt * driver(expectation)
     # tolerances scale with the data (an absolute 1e-12 is unreachable in
     # float64 once values grow past ~1e4); iterate well beyond the
@@ -112,7 +107,65 @@ def step_candidate(
             f"implicit step {k} did not converge within {IMPLICIT_CAP} iterations "
             f"(residual {residual:.3g})"
         )
-    return target, zval
+    return target
+
+
+def step_candidate(
+    lattice: Lattice,
+    g: Generator,
+    k: int,
+    next_values: np.ndarray,
+    scheme: str,
+    stats: Optional[dict] = None,
+):
+    """One backward step: returns ``(candidate, Z)`` at the step-``k`` nodes.
+
+    Nodes run along the last axis of ``next_values``; leading axes are batch
+    axes.  A stopped driver is off at nodes its rule has already passed.
+    """
+    down, up = lattice.split_children(next_values)
+    expectation = 0.5 * (down + up)
+    zval = (up - down) / (2.0 * lattice.sqrt_dt)
+    t = lattice.time(k)
+    states = lattice.states(k)
+    if g.stop_rule is None:
+        def driver(y):
+            return g.fn(t, states, y, zval)
+    else:
+        active = g._active(lattice)[k]
+
+        def driver(y):
+            return active * g.fn(t, states, y, zval)
+
+    cand = _driver_update(driver, expectation, lattice.dt, g.lam_plus, scheme, k, stats)
+    return cand, zval
+
+
+def backward_induction(lattice: Lattice, g: Generator, terminal, scheme: str, project):
+    """Run "step, then project" from step ``N - 1`` down to the root.
+
+    ``project(k, candidate)`` turns the step-``k`` candidate into
+    ``(y, dK_k, dJ_k)``: the value and the compensator increments the
+    projection books there.  Returns ``(Y, Z, dK, dJ, stats)``: four
+    adapted processes (terminal slices ``terminal``, zero, zero, zero) and
+    the implicit-iteration stats.
+    """
+    n = lattice.N
+    zeros = np.zeros(lattice.n_nodes(n))
+    yvals = [None] * n + [np.asarray(terminal, dtype=float)]
+    zvals, dk, dj = [None] * n + [zeros], [None] * n + [zeros], [None] * n + [zeros]
+    stats: dict = {}
+    for k in range(n - 1, -1, -1):
+        cand, zvals[k] = step_candidate(lattice, g, k, yvals[k + 1], scheme, stats)
+        yvals[k], dk[k], dj[k] = project(k, cand)
+    grids = (AdaptedProcess(lattice, tuple(v)) for v in (yvals, zvals, dk, dj))
+    return (*grids, stats)
+
+
+def _unprojected(k: int, cand: np.ndarray):
+    """Projection of the plain equation: keep the candidate, book nothing."""
+    zeros = np.zeros_like(cand)
+    return cand, zeros, zeros
 
 
 # ----------------------------------------------------------------------
@@ -172,10 +225,6 @@ class Solution:
         )
 
 
-def _zeros_like_grid(lattice: Lattice) -> list[np.ndarray]:
-    return [np.zeros(lattice.n_nodes(k)) for k in range(lattice.N + 1)]
-
-
 def _base_meta(lattice: Lattice, g: Generator, scheme: str) -> dict:
     guard_value, guard_ok = monotone_guard(lattice, g)
     meta = {
@@ -204,30 +253,9 @@ def solve_bsde(
     if not lattice.same_grid(xi.lattice):
         raise ValueError("terminal data lives on a different lattice")
     meta = _base_meta(lattice, g, scheme)
-    stats: dict = {}
-    masks = g.step_mask(lattice) if g.stop_rule is not None else None
-
-    yvals: list[np.ndarray] = [np.asarray(xi.values, dtype=float)]
-    zvals: list[np.ndarray] = [np.zeros(lattice.n_nodes(lattice.N))]
-    for k in range(lattice.N - 1, -1, -1):
-        cand, z = step_candidate(
-            lattice, g, k, yvals[-1], scheme,
-            mask=None if masks is None else masks[k], stats=stats,
-        )
-        yvals.append(cand)
-        zvals.append(z)
-    yvals.reverse()
-    zvals.reverse()
+    Y, Z, dK, dJ, stats = backward_induction(lattice, g, xi.values, scheme, _unprojected)
     meta.update(stats)
-    zeros = _zeros_like_grid(lattice)
-    return Solution(
-        kind="plain",
-        Y=AdaptedProcess(lattice, tuple(yvals)),
-        Z=AdaptedProcess(lattice, tuple(zvals)),
-        dK=AdaptedProcess(lattice, tuple(zeros)),
-        dJ=AdaptedProcess(lattice, tuple(z.copy() for z in zeros)),
-        meta=meta,
-    )
+    return Solution(kind="plain", Y=Y, Z=Z, dK=dK, dJ=dJ, meta=meta)
 
 
 # ----------------------------------------------------------------------
@@ -273,16 +301,12 @@ def g_evaluate(
         if np.any(~np.isfinite(pay[k][live])):
             raise ValueError(f"payoff undefined at a step-{k} stop node")
 
-    stats: dict = {}
-    vals = [None] * (lattice.N + 1)
-    term = pay[lattice.N].copy()
-    vals[lattice.N] = term
-    for k in range(lattice.N - 1, -1, -1):
-        cand, _ = step_candidate(lattice, g, k, vals[k + 1], scheme, stats=stats)
+    def collect(k, cand):
         flagged = tau.flags[k]
         cand[flagged] = pay[k][flagged]
-        vals[k] = cand
-    return AdaptedProcess(lattice, tuple(vals))
+        return _unprojected(k, cand)
+
+    return backward_induction(lattice, g, pay[lattice.N], scheme, collect)[0]
 
 
 def rule_values(table: AdaptedProcess, rule: StoppingRule) -> list[np.ndarray]:
@@ -377,21 +401,17 @@ def _subtree_indicator(lattice: Lattice, rule: StoppingRule, picks: np.ndarray):
     """Events known at ``rule``: indicator fixed at the stop nodes, constant on
     the subtree below.  Full tree only."""
     reach = rule.not_yet_stopped()
-    ind = [np.zeros(lattice.n_nodes(k)) for k in range(lattice.N + 1)]
-    carry = np.zeros(1)
+    ind = []
+    vals = np.zeros(1)
     offset = 0
     for k in range(lattice.N + 1):
+        if k > 0:
+            vals = lattice.spread_to_children(vals)
         fresh = rule.flags[k] & reach[k]
-        vals = carry.copy()
         take = int(np.count_nonzero(fresh))
         vals[fresh] = picks[offset:offset + take]
         offset += take
-        ind[k] = vals
-        if k < lattice.N:
-            nxt = np.empty(lattice.n_nodes(k + 1))
-            nxt[0::2] = vals
-            nxt[1::2] = vals
-            carry = nxt
+        ind.append(vals)
     return ind
 
 

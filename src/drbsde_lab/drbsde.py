@@ -19,13 +19,12 @@ Routes cross-validated against the direct backward induction:
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .bsde import Solution, _base_meta, step_candidate
+from .bsde import Solution, _base_meta, backward_induction
 from .generator import Generator
 from .lattice import (
     FULL_TREE,
@@ -34,7 +33,7 @@ from .lattice import (
     StoppingRule,
     TerminalPayoff,
 )
-from .rbsde import PenalizationReport, default_eps_hit, penalty_step
+from .rbsde import _check_schedule, _penalization_report, default_eps_hit, penalty_step
 
 SEPARATION_FLOOR = 1e-9
 
@@ -118,31 +117,16 @@ def solve_drbsde(lattice: Lattice, game: DynkinGame, scheme: str = "explicit") -
     """
     if not lattice.same_grid(game.lattice):
         raise ValueError("game lives on a different lattice")
-    g = game.g
-    meta = _base_meta(lattice, g, scheme)
-    stats: dict = {}
-    yvals = [np.asarray(game.xi.values, dtype=float)]
-    zvals = [np.zeros(lattice.n_nodes(lattice.N))]
-    dk = [np.zeros(lattice.n_nodes(lattice.N))]
-    dj = [np.zeros(lattice.n_nodes(lattice.N))]
-    for k in range(lattice.N - 1, -1, -1):
-        cand, z = step_candidate(lattice, g, k, yvals[-1], scheme, stats=stats)
+    def clamp(k, cand):
         y = np.minimum(game.U[k], np.maximum(game.L[k], cand))
-        yvals.append(y)
-        zvals.append(z)
-        dk.append(np.maximum(game.L[k] - cand, 0.0))
-        dj.append(np.maximum(cand - game.U[k], 0.0))
-    yvals.reverse(); zvals.reverse(); dk.reverse(); dj.reverse()
+        return y, np.maximum(game.L[k] - cand, 0.0), np.maximum(cand - game.U[k], 0.0)
+
+    meta = _base_meta(lattice, game.g, scheme)
+    Y, Z, dK, dJ, stats = backward_induction(lattice, game.g, game.xi.values, scheme, clamp)
     meta.update(stats)
     return Solution(
-        kind="doubly-reflected",
-        Y=AdaptedProcess(lattice, tuple(yvals)),
-        Z=AdaptedProcess(lattice, tuple(zvals)),
-        dK=AdaptedProcess(lattice, tuple(dk)),
-        dJ=AdaptedProcess(lattice, tuple(dj)),
-        meta=meta,
-        obstacle_lower=game.L,
-        obstacle_upper=game.U,
+        kind="doubly-reflected", Y=Y, Z=Z, dK=dK, dJ=dJ, meta=meta,
+        obstacle_lower=game.L, obstacle_upper=game.U,
     )
 
 
@@ -157,38 +141,23 @@ def _penalized_reflected(lattice, game, n, direction, scheme):
     increasing: keep the upper reflection, push up with the lower penalty;
     decreasing: keep the lower reflection, push down with the upper penalty.
     """
-    g = game.g
-    meta = _base_meta(lattice, g, scheme)
-    meta["penalty_level"] = n
-    meta["direction"] = direction
-    stats: dict = {}
-    yvals = [np.asarray(game.xi.values, dtype=float)]
-    zvals = [np.zeros(lattice.n_nodes(lattice.N))]
-    dk = [np.zeros(lattice.n_nodes(lattice.N))]
-    dj = [np.zeros(lattice.n_nodes(lattice.N))]
-    for k in range(lattice.N - 1, -1, -1):
-        cand, z = step_candidate(lattice, g, k, yvals[-1], scheme, stats=stats)
+    def project(k, cand):
         if direction == "increasing":
             pushed = penalty_step(cand, game.L[k], n, lattice.dt, "lower")
             y = np.minimum(game.U[k], pushed)
-            dk.append(np.zeros_like(y))
-            dj.append(pushed - y)
-        else:
-            pushed = penalty_step(cand, game.U[k], n, lattice.dt, "upper")
-            y = np.maximum(game.L[k], pushed)
-            dk.append(y - pushed)
-            dj.append(np.zeros_like(y))
-        yvals.append(y)
-        zvals.append(z)
-    yvals.reverse(); zvals.reverse(); dk.reverse(); dj.reverse()
+            return y, np.zeros_like(y), pushed - y
+        pushed = penalty_step(cand, game.U[k], n, lattice.dt, "upper")
+        y = np.maximum(game.L[k], pushed)
+        return y, y - pushed, np.zeros_like(y)
+
+    meta = _base_meta(lattice, game.g, scheme)
+    meta["penalty_level"] = n
+    meta["direction"] = direction
+    Y, Z, dK, dJ, stats = backward_induction(lattice, game.g, game.xi.values, scheme, project)
     meta.update(stats)
     return Solution(
         kind="reflected-upper" if direction == "increasing" else "reflected-lower",
-        Y=AdaptedProcess(lattice, tuple(yvals)),
-        Z=AdaptedProcess(lattice, tuple(zvals)),
-        dK=AdaptedProcess(lattice, tuple(dk)),
-        dJ=AdaptedProcess(lattice, tuple(dj)),
-        meta=meta,
+        Y=Y, Z=Z, dK=dK, dJ=dJ, meta=meta,
         obstacle_lower=game.L if direction == "decreasing" else None,
         obstacle_upper=game.U if direction == "increasing" else None,
     )
@@ -200,68 +169,27 @@ def double_penalization(
     schedule=(1.0, 4.0, 16.0, 64.0, 256.0, 1024.0),
     direction: str = "increasing",
     scheme: str = "explicit",
-    jobs: int = 1,
 ):
     """Run one penalization scheme along ``schedule`` against the direct solve."""
+    return _penalty_family(
+        lattice, game, schedule, direction, scheme, solve_drbsde(lattice, game, scheme)
+    )
+
+
+def _penalty_family(lattice, game, schedule, direction, scheme, direct: Solution):
+    """Penalty levels of one scheme and their convergence toward ``direct``.
+
+    Only the penalized side is reported; the reflected side is exact by
+    construction.
+    """
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"unknown direction {direction!r}")
-    schedule = tuple(float(n) for n in schedule)
-    if not schedule:
-        raise ValueError("penalty schedule must be nonempty")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("penalty schedule must be strictly increasing")
-
-    def level(n):
-        return _penalized_reflected(lattice, game, n, direction, scheme)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            levels = list(pool.map(level, schedule))
+    schedule = _check_schedule(schedule)
+    levels = [_penalized_reflected(lattice, game, n, direction, scheme) for n in schedule]
+    if direction == "increasing":
+        report = _penalization_report(levels, direct, game.L, "lower", schedule)
     else:
-        levels = [level(n) for n in schedule]
-
-    direct = solve_drbsde(lattice, game, scheme)
-    scale = 1.0 + direct.Y.sup_norm()
-    sign = 1.0 if direction == "increasing" else -1.0
-    # roundoff floor: sub-ulp true differences between levels can round
-    # against the exact-arithmetic monotonicity
-    floor = 64.0 * np.finfo(float).eps * scale
-
-    gaps, violations, residuals = [], [], []
-    prev = None
-    for n, sol in zip(schedule, levels):
-        gaps.append(max(
-            float(np.max(np.abs(sol.Y[k] - direct.Y[k])))
-            for k in range(lattice.N + 1)
-        ))
-        viol = 0
-        if prev is not None:
-            for k in range(lattice.N + 1):
-                viol += int(np.count_nonzero(sign * (sol.Y[k] - prev.Y[k]) < -floor))
-        violations.append(viol)
-        # flat-off residual on the penalized side; the reflected side is
-        # exact by construction
-        resid = 0.0
-        for k in range(lattice.N + 1):
-            dist = (
-                np.maximum(game.L[k] - sol.Y[k], 0.0)
-                if direction == "increasing"
-                else np.maximum(sol.Y[k] - game.U[k], 0.0)
-            )
-            resid = max(resid, float(np.max(dist * (lattice.dt * n * dist))))
-        residuals.append(resid)
-        prev = sol
-
-    report = PenalizationReport(
-        side="lower" if direction == "increasing" else "upper",
-        schedule=schedule,
-        sup_gaps=tuple(gaps),
-        monotonicity_violations=tuple(violations),
-        flat_off_residuals=tuple(residuals),
-        converged=gaps[-1] <= 1e-6 * scale,
-        final_gap=gaps[-1],
-        gap_tolerance=1e-6 * scale,
-    )
+        report = _penalization_report(levels, direct, game.U, "upper", schedule)
     return levels, report
 
 
@@ -280,6 +208,7 @@ class PastingLedger:
     max_depth: int                        # per-path segment count, maximum
     depth_by_terminal: np.ndarray
     segments_by_terminal: np.ndarray      # nonempty segments along each path
+    direct: Solution                      # the solve the contacts were read off
 
     def rows(self):
         out = []
@@ -334,20 +263,15 @@ def pasting_construct(
         )
 
     # forward sweep: segment side and index per node
-    side = [np.zeros(lattice.n_nodes(k), dtype=np.int8) for k in range(lattice.N + 1)]
-    seg = [np.zeros(lattice.n_nodes(k), dtype=np.int64) for k in range(lattice.N + 1)]
+    side, seg = [], []
     LOWER, UPPER = 0, 1
     for k in range(lattice.N + 1):
         if k == 0:
             cur_side = np.zeros(1, dtype=np.int8)
             cur_seg = np.ones(1, dtype=np.int64)
         else:
-            cur_side = np.empty(lattice.n_nodes(k), dtype=np.int8)
-            cur_side[0::2] = side[k - 1]
-            cur_side[1::2] = side[k - 1]
-            cur_seg = np.empty(lattice.n_nodes(k), dtype=np.int64)
-            cur_seg[0::2] = seg[k - 1]
-            cur_seg[1::2] = seg[k - 1]
+            cur_side = lattice.spread_to_children(side[k - 1])
+            cur_seg = lattice.spread_to_children(seg[k - 1])
         if k < lattice.N:
             hit_up = direct.Y[k] >= game.U[k] - eps
             hit_low = direct.Y[k] <= game.L[k] + eps
@@ -356,8 +280,8 @@ def pasting_construct(
             cur_side[flip_to_upper] = UPPER
             cur_side[flip_to_lower] = LOWER
             cur_seg[flip_to_upper | flip_to_lower] += 1
-        side[k] = cur_side
-        seg[k] = cur_seg
+        side.append(cur_side)
+        seg.append(cur_seg)
 
     depth_by_terminal = seg[lattice.N]
     max_depth = int(depth_by_terminal.max())
@@ -371,38 +295,27 @@ def pasting_construct(
         )
 
     # backward sweep: one-obstacle step per node, side chosen by its segment
-    stats: dict = {}
-    yvals = [np.asarray(game.xi.values, dtype=float)]
-    zvals = [np.zeros(lattice.n_nodes(lattice.N))]
-    dk = [np.zeros(lattice.n_nodes(lattice.N))]
-    dj = [np.zeros(lattice.n_nodes(lattice.N))]
-    for k in range(lattice.N - 1, -1, -1):
-        cand, z = step_candidate(lattice, game.g, k, yvals[-1], scheme, stats=stats)
+    def one_sided(k, cand):
         lower_mode = side[k] == LOWER
         y = np.where(
             lower_mode,
             np.maximum(game.L[k], cand),
             np.minimum(game.U[k], cand),
         )
-        yvals.append(y)
-        zvals.append(z)
-        dk.append(np.where(lower_mode, np.maximum(game.L[k] - cand, 0.0), 0.0))
-        dj.append(np.where(lower_mode, 0.0, np.maximum(cand - game.U[k], 0.0)))
-    yvals.reverse(); zvals.reverse(); dk.reverse(); dj.reverse()
+        dk = np.where(lower_mode, np.maximum(game.L[k] - cand, 0.0), 0.0)
+        dj = np.where(lower_mode, 0.0, np.maximum(cand - game.U[k], 0.0))
+        return y, dk, dj
 
+    Y, Z, dK, dJ, stats = backward_induction(
+        lattice, game.g, game.xi.values, scheme, one_sided
+    )
     meta = _base_meta(lattice, game.g, scheme)
     meta.update(stats)
     meta["route"] = "pasting"
     meta["eps_hit"] = eps
     pasted = Solution(
-        kind="doubly-reflected",
-        Y=AdaptedProcess(lattice, tuple(yvals)),
-        Z=AdaptedProcess(lattice, tuple(zvals)),
-        dK=AdaptedProcess(lattice, tuple(dk)),
-        dJ=AdaptedProcess(lattice, tuple(dj)),
-        meta=meta,
-        obstacle_lower=game.L,
-        obstacle_upper=game.U,
+        kind="doubly-reflected", Y=Y, Z=Z, dK=dK, dJ=dJ, meta=meta,
+        obstacle_lower=game.L, obstacle_upper=game.U,
     )
 
     boundaries = []
@@ -415,7 +328,7 @@ def pasting_construct(
         if depth < max_depth:
             flags = [
                 (seg[k] == depth + 1)
-                & ((seg[k - 1] == depth)[_parents(k)] if k > 0 else True)
+                & (lattice.spread_to_children(seg[k - 1] == depth) if k > 0 else True)
                 for k in range(lattice.N + 1)
             ]
             # boundary rule: first node of the next segment
@@ -430,14 +343,9 @@ def pasting_construct(
         max_depth=max_depth,
         depth_by_terminal=depth_by_terminal,
         segments_by_terminal=segments_by_terminal,
+        direct=direct,
     )
     return pasted, ledger
-
-
-def _parents(k: int) -> slice:
-    # child p at step k has parent p >> 1; as an index array for step k-1
-    # values this is simply each parent repeated twice
-    return np.repeat(np.arange(1 << (k - 1)), 2) if k > 0 else slice(None)
 
 
 # ----------------------------------------------------------------------
@@ -455,8 +363,13 @@ class CrossReport:
     flat_off_lower: float
     flat_off_upper: float
     separation_margin: float
-    ledger_max_depth: int
     penalty_cap: float
+    pasted: Solution
+    ledger: PastingLedger
+
+    @property
+    def ledger_max_depth(self) -> int:
+        return self.ledger.max_depth
 
     def max_route_gap(self) -> float:
         return max(self.gap_direct_pasting, self.gap_direct_increasing,
@@ -468,37 +381,21 @@ def cross_validate(
     game: DynkinGame,
     scheme: str = "explicit",
     schedule=(1.0, 4.0, 16.0, 64.0, 256.0, 1024.0),
-    jobs: int = 1,
 ) -> CrossReport:
-    """Drive every route to the solution and report their disagreements."""
+    """Drive every route to the solution and report their disagreements.
 
-    def run_direct():
-        return solve_drbsde(lattice, game, scheme)
-
-    def run_pasting():
-        return pasting_construct(lattice, game, scheme)
-
-    def run_inc():
-        return double_penalization(lattice, game, schedule, "increasing", scheme)
-
-    def run_dec():
-        return double_penalization(lattice, game, schedule, "decreasing", scheme)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, 4)) as pool:
-            f_direct = pool.submit(run_direct)
-            f_paste = pool.submit(run_pasting)
-            f_inc = pool.submit(run_inc)
-            f_dec = pool.submit(run_dec)
-            direct = f_direct.result()
-            pasted, ledger = f_paste.result()
-            inc_levels, inc_report = f_inc.result()
-            dec_levels, dec_report = f_dec.result()
-    else:
-        direct = run_direct()
-        pasted, ledger = run_pasting()
-        inc_levels, inc_report = run_inc()
-        dec_levels, dec_report = run_dec()
+    The direct route is solved once, inside the pasting construction, and
+    that solve is the reference for both penalty families.  The report
+    carries the pasted solution and its ledger.
+    """
+    pasted, ledger = pasting_construct(lattice, game, scheme)
+    direct = ledger.direct
+    inc_levels, inc_report = _penalty_family(
+        lattice, game, schedule, "increasing", scheme, direct
+    )
+    dec_levels, dec_report = _penalty_family(
+        lattice, game, schedule, "decreasing", scheme, direct
+    )
 
     def sup_gap(a: Solution, b: Solution) -> float:
         return max(
@@ -522,6 +419,7 @@ def cross_validate(
         flat_off_lower=direct.flat_off_lower(),
         flat_off_upper=direct.flat_off_upper(),
         separation_margin=game.separation_margin(),
-        ledger_max_depth=ledger.max_depth,
         penalty_cap=schedule[-1],
+        pasted=pasted,
+        ledger=ledger,
     )

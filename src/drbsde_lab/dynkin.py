@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bsde import FixedPointError, IMPLICIT_CAP, IMPLICIT_TOL, _nan_sup, g_evaluate
+from .bsde import g_evaluate, step_candidate
 from .drbsde import DynkinGame, solve_drbsde
 from .lattice import FULL_TREE, Lattice, StoppingRule
 from .rbsde import first_hitting
@@ -147,37 +147,15 @@ def _pair_table_block(
 
     ``tau_flags[k]`` has shape ``(a, w_k)`` and ``gamma_flags[k]`` shape
     ``(b, w_k)``; the result has shape ``(a, b)``.  The pair stops at the
-    first node either rule flags; the upper rail wins ties.
+    first node either rule flags; the upper rail wins ties.  This oracle
+    keeps its own loop over the shared batched step.
     """
-    g = game.g
-    dt = tree.dt
     a = tau_flags[0].shape[0]
     b = gamma_flags[0].shape[0]
     n = tree.N
     v = np.broadcast_to(game.xi.values, (a, b, 1 << n)).copy()
     for k in range(n - 1, -1, -1):
-        down = v[..., 0::2]
-        up = v[..., 1::2]
-        expectation = 0.5 * (down + up)
-        zval = (up - down) / (2.0 * tree.sqrt_dt)
-        t = tree.time(k)
-        states = tree.states(k)
-        if scheme == "explicit":
-            cand = expectation + dt * g.fn(t, states, expectation, zval)
-        else:
-            damp = 1.0 / (1.0 + dt * g.lam_plus)
-            y = expectation + dt * g.fn(t, states, expectation, zval)
-            scale = 1.0 + _nan_sup(expectation)
-            residual = np.inf
-            for _ in range(IMPLICIT_CAP):
-                target = expectation + dt * g.fn(t, states, y, zval)
-                residual = _nan_sup(target - y)
-                if residual <= 1e-15 * scale:
-                    break
-                y = y + damp * (target - y)
-            if residual > IMPLICIT_TOL * scale:
-                raise FixedPointError(f"implicit step {k} stalled in pair table")
-            cand = target
+        cand, _ = step_candidate(tree, game.g, k, v, scheme)
         stop_t = tau_flags[k][:, None, :]
         stop_g = gamma_flags[k][None, :, :]
         pay = np.where(stop_g, game.U[k], game.L[k])

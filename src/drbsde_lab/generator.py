@@ -69,6 +69,10 @@ class Generator:
         """
         if self.stop_rule is None:
             return [np.ones(lattice.n_nodes(k)) for k in range(lattice.N + 1)]
+        return [a.astype(float) for a in self._active(lattice)]
+
+    def _active(self, lattice: Lattice) -> list[np.ndarray]:
+        """Boolean form of :meth:`step_mask` for a stopped driver."""
         rule = self.stop_rule
         if not lattice.same_grid(rule.lattice):
             raise ValueError("stopping rule lives on a different lattice")
@@ -76,7 +80,7 @@ class Generator:
             raise ValueError(
                 "path-dependent stopping rules need the full-tree backend"
             )
-        return [a.astype(float) for a in rule.not_yet_stopped()]
+        return rule.not_yet_stopped()
 
 
 def _combine_h(ha, hb):

@@ -9,10 +9,10 @@ Two backends share one indexing contract:
   node id, so a node is a whole path prefix.
 
 Node values are stored as one numpy array per time step.  Both backends
-expose the same child-split primitive, which keeps every solver upstream
-backend agnostic.  Each step is ``+sqrt(dt)`` or ``-sqrt(dt)`` with
-probability one half, so one-step conditional expectations are plain
-two-point averages and carry no quadrature error.
+expose the same child-split and child-spread primitives, which keeps every
+solver upstream backend agnostic.  Each step is ``+sqrt(dt)`` or
+``-sqrt(dt)`` with probability one half, so one-step conditional
+expectations are plain two-point averages and carry no quadrature error.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,10 +108,27 @@ class Lattice:
         return [format(p, f"0{k}b") if k else "" for p in range(1 << k)]
 
     def split_children(self, next_values: np.ndarray):
-        """Split a step-``k+1`` array into (down, up) children per step-``k`` node."""
+        """Split step-``k+1`` values into (down, up) children per step-``k`` node.
+
+        Nodes run along the last axis; leading axes are batch axes.
+        """
         if self.mode == RECOMBINING:
-            return next_values[:-1], next_values[1:]
-        return next_values[0::2], next_values[1::2]
+            return next_values[..., :-1], next_values[..., 1:]
+        return next_values[..., 0::2], next_values[..., 1::2]
+
+    def spread_to_children(self, values: np.ndarray) -> np.ndarray:
+        """Push step-``k`` node values down to the step-``k+1`` children.
+
+        On the full tree each child repeats its one parent's value.  A
+        recombining child has two parents, so only boolean flags spread:
+        a child is flagged when either parent is.
+        """
+        if self.mode == FULL_TREE:
+            return np.repeat(values, 2)
+        out = np.zeros(values.size + 1, dtype=bool)
+        out[:-1] |= values
+        out[1:] |= values
+        return out
 
     def terminal_weights(self) -> np.ndarray:
         """Probability mass of the terminal nodes (path multiplicity included)."""
@@ -361,19 +379,17 @@ class StoppingRule:
         On the full tree the path is unique, so this is exactly "no proper
         ancestor is flagged".
         """
-        lat = self.lattice
+        return list(self._reach)
+
+    @cached_property
+    def _reach(self) -> tuple[np.ndarray, ...]:
+        # cached: every backward step of a stopped driver reads one slice
         reach = [np.ones(1, dtype=bool)]
-        for k in range(lat.N):
-            alive = reach[k] & ~self.flags[k]
-            nxt = np.zeros(lat.n_nodes(k + 1), dtype=bool)
-            if lat.mode == FULL_TREE:
-                nxt[0::2] = alive
-                nxt[1::2] = alive
-            else:
-                nxt[:-1] |= alive
-                nxt[1:] |= alive
-            reach.append(nxt)
-        return reach
+        for k in range(self.lattice.N):
+            reach.append(self.lattice.spread_to_children(reach[k] & ~self.flags[k]))
+        for a in reach:
+            a.flags.writeable = False
+        return tuple(reach)
 
     def canonicalize(self) -> "StoppingRule":
         """Clear interior flags that no path can reach first."""
@@ -394,15 +410,7 @@ class StoppingRule:
                 return False
             if k == lat.N:
                 break
-            alive = clean & ~self.flags[k] & ~other.flags[k]
-            nxt = np.zeros(lat.n_nodes(k + 1), dtype=bool)
-            if lat.mode == FULL_TREE:
-                nxt[0::2] = alive
-                nxt[1::2] = alive
-            else:
-                nxt[:-1] |= alive
-                nxt[1:] |= alive
-            clean = nxt
+            clean = lat.spread_to_children(clean & ~self.flags[k] & ~other.flags[k])
         return True
 
     def stop_steps(self) -> np.ndarray:
@@ -414,9 +422,7 @@ class StoppingRule:
         if self.flags[0][0]:
             cur[0] = 0
         for k in range(1, lat.N + 1):
-            nxt = np.empty(1 << k, dtype=np.int64)
-            nxt[0::2] = cur
-            nxt[1::2] = cur
+            nxt = lat.spread_to_children(cur)
             fresh = (nxt < 0) & self.flags[k]
             nxt[fresh] = k
             cur = nxt

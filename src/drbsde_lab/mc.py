@@ -2,10 +2,11 @@
 
 Conditional expectations are cross-sectional least-squares projections on a
 user-chosen basis, in place of the lattice's exact child averages; the
-reflection and penalty steps are identical to the lattice solvers and are
-applied after the projection, so obstacle constraints hold path by path,
-exactly.  This is the backend for dimensions above one and for
-cross-checking the lattice at scale.
+driver update (explicit, or the damped implicit fixed point) is the
+lattice kernel's own, and the reflection and penalty steps are identical
+to the lattice solvers and are applied after the projection, so obstacle
+constraints hold path by path, exactly.  This is the backend for
+dimensions above one and for cross-checking the lattice at scale.
 
 Reproducibility: path ``i`` draws from a counter-based bit generator keyed
 by ``(seed, i)``, so bundles are bit-identical across runs and independent
@@ -251,8 +252,11 @@ def solve_mc(
     is bootstrapped from disjoint path batches re-solved end to end, so it
     sees the regression-stage noise, not just the final averaging.
     """
+    from .bsde import _driver_update
     from .rbsde import penalty_step
 
+    if g.stop_rule is not None:
+        raise ValueError("stopped drivers follow lattice nodes: no path backend")
     M, N, d = paths.M, paths.N, paths.d
     dt = paths.dt
     term_all = np.asarray(problem.terminal(paths.states[:, N, :]), dtype=float)
@@ -299,21 +303,13 @@ def solve_mc(
                 out = new
         return out
 
-    def driver_step(expectation, zhat, t, states):
+    def driver_step(expectation, zhat, k, states):
         svar = states[:, 0] if d == 1 else states
-        if scheme == "explicit":
-            return expectation + dt * np.asarray(
-                g.fn(t, svar, expectation, zhat), dtype=float
-            )
-        damp = 1.0 / (1.0 + dt * g.lam_plus)
-        y = expectation + dt * np.asarray(g.fn(t, svar, expectation, zhat), dtype=float)
-        for _ in range(100):
-            target = expectation + dt * np.asarray(g.fn(t, svar, y, zhat), dtype=float)
-            resid = float(np.max(np.abs(target - y)))
-            if resid <= 1e-13 * (1.0 + float(np.max(np.abs(expectation)))):
-                return target
-            y = y + damp * (target - y)
-        return target
+
+        def driver(y):
+            return np.asarray(g.fn(dt * k, svar, y, zhat), dtype=float)
+
+        return _driver_update(driver, expectation, dt, g.lam_plus, scheme, k)
 
     def backward(idx, record=False):
         nonlocal max_cond
@@ -328,7 +324,7 @@ def solve_mc(
                 max_cond = max(max_cond, cond)
             expectation = fitted[:, 0]
             zhat = fitted[:, 1] if d == 1 else fitted[:, 1:]
-            y = driver_step(expectation, zhat, dt * k, states_k)
+            y = driver_step(expectation, zhat, k, states_k)
             v = clamp(y, dt * k, states_k, record)
         # root: every path shares the state, plain averages are exact
         e0 = float(v.mean())
@@ -336,7 +332,7 @@ def solve_mc(
         y0 = driver_step(
             np.array([e0]),
             np.atleast_1d(float(z0[0])) if d == 1 else z0[None, :],
-            0.0,
+            0,
             paths.states[idx[:1], 0, :],
         )
         return float(clamp(y0, 0.0, paths.states[idx[:1], 0, :], record)[0])

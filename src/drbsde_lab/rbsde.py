@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bsde import Solution, _base_meta, _zeros_like_grid, step_candidate
+from .bsde import Solution, _base_meta, backward_induction, step_candidate
 from .generator import Generator, negate_reflect
 from .lattice import AdaptedProcess, Lattice, StoppingRule, TerminalPayoff
 
@@ -69,43 +69,22 @@ def _check_reflected_inputs(lattice, xi, obstacle, side):
 def _solve_reflected_lower(lattice, xi, g, obstacle, scheme, penalty_n=None):
     """Direct lower-obstacle induction; optional implicit penalty instead of
     projection when ``penalty_n`` is given."""
-    meta = _base_meta(lattice, g, scheme)
-    stats: dict = {}
-    masks = g.step_mask(lattice) if g.stop_rule is not None else None
-    yvals = [np.asarray(xi.values, dtype=float)]
-    zvals = [np.zeros(lattice.n_nodes(lattice.N))]
-    dk = [np.zeros(lattice.n_nodes(lattice.N))]
-    for k in range(lattice.N - 1, -1, -1):
-        cand, z = step_candidate(
-            lattice, g, k, yvals[-1], scheme,
-            mask=None if masks is None else masks[k], stats=stats,
-        )
-        if penalty_n is None:
-            y = np.maximum(obstacle[k], cand)
-        else:
+    def project(k, cand):
+        zeros = np.zeros_like(cand)
+        if penalty_n is not None:
             y = penalty_step(cand, obstacle[k], penalty_n, lattice.dt, "lower")
-        yvals.append(y)
-        zvals.append(z)
-        dk.append(y - cand)
-    yvals.reverse(); zvals.reverse(); dk.reverse()
+            return y, zeros, zeros
+        y = np.maximum(obstacle[k], cand)
+        return y, y - cand, zeros
+
+    meta = _base_meta(lattice, g, scheme)
+    Y, Z, dK, dJ, stats = backward_induction(lattice, g, xi.values, scheme, project)
     meta.update(stats)
     if penalty_n is not None:
         meta["penalty_level"] = penalty_n
-        return Solution(
-            kind="plain",
-            Y=AdaptedProcess(lattice, tuple(yvals)),
-            Z=AdaptedProcess(lattice, tuple(zvals)),
-            dK=AdaptedProcess(lattice, tuple(_zeros_like_grid(lattice))),
-            dJ=AdaptedProcess(lattice, tuple(_zeros_like_grid(lattice))),
-            meta=meta,
-        )
+        return Solution(kind="plain", Y=Y, Z=Z, dK=dK, dJ=dJ, meta=meta)
     return Solution(
-        kind="reflected-lower",
-        Y=AdaptedProcess(lattice, tuple(yvals)),
-        Z=AdaptedProcess(lattice, tuple(zvals)),
-        dK=AdaptedProcess(lattice, tuple(dk)),
-        dJ=AdaptedProcess(lattice, tuple(_zeros_like_grid(lattice))),
-        meta=meta,
+        kind="reflected-lower", Y=Y, Z=Z, dK=dK, dJ=dJ, meta=meta,
         obstacle_lower=obstacle,
     )
 
@@ -143,7 +122,7 @@ def solve_rbsde(
         kind="reflected-upper",
         Y=_negate_process(mirrored.Y),
         Z=_negate_process(mirrored.Z),
-        dK=AdaptedProcess(lattice, tuple(_zeros_like_grid(lattice))),
+        dK=mirrored.dJ,
         dJ=mirrored.dK,
         meta=meta,
         obstacle_upper=obstacle,
@@ -184,6 +163,63 @@ def write_penalization_csv(path, report: PenalizationReport) -> None:
             w.writerow([f"{n:.17g}", f"{gap:.17g}", viol])
 
 
+def _check_schedule(schedule) -> tuple[float, ...]:
+    schedule = tuple(float(n) for n in schedule)
+    if not schedule:
+        raise ValueError("penalty schedule must be nonempty")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("penalty schedule must be strictly increasing")
+    return schedule
+
+
+def _penalization_report(levels, reference: Solution, obstacle: AdaptedProcess,
+                         side: str, schedule) -> PenalizationReport:
+    """Convergence of penalty levels toward ``reference``.
+
+    ``side`` names the penalized obstacle: levels rise toward the reference
+    below a lower obstacle and fall toward it under an upper one.
+    """
+    lat = reference.lattice
+    scale = 1.0 + reference.Y.sup_norm()
+    tol = 1e-6 * scale
+    # the closed-form step is monotone in exact arithmetic; level values
+    # whose true difference sits below one ulp may still round either way
+    floor = 64.0 * np.finfo(float).eps * scale
+    sign = 1.0 if side == "lower" else -1.0
+
+    gaps, violations, residuals = [], [], []
+    prev = None
+    for n, sol in zip(schedule, levels):
+        gaps.append(max(
+            float(np.max(np.abs(sol.Y[k] - reference.Y[k])))
+            for k in range(lat.N + 1)
+        ))
+        viol = 0
+        if prev is not None:
+            for k in range(lat.N + 1):
+                viol += int(np.count_nonzero(sign * (sol.Y[k] - prev.Y[k]) < -floor))
+        violations.append(viol)
+        # penalty compensator increment at each node: dt * n * distance past
+        # the obstacle; its product with the overshoot is the flat-off residual
+        resid = 0.0
+        for k in range(lat.N + 1):
+            dist = np.maximum(sign * (obstacle[k] - sol.Y[k]), 0.0)
+            resid = max(resid, float(np.max(dist * (lat.dt * n * dist))))
+        residuals.append(resid)
+        prev = sol
+
+    return PenalizationReport(
+        side=side,
+        schedule=schedule,
+        sup_gaps=tuple(gaps),
+        monotonicity_violations=tuple(violations),
+        flat_off_residuals=tuple(residuals),
+        converged=gaps[-1] <= tol,
+        final_gap=gaps[-1],
+        gap_tolerance=tol,
+    )
+
+
 def penalization_run(
     lattice: Lattice,
     xi: TerminalPayoff,
@@ -192,7 +228,6 @@ def penalization_run(
     side: str = "lower",
     schedule=(1.0, 4.0, 16.0, 64.0, 256.0, 1024.0),
     scheme: str = "explicit",
-    jobs: int = 1,
 ):
     """Solve the penalized family along ``schedule`` and report convergence.
 
@@ -200,11 +235,7 @@ def penalization_run(
     above (upper); the report counts node-wise monotonicity violations
     between consecutive levels and the sup-norm gap to the reflected solve.
     """
-    schedule = tuple(float(n) for n in schedule)
-    if not schedule:
-        raise ValueError("penalty schedule must be nonempty")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("penalty schedule must be strictly increasing")
+    schedule = _check_schedule(schedule)
     _check_reflected_inputs(lattice, xi, obstacle, side)
 
     def solve_level(n):
@@ -229,59 +260,9 @@ def penalization_run(
             meta=meta,
         )
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            levels = list(pool.map(solve_level, schedule))
-    else:
-        levels = [solve_level(n) for n in schedule]
-
+    levels = [solve_level(n) for n in schedule]
     reflected = solve_rbsde(lattice, xi, g, obstacle, side, scheme)
-    scale = 1.0 + reflected.Y.sup_norm()
-    tol = 1e-6 * scale
-    # the closed-form step is monotone in exact arithmetic; level values
-    # whose true difference sits below one ulp may still round either way
-    floor = 64.0 * np.finfo(float).eps * scale
-
-    gaps, violations, residuals = [], [], []
-    prev = None
-    sign = 1.0 if side == "lower" else -1.0
-    for n, sol in zip(schedule, levels):
-        gap = max(
-            float(np.max(np.abs(sol.Y[k] - reflected.Y[k])))
-            for k in range(lattice.N + 1)
-        )
-        gaps.append(gap)
-        viol = 0
-        if prev is not None:
-            for k in range(lattice.N + 1):
-                viol += int(np.count_nonzero(sign * (sol.Y[k] - prev.Y[k]) < -floor))
-        violations.append(viol)
-        # penalty compensator increment at each node: dt * n * distance past
-        # the obstacle; its product with the overshoot is the flat-off residual
-        resid = 0.0
-        for k in range(lattice.N + 1):
-            dist = (
-                np.maximum(obstacle[k] - sol.Y[k], 0.0)
-                if side == "lower"
-                else np.maximum(sol.Y[k] - obstacle[k], 0.0)
-            )
-            resid = max(resid, float(np.max(dist * (lattice.dt * n * dist))))
-        residuals.append(resid)
-        prev = sol
-
-    report = PenalizationReport(
-        side=side,
-        schedule=schedule,
-        sup_gaps=tuple(gaps),
-        monotonicity_violations=tuple(violations),
-        flat_off_residuals=tuple(residuals),
-        converged=gaps[-1] <= tol,
-        final_gap=gaps[-1],
-        gap_tolerance=tol,
-    )
-    return levels, report
+    return levels, _penalization_report(levels, reflected, obstacle, side, schedule)
 
 
 # ----------------------------------------------------------------------
@@ -342,15 +323,7 @@ def _started_mask(nu: StoppingRule) -> list[np.ndarray]:
     lat = nu.lattice
     out = [np.asarray(nu.flags[0], dtype=bool)]
     for k in range(lat.N):
-        cur = out[k]
-        nxt = np.zeros(lat.n_nodes(k + 1), dtype=bool)
-        if lat.mode == "full-tree":
-            nxt[0::2] = cur
-            nxt[1::2] = cur
-        else:
-            # deterministic rules only (validated by callers)
-            nxt[:] = cur.all()
-        out.append(nxt | nu.flags[k + 1])
+        out.append(lat.spread_to_children(out[k]) | nu.flags[k + 1])
     return out
 
 

@@ -353,6 +353,34 @@ class TestStoppedDriverSolve:
         # constant 1 active at steps 0 and 1 (mask is time <= stop time)
         assert sol.root_value == pytest.approx(2 * tree.dt, abs=1e-14)
 
+    @pytest.mark.parametrize("mode", [RECOMBINING, FULL_TREE])
+    def test_every_route_gives_a_stopped_driver_one_meaning(self, mode):
+        # constant 1 active at steps 0, 1 and 2 on N = 4: every route reads
+        # 3 * dt at the root, the rails at +-100 never bind
+        from drbsde_lab.drbsde import DynkinGame, pasting_construct, solve_drbsde
+        from drbsde_lab.dynkin import strategy_value
+        from drbsde_lab.rbsde import solve_rbsde
+
+        lat = build_lattice(1.0, 4, mode)
+        g = stop_generator(registry_generator("constant:1"), StoppingRule.at_step(lat, 2))
+        xi = TerminalPayoff.from_function(lat, lambda s: np.zeros_like(s))
+        low = AdaptedProcess.constant(lat, -100.0)
+        high = AdaptedProcess.constant(lat, 100.0)
+        game = DynkinGame(xi=xi, g=g, L=low, U=high)
+        root, horizon = StoppingRule.at_step(lat, 0), StoppingRule.horizon(lat)
+        values = {
+            "bsde": solve_bsde(lat, xi, g).root_value,
+            "rbsde-lower": solve_rbsde(lat, xi, g, low, "lower").root_value,
+            "rbsde-upper": solve_rbsde(lat, xi, g, high, "upper").root_value,
+            "drbsde-explicit": solve_drbsde(lat, game, "explicit").root_value,
+            "drbsde-implicit": solve_drbsde(lat, game, "implicit").root_value,
+            "g-evaluate": g_evaluate(lat, root, horizon, xi, g)[0][0],
+        }
+        if mode == FULL_TREE:
+            values["pasting"] = pasting_construct(lat, game)[0].root_value
+            values["strategy-value"] = strategy_value(lat, game, horizon, horizon)
+        assert values == dict.fromkeys(values, 0.75)
+
 
 class TestSerialization:
     def test_solution_csv_and_sidecar(self, tmp_path):

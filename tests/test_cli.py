@@ -99,6 +99,32 @@ class TestRunKinds:
         lines = (tmp_path / "out" / "solution.csv").read_text().splitlines()
         assert lines[0] == "k,node-id,state,Y,Z,K,J"
 
+    def test_bsde_terminal_check_catches_a_tampered_solution(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        from drbsde_lab import cli
+        from drbsde_lab.lattice import AdaptedProcess
+
+        solve = cli.solve_bsde
+
+        def tampered(*args):
+            sol = solve(*args)
+            vals = [v.copy() for v in sol.Y.values]
+            vals[-1][0] += 1e-12
+            return dataclasses.replace(sol, Y=AdaptedProcess(sol.lattice, tuple(vals)))
+
+        monkeypatch.setattr(cli, "solve_bsde", tampered)
+        cfg = ExperimentConfig.from_dict({
+            "kind": "bsde",
+            "lattice": {"T": 1.0, "N": 4},
+            "generator": "zero",
+            "terminal": "state",
+        })
+        assert run_experiment(cfg, tmp_path / "out") == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["checks"]["terminal_matches"] is False
+        assert report["passed"] is False
+
     def test_rbsde_and_penalization(self, tmp_path):
         base = {
             "lattice": {"T": 1.0, "N": 16},

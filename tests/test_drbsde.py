@@ -358,11 +358,3 @@ class TestCrossValidate:
         dec, _ = double_penalization(tree, game, [1024.0], "decreasing")
         for sol in (direct, pasted, inc[0], dec[0]):
             assert abs(sol.root_value) <= 1e-12
-
-    def test_jobs_reproduce_sequential(self):
-        tree = build_lattice(1.0, 5, FULL_TREE)
-        game = make_game(tree, seed=9)
-        seq = cross_validate(tree, game, jobs=1)
-        par = cross_validate(tree, game, jobs=4)
-        assert seq.gap_direct_pasting == par.gap_direct_pasting
-        assert seq.gap_direct_increasing == par.gap_direct_increasing

@@ -143,6 +143,29 @@ class TestMartingaleIncrement:
             np.testing.assert_allclose(down, e - z * lat.sqrt_dt, atol=1e-14)
 
 
+class TestChildPrimitives:
+    @pytest.mark.parametrize("mode", [RECOMBINING, FULL_TREE])
+    def test_split_children_takes_leading_batch_axes(self, mode):
+        lat = build_lattice(1.0, 4, mode)
+        x = np.random.default_rng(2).normal(size=(3, 2, lat.n_nodes(3)))
+        down, up = lat.split_children(x)
+        for i in range(3):
+            for j in range(2):
+                d1, u1 = lat.split_children(x[i, j])
+                assert np.array_equal(down[i, j], d1) and np.array_equal(up[i, j], u1)
+
+    def test_spread_repeats_tree_values_and_ors_walk_flags(self):
+        tree = build_lattice(1.0, 3, FULL_TREE)
+        np.testing.assert_array_equal(
+            tree.spread_to_children(np.array([4, 7])), [4, 4, 7, 7]
+        )
+        walk = build_lattice(1.0, 3, RECOMBINING)
+        np.testing.assert_array_equal(
+            walk.spread_to_children(np.array([True, False, False])),
+            [True, True, False, False],
+        )
+
+
 class TestTowerProperty:
     @pytest.mark.parametrize("mode", [RECOMBINING, FULL_TREE])
     def test_chain_root_is_weighted_terminal_average(self, mode):

@@ -142,6 +142,27 @@ class TestSolve:
         )
         assert np.isfinite(res.y0)
 
+    def test_stalled_implicit_step_raises(self):
+        # dt * |a| = 12.5: the undamped iteration diverges and must not
+        # hand back its last iterate
+        from drbsde_lab.bsde import FixedPointError
+
+        paths = simulate_paths(1, 1.0, 4, 200, 0)
+        problem = McProblem(terminal=lambda s: s[:, 0])
+        with pytest.raises(FixedPointError):
+            solve_mc(paths, problem, registry_generator("linear:-50,0"),
+                     scheme="implicit")
+
+    def test_stopped_driver_rejected(self):
+        from drbsde_lab.generator import stop_generator
+        from drbsde_lab.lattice import StoppingRule
+
+        lat = build_lattice(1.0, 4)
+        g = stop_generator(registry_generator("constant:1"), StoppingRule.at_step(lat, 2))
+        paths = simulate_paths(1, 1.0, 4, 200, 0)
+        with pytest.raises(ValueError, match="stopped"):
+            solve_mc(paths, McProblem(terminal=lambda s: s[:, 0]), g)
+
     def test_terminal_order_validated(self):
         paths = simulate_paths(1, 1.0, 4, 500, 2)
         prob = McProblem(

@@ -291,16 +291,6 @@ class TestPenalizationRun:
         scale = report.gap_tolerance / 1e-6
         assert report.flat_off_residuals[-1] <= 1e-6 * scale
 
-    def test_jobs_do_not_change_results(self):
-        g = registry_generator("zero")
-        seq, rep1 = penalization_run(self.lat, self.xi, g, self.L, "lower", [1, 16])
-        par, rep2 = penalization_run(
-            self.lat, self.xi, g, self.L, "lower", [1, 16], jobs=2
-        )
-        assert rep1.sup_gaps == rep2.sup_gaps
-        for a, b in zip(seq, par):
-            assert sup_gap(a.Y, b.Y) == 0.0
-
 
 class TestFirstHitting:
     def test_never_touching_stops_at_horizon(self):
