@@ -23,7 +23,6 @@ step.  The Monte Carlo backend shares :func:`_driver_update`.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from .lattice import (
     TerminalPayoff,
     conditional_expectation_chain,
     martingale_increment,
-    _fmt,
+    _write_node_dump,
 )
 
 IMPLICIT_TOL = 1e-12
@@ -93,16 +92,20 @@ def _driver_update(driver, expectation, dt: float, lam_plus: float, scheme: str,
     # the exactness checks downstream
     scale = 1.0 + _nan_sup(expectation)
     fine = 1e-15 * scale
+    # only post-frontier nodes, where E itself is NaN, are left out; a NaN
+    # or inf residual anywhere else never converges
+    frontier = np.isnan(expectation)
     residual = math.inf
     for it in range(1, IMPLICIT_CAP + 1):
         target = expectation + dt * driver(y)
-        residual = _nan_sup(target - y)
+        gap = np.abs(np.where(frontier, 0.0, target - y))
+        residual = float(np.max(gap)) if gap.size else 0.0
         if residual <= fine:
             break
         y = y + damp * (target - y)
     if stats is not None:
         stats["max_iterations"] = max(stats.get("max_iterations", 0), it)
-    if residual > IMPLICIT_TOL * scale:
+    if not residual <= IMPLICIT_TOL * scale:
         raise FixedPointError(
             f"implicit step {k} did not converge within {IMPLICIT_CAP} iterations "
             f"(residual {residual:.3g})"
@@ -549,23 +552,8 @@ SOLUTION_HEADER = ["k", "node-id", "state", "Y", "Z", "K", "J"]
 def write_solution_csv(path, sol: Solution) -> None:
     """Solution dump; the K and J columns hold the per-step increments."""
     lat = sol.lattice
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(SOLUTION_HEADER)
-        for k in range(lat.N + 1):
-            states = lat.states(k)
-            ids = lat.node_ids(k)
-            z = sol.Z[k] if k < lat.N else None
-            for i in range(lat.n_nodes(k)):
-                w.writerow([
-                    k,
-                    ids[i],
-                    _fmt(states[i]),
-                    _fmt(sol.Y[k][i]),
-                    _fmt(z[i]) if z is not None else "",
-                    _fmt(sol.dK[k][i]),
-                    _fmt(sol.dJ[k][i]),
-                ])
+    _write_node_dump(path, SOLUTION_HEADER, lat, lambda k: (
+        sol.Y[k], sol.Z[k] if k < lat.N else None, sol.dK[k], sol.dJ[k]))
 
 
 def write_solution_sidecar(path, sol: Solution) -> None:

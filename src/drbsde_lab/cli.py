@@ -5,7 +5,9 @@ penalization sweep, a pasting cross-check, a game-value verification, an
 axiom or hypothesis sweep, or a Monte Carlo cross-check -- and writes its
 reports under the output directory.  Exit status: 0 when every requested
 verification passes its tolerance, 1 on verification failure (reports are
-still written), 2 on configuration or size-guard errors.
+still written), 2 on configuration or size-guard errors, 3 when a solver
+fails (an implicit step does not converge, a regression is singular); the
+report then says ``"passed": false`` and names the error.
 
 ``drbsde-lab verify-all <dir>`` runs every ``*.json`` config in a directory
 and aggregates a pass/fail table.
@@ -28,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .bsde import (
+    FixedPointError,
     Solution,
     solve_bsde,
     verify_evaluation_axioms,
@@ -59,6 +62,7 @@ from .lattice import (
 from .mc import (
     McProblem,
     RegressionBasis,
+    SingularRegressionError,
     simulate_paths,
     solve_mc,
     write_bundle_csv,
@@ -483,6 +487,10 @@ def run_experiment(config: ExperimentConfig, out_dir) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (FixedPointError, SingularRegressionError) as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        payload = {"passed": False, "error": error}
     report = {"kind": config.kind, **payload}
     _write_report(out, report)
     manifest = {
@@ -494,6 +502,8 @@ def run_experiment(config: ExperimentConfig, out_dir) -> int:
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    if "error" in payload:
+        return 3
     return 0 if payload["passed"] else 1
 
 
@@ -534,6 +544,7 @@ def main(argv=None) -> int:
         print(f"no configs found in {base}", file=sys.stderr)
         return 2
     out_base = Path(args.out) if args.out else base / "results"
+    names = {0: "PASS", 1: "FAIL", 2: "CONFIG-ERROR", 3: "SOLVER-ERROR"}
     worst = 0
     rows = []
     for path in configs:
@@ -545,7 +556,7 @@ def main(argv=None) -> int:
             worst = max(worst, 2)
             continue
         status = run_experiment(cfg, out_base / path.stem)
-        rows.append((path.name, {0: "PASS", 1: "FAIL", 2: "CONFIG-ERROR"}[status]))
+        rows.append((path.name, names[status]))
         worst = max(worst, status)
     width = max(len(name) for name, _ in rows)
     print(f"{'config'.ljust(width)}  status")

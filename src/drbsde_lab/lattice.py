@@ -22,6 +22,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -33,10 +34,6 @@ FULL_TREE = "full-tree"
 FULL_TREE_MAX_N = 24
 
 _F17 = "{:.17g}".format
-
-
-def _fmt(x) -> str:
-    return _F17(float(x))
 
 
 class Lattice:
@@ -101,11 +98,22 @@ class Lattice:
         self._states[k] = st
         return st
 
-    def node_ids(self, k: int):
-        """Serialization ids: up-count ``j`` (recombining) or the bit word."""
+    def node_ids(self, k: int, start: int = 0, stop: int | None = None):
+        """Serialization ids of the step-``k`` nodes ``start..stop-1``:
+        up-count ``j`` (recombining) or the bit word (full tree)."""
+        if stop is None:
+            stop = self.n_nodes(k)
         if self.mode == RECOMBINING:
-            return [str(j) for j in range(k + 1)]
-        return [format(p, f"0{k}b") if k else "" for p in range(1 << k)]
+            return list(map(str, range(start, stop)))
+        if k == 0:
+            return [""] * (stop - start)
+        # 2**low consecutive words differ only in their last low bits
+        low = min(k, 8)
+        tails = [format(q, f"0{low}b") for q in range(1 << low)]
+        heads = [format(h, f"0{k - low}b") if k > low else ""
+                 for h in range(start >> low, (stop + (1 << low) - 1) >> low)]
+        skip = start & ((1 << low) - 1)
+        return [h + t for h in heads for t in tails][skip:skip + stop - start]
 
     def split_children(self, next_values: np.ndarray):
         """Split step-``k+1`` values into (down, up) children per step-``k`` node.
@@ -452,30 +460,54 @@ class StoppingRule:
 
 PROCESS_HEADER = ["k", "node-id", "state", "value"]
 
+# rows formatted and written at a time; bounds the text held in memory
+DUMP_CHUNK = 4096
+
+
+def _format_column(values: np.ndarray, memo: dict | None = None) -> list[str]:
+    """``{:.17g}`` of each value; each distinct bit pattern (never value:
+    ``-0.0``, ``0.0`` and NaN payloads differ) is formatted once or read
+    from ``memo``."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    floats = bits.view(np.float64).tolist()
+    if memo is None:
+        text = list(map(_F17, floats))
+    else:
+        text = [memo.get(b) or memo.setdefault(b, _F17(x))
+                for b, x in zip(bits.tolist(), floats)]
+    return list(map(text.__getitem__, inverse.tolist()))
+
+
+def _write_rows(fh, keys, columns) -> None:
+    """One ``fh.write`` of ``csv.writer``'s bytes (``\\r\\n`` line ends, no
+    field to quote): the key text columns, then the float columns (``None``
+    is an empty field)."""
+    cells = [repeat("") if c is None else _format_column(c) for c in columns]
+    fh.write("\r\n".join(map(",".join, zip(*keys, *cells))) + "\r\n")
+
+
+def _write_node_dump(path, header, lattice: Lattice, step_columns) -> None:
+    """Stream ``k,node-id,state`` and the value columns ``step_columns(k)``
+    of every node, ``DUMP_CHUNK`` rows at a time."""
+    state_text: dict[int, str] = {}  # few distinct states (2N+1 on the walk)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for k in range(lattice.N + 1):
+            states, cols, n = lattice.states(k), step_columns(k), lattice.n_nodes(k)
+            for start in range(0, n, DUMP_CHUNK):
+                stop = min(start + DUMP_CHUNK, n)
+                keys = (repeat(str(k)), lattice.node_ids(k, start, stop),
+                        _format_column(states[start:stop], state_text))
+                _write_rows(fh, keys, [None if c is None else c[start:stop] for c in cols])
+
 
 def write_process_csv(path, process: AdaptedProcess) -> None:
-    lat = process.lattice
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(PROCESS_HEADER)
-        for k in range(lat.N + 1):
-            states = lat.states(k)
-            ids = lat.node_ids(k)
-            vals = process[k]
-            for i in range(lat.n_nodes(k)):
-                w.writerow([k, ids[i], _fmt(states[i]), _fmt(vals[i])])
+    _write_node_dump(path, PROCESS_HEADER, process.lattice, lambda k: (process[k],))
 
 
 def write_lattice_csv(path, lattice: Lattice) -> None:
     """Descriptor dump: same schema as processes with an empty value column."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(PROCESS_HEADER)
-        for k in range(lattice.N + 1):
-            states = lattice.states(k)
-            ids = lattice.node_ids(k)
-            for i in range(lattice.n_nodes(k)):
-                w.writerow([k, ids[i], _fmt(states[i]), ""])
+    _write_node_dump(path, PROCESS_HEADER, lattice, lambda k: (None,))
 
 
 def read_process_csv(path, lattice: Lattice) -> AdaptedProcess:

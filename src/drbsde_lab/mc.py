@@ -22,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .generator import Generator
+from .lattice import DUMP_CHUNK, _write_rows
 
 CONDITION_WARN = 1e8
 
@@ -62,10 +63,17 @@ def simulate_paths(d: int, T: float, N: int, M: int, seed: int) -> PathBundle:
         raise ValueError("at least 100 paths are required")
     dt = T / N
     increments = np.empty((M, N, d))
-    base = (int(seed) & ((1 << 64) - 1)) << 64  # 128-bit key: (seed, path)
+    # one generator re-keyed per path: Philox key words (low, high) = (path, seed)
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    state = bits.state
+    key = state["state"]["key"]
+    key[1] = int(seed) & ((1 << 64) - 1)
     for i in range(M):
-        gen = np.random.Generator(np.random.Philox(key=base + i))
-        increments[i] = gen.standard_normal((N, d)) * math.sqrt(dt)
+        key[0] = i
+        bits.state = state
+        gen.standard_normal(out=increments[i])
+    increments *= math.sqrt(dt)
     states = np.zeros((M, N + 1, d))
     np.cumsum(increments, axis=1, out=states[:, 1:, :])
 
@@ -197,19 +205,15 @@ class McResult:
 
 def write_bundle_csv(path, bundle: PathBundle) -> None:
     """Path dump: one row per (path, step, coordinate)."""
-    import csv
-
+    step_keys = [f",{k},{j}" for k in range(bundle.N) for j in range(bundle.d)]
+    per_chunk = max(1, DUMP_CHUNK // len(step_keys))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path", "k", "coord", "dB", "state"])
-        for i in range(bundle.M):
-            for k in range(bundle.N):
-                for j in range(bundle.d):
-                    w.writerow([
-                        i, k, j,
-                        f"{bundle.increments[i, k, j]:.17g}",
-                        f"{bundle.states[i, k + 1, j]:.17g}",
-                    ])
+        fh.write("path,k,coord,dB,state\r\n")
+        for lo in range(0, bundle.M, per_chunk):
+            hi = min(lo + per_chunk, bundle.M)
+            keys = [f"{i}{s}" for i in range(lo, hi) for s in step_keys]
+            values = [bundle.increments[lo:hi].reshape(-1), bundle.states[lo:hi, 1:].reshape(-1)]
+            _write_rows(fh, (keys,), values)
 
 
 def write_mc_sidecar(path, result: "McResult") -> None:

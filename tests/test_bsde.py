@@ -116,6 +116,15 @@ class TestSolveBsde:
         with pytest.raises(FixedPointError):
             solve_bsde(lat, xi, g, "implicit")
 
+    def test_overflow_to_nan_is_not_convergence(self):
+        # the iterates overflow to inf, the residual turns NaN; NaN is skipped
+        # only where the expectation itself is NaN (post-frontier nodes)
+        lat = build_lattice(1.0, 4)
+        xi = TerminalPayoff.from_function(lat, lambda s: s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FixedPointError, match="residual nan"):
+                solve_bsde(lat, xi, registry_generator("linear:-1e4,0"), "implicit")
+
     def test_comparison_under_guard(self):
         # ordered data and ordered drivers give ordered values, node-wise
         lat = build_lattice(1.0, 12)

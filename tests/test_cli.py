@@ -212,6 +212,25 @@ class TestRunKinds:
         assert "not strictly separated at node" in err
         assert "(k=" in err
 
+    @pytest.mark.parametrize("config,error", [
+        ({"kind": "bsde", "lattice": {"T": 1.0, "N": 4}, "scheme": "implicit",
+          "generator": "linear:-50,0", "terminal": "state"}, "FixedPointError"),
+        ({"kind": "mc-crosscheck", "lattice": {"T": 1.0, "N": 2}, "generator": "zero",
+          "terminal": "state", "lower": "state - 1", "upper": "state + 1",
+          "mc": {"M": 200, "degree": 30}, "seed": 3}, "SingularRegressionError"),
+    ], ids=["implicit-stall", "singular-regression"])
+    def test_solver_failure_exits_3_with_report(self, tmp_path, capsys, config, error):
+        out = tmp_path / "out"
+        assert run_experiment(ExperimentConfig.from_dict(config), out) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is False
+        assert report["error"]["type"] == error
+        assert report["error"]["message"]
+        assert json.loads((out / "manifest.json").read_text())["kind"] == config["kind"]
+        write_config(tmp_path, "stall.json", config)
+        assert main(["verify-all", str(tmp_path), "--out", str(tmp_path / "res")]) == 3
+        assert "SOLVER-ERROR" in capsys.readouterr().out
+
 
 class TestDeterminism:
     def test_identical_config_gives_identical_reports(self, tmp_path):

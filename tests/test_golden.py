@@ -4,7 +4,9 @@ One small config per experiment kind, in both schemes wherever the kind
 takes one, with linear or constant drivers only.  The hashes were recorded
 before the solver loops were merged into one backward-induction kernel; a
 refactor of the solvers must leave every one of them unchanged.  The one
-hash that moved when that happened is marked below.
+hash that moved when that happened is marked below.  The ``obstacle.csv``
+and ``paths.csv`` dumps are pinned too, with hashes recorded before the
+dump writers were replaced by the streaming column writer.
 """
 
 import hashlib
@@ -148,3 +150,23 @@ def output_hashes(cfg, out):
 @pytest.mark.parametrize("case,cfg", list(_cases()), ids=[c for c, _ in _cases()])
 def test_outputs_match_golden_bytes(case, cfg, tmp_path):
     assert output_hashes(cfg, tmp_path) == GOLDEN[case]
+
+
+DUMPS = {
+    "rbsde/obstacle.csv": (
+        dict(CONFIGS["rbsde"], scheme="explicit"),
+        "01183170b34d395a1baae12a5aba8184a5f5dcf0e1ea6ee3be8886feba970f8e",
+    ),
+    "mc-crosscheck/paths.csv": (
+        dict(CONFIGS["mc-crosscheck"], scheme="explicit", write_paths=True),
+        "b82fef2229418523437fd1437ef7be154825589b42f53ace0a9e649eecf7e2c1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DUMPS))
+def test_dumps_match_golden_bytes(case, tmp_path):
+    cfg, digest = DUMPS[case]
+    assert run_experiment(ExperimentConfig.from_dict(cfg), tmp_path) == 0
+    dump = tmp_path / case.split("/")[1]
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest

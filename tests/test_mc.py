@@ -28,6 +28,16 @@ class TestSimulate:
         small = simulate_paths(1, 1.0, 8, 100, 7)
         assert np.array_equal(big.increments[:100], small.increments)
 
+    @pytest.mark.parametrize("d,seed", [(1, 2026), (3, -5)])
+    def test_draws_match_a_fresh_generator_per_path(self, d, seed):
+        # reference: one Philox per path keyed by the 128-bit (seed, path)
+        paths = simulate_paths(d, 1.0, 4, 150, seed)
+        base = (seed & ((1 << 64) - 1)) << 64
+        for i in (0, 1, 149):
+            gen = np.random.Generator(np.random.Philox(key=base + i))
+            expected = gen.standard_normal((4, d)) * np.sqrt(0.25)
+            assert np.array_equal(paths.increments[i], expected)
+
     def test_seed_changes_draws(self):
         a = simulate_paths(1, 1.0, 8, 200, 1)
         b = simulate_paths(1, 1.0, 8, 200, 2)
