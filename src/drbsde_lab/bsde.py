@@ -8,7 +8,8 @@ next-step slice into children, giving the exact conditional expectation
 * explicit scheme:  ``y = E + dt * g(t, state, E, Z)``
 * implicit scheme:  ``y`` solves ``y = E + dt * g(t, state, y, Z)`` by a
   damped fixed point (damping ``1/(1 + dt*lam_plus)``, cap 100 iterations,
-  tolerance 1e-12, else :class:`FixedPointError`); the driver is only
+  tolerance 1e-12, else :class:`FixedPointError`, raised at once when the
+  residual turns NaN, which never recovers); the driver is only
   one-sidedly monotone in ``y``, so the undamped iteration may diverge.
 
 A stopped driver (see ``generator.stop_generator``) is switched off inside
@@ -46,7 +47,16 @@ IMPLICIT_CAP = 100
 
 
 class FixedPointError(RuntimeError):
-    """Damped implicit iteration failed to meet tolerance within the cap."""
+    """Damped implicit iteration failed to meet tolerance within the cap.
+
+    ``step`` is the time step and ``residual`` the last sup-norm residual
+    (NaN or inf when the iterates left the finite range).
+    """
+
+    def __init__(self, message: str, step: int, residual: float):
+        super().__init__(message)
+        self.step = step
+        self.residual = residual
 
 
 def monotone_guard(lattice: Lattice, g: Generator) -> tuple[float, bool]:
@@ -76,8 +86,8 @@ def _driver_update(driver, expectation, dt: float, lam_plus: float, scheme: str,
 
     Explicit: ``E + dt * driver(E)``.  Implicit: the damped fixed point of
     ``y = E + dt * driver(y)``; raises :class:`FixedPointError` (naming step
-    ``k``) when the cap is reached above tolerance.  ``stats`` collects the
-    largest iteration count.
+    ``k``) when the cap is reached above tolerance or at the first NaN
+    residual.  ``stats`` collects the largest iteration count.
     """
     if scheme == "explicit":
         return expectation + dt * driver(expectation)
@@ -100,15 +110,17 @@ def _driver_update(driver, expectation, dt: float, lam_plus: float, scheme: str,
         target = expectation + dt * driver(y)
         gap = np.abs(np.where(frontier, 0.0, target - y))
         residual = float(np.max(gap)) if gap.size else 0.0
-        if residual <= fine:
+        # NaN iterates stay NaN: no later iteration can converge
+        if residual <= fine or math.isnan(residual):
             break
         y = y + damp * (target - y)
     if stats is not None:
         stats["max_iterations"] = max(stats.get("max_iterations", 0), it)
     if not residual <= IMPLICIT_TOL * scale:
+        how = (f"diverged at iteration {it}" if math.isnan(residual)
+               else f"did not converge within {IMPLICIT_CAP} iterations")
         raise FixedPointError(
-            f"implicit step {k} did not converge within {IMPLICIT_CAP} iterations "
-            f"(residual {residual:.3g})"
+            f"implicit step {k} {how} (residual {residual:.3g})", k, residual
         )
     return target
 

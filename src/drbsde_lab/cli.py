@@ -7,7 +7,8 @@ reports under the output directory.  Exit status: 0 when every requested
 verification passes its tolerance, 1 on verification failure (reports are
 still written), 2 on configuration or size-guard errors, 3 when a solver
 fails (an implicit step does not converge, a regression is singular); the
-report then says ``"passed": false`` and names the error.
+report then says ``"passed": false`` and names the error (an implicit
+failure also gives its step and its residual, ``null`` when not finite).
 
 ``drbsde-lab verify-all <dir>`` runs every ``*.json`` config in a directory
 and aggregates a pass/fail table.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -160,7 +162,7 @@ class ExperimentConfig:
 
                     g = replace(g, **overrides)
                 return g
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, OSError) as exc:
             raise ConfigError(f"bad generator spec {spec!r}: {exc}") from exc
         raise ConfigError(f"bad generator spec {spec!r}")
 
@@ -490,6 +492,9 @@ def run_experiment(config: ExperimentConfig, out_dir) -> int:
     except (FixedPointError, SingularRegressionError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, FixedPointError):
+            error["step"] = exc.step
+            error["residual"] = exc.residual if math.isfinite(exc.residual) else None
         payload = {"passed": False, "error": error}
     report = {"kind": config.kind, **payload}
     _write_report(out, report)

@@ -233,7 +233,8 @@ def check_hypotheses(
     The continuity requirement in ``y`` is not falsifiable by sampling; it
     is checked as finite differences staying bounded on the box, which is a
     documented surrogate.  When ``g.h`` is an adapted process a lattice must
-    be supplied and ``(t, state)`` are drawn from its nodes.
+    be supplied and ``(t, state)`` are drawn from its nodes.  A NaN margin
+    is a counterexample.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -268,8 +269,9 @@ def check_hypotheses(
     results: dict[str, CheckResult] = {}
 
     def record(name, margins, which):
+        # a NaN margin is a counterexample: max and argmax both stop at NaN
         worst = float(np.max(margins))
-        if worst > tol:
+        if not worst <= tol:
             i = int(np.argmax(margins))
             results[name] = CheckResult(False, worst, which(i))
         else:
@@ -337,41 +339,62 @@ class TabulatedDriver:
 
     Evaluation is multilinear interpolation with clamping outside the grid.
     Files are ``.npz`` archives with 1-D axes ``t, state, y, z``, a 4-D
-    ``values`` array, and scalars ``kappa, lam, alpha, h``.
+    ``values`` array, and scalars ``kappa, lam, alpha, h``.  Values must be
+    finite.
+
+    Only the live axes (more than one knot) are interpolated, so one call
+    gathers ``2**live`` corners from the flattened table.  A one-knot axis
+    would contribute the factor 1 and upper corners of weight 0; leaving
+    those out changes no bit because the table is finite (``0 * inf`` would
+    be NaN) and the sum starts at +0.0, which adding +-0.0 never changes.
     """
 
     def __init__(self, axes, values):
         self.axes = [np.asarray(a, dtype=float) for a in axes]
-        self.values = np.asarray(values, dtype=float)
-        if self.values.shape != tuple(a.size for a in self.axes):
+        self.values = np.ascontiguousarray(values, dtype=float)
+        shape = tuple(a.size for a in self.axes)
+        if self.values.shape != shape:
             raise ValueError("value grid does not match axes")
         for a in self.axes:
             if a.size < 1 or np.any(np.diff(a) <= 0):
                 raise ValueError("axes must be strictly increasing")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("driver table values must be finite")
+        # element strides of the C-ordered copy, never of the array given
+        # (a broadcast table has stride 0, a transposed one other strides)
+        live = [d for d, a in enumerate(self.axes) if a.size > 1]
+        strides = [int(np.prod(shape[d + 1:])) for d in live]
+        self._live = [
+            (d, self.axes[d][1:-1], self.axes[d], np.diff(self.axes[d]), stride)
+            for d, stride in zip(live, strides)
+        ]
+        # corner c takes the upper knot on live axis b when bit b of c is set:
+        # the corner order of the full 16-corner sum with dead corners left out
+        flat = self.values.ravel()
+        self._corners = [
+            flat[sum(s for b, s in enumerate(strides) if c >> b & 1):]
+            for c in range(1 << len(live))
+        ]
 
     def __call__(self, t, state, y, z):
-        coords = np.broadcast_arrays(
-            *[np.asarray(c, dtype=float) for c in (t, state, y, z)]
-        )
-        out = np.zeros(coords[0].shape)
-        los, ws = [], []
-        for axis, c in zip(self.axes, coords):
-            if axis.size == 1:
-                los.append(np.zeros(c.shape, dtype=np.int64))
-                ws.append(np.zeros(c.shape))
-                continue
-            lo = np.clip(np.searchsorted(axis, c, side="right") - 1, 0, axis.size - 2)
-            w = np.clip((c - axis[lo]) / (axis[lo + 1] - axis[lo]), 0.0, 1.0)
-            los.append(lo)
-            ws.append(w)
-        for corner in range(16):
-            idx, weight = [], np.ones(coords[0].shape)
-            for d in range(4):
-                hi = (corner >> d) & 1
-                step = hi if self.axes[d].size > 1 else 0
-                idx.append(los[d] + step)
-                weight = weight * (ws[d] if hi else (1.0 - ws[d]))
-            out += weight * self.values[tuple(idx)]
+        coords = [np.asarray(c, dtype=float) for c in (t, state, y, z)]
+        out = np.zeros(np.broadcast(*coords).shape)
+        base, factors = 0, []
+        for d, inner, axis, gaps, stride in self._live:
+            c = coords[d]
+            # knots <= c among the inner ones: the lower knot of the cell,
+            # already clamped to the first and the last cell (NaN: the last)
+            lo = inner.searchsorted(c, side="right")
+            w = ((c - axis[lo]) / gaps[lo]).clip(0.0, 1.0)
+            factors.append((1.0 - w, w))
+            base = base + lo * stride
+        for corner, table in enumerate(self._corners):
+            weight = None
+            for b, pair in enumerate(factors):
+                f = pair[corner >> b & 1]
+                weight = f if weight is None else weight * f
+            gathered = table[base]
+            out += gathered if weight is None else weight * gathered
         return out
 
 

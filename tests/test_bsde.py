@@ -125,6 +125,28 @@ class TestSolveBsde:
             with pytest.raises(FixedPointError, match="residual nan"):
                 solve_bsde(lat, xi, registry_generator("linear:-1e4,0"), "implicit")
 
+    @pytest.mark.parametrize("a,calls", [(-1e4, 93), (-1e300, 4)])
+    def test_nan_residual_stops_the_fixed_point_at_once(self, a, calls):
+        # y <- E - 2500 y overflows at iteration 90 (residual inf) and turns
+        # NaN two iterations later; with a = -1e300 that happens at once.
+        # The cap would have called the driver 101 times at step 3.
+        lat = build_lattice(1.0, 4)
+        xi = TerminalPayoff.from_function(lat, lambda s: s)
+        base = registry_generator(f"linear:{a},0")
+        times = []
+
+        def fn(t, s, y, z):
+            times.append(t)
+            return base.fn(t, s, y, z)
+
+        g = Generator(fn, kappa=base.kappa, lam=base.lam, name="counted")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FixedPointError, match="residual nan") as err:
+                solve_bsde(lat, xi, g, "implicit")
+        assert err.value.step == 3
+        assert math.isnan(err.value.residual)
+        assert times == [lat.time(3)] * calls
+
     def test_comparison_under_guard(self):
         # ordered data and ordered drivers give ordered values, node-wise
         lat = build_lattice(1.0, 12)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +77,28 @@ class TestConfig:
     def test_bad_generator_rejected(self, tmp_path):
         cfg = ExperimentConfig.from_dict({**GAME_CONFIG, "generator": "cubic:1"})
         assert run_experiment(cfg, tmp_path / "out") == 2
+
+    def test_missing_driver_file_is_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.npz"
+        path = write_config(tmp_path, "c.json",
+                            {**GAME_CONFIG, "generator": f"driver-file:{missing}"})
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "absent.npz" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_driver_table_is_config_error(self, tmp_path, capsys):
+        axis = np.array([-1.0, 1.0])
+        values = np.zeros((2, 2, 2, 2))
+        values[1, 0, 1, 0] = np.inf
+        driver = tmp_path / "driver.npz"
+        np.savez(driver, t=axis, state=axis, y=axis, z=axis, values=values,
+                 kappa=1.0, lam=1.0, alpha=0.5, h=0.0)
+        path = write_config(tmp_path, "c.json",
+                            {**GAME_CONFIG, "generator": f"driver-file:{driver}"})
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "finite" in err
 
 
 class TestRunKinds:
@@ -212,20 +235,36 @@ class TestRunKinds:
         assert "not strictly separated at node" in err
         assert "(k=" in err
 
-    @pytest.mark.parametrize("config,error", [
+    @pytest.mark.parametrize("config,error,fields", [
         ({"kind": "bsde", "lattice": {"T": 1.0, "N": 4}, "scheme": "implicit",
-          "generator": "linear:-50,0", "terminal": "state"}, "FixedPointError"),
+          "generator": "linear:-50,0", "terminal": "state"}, "FixedPointError",
+         {"step": 3, "residual": float}),
         ({"kind": "mc-crosscheck", "lattice": {"T": 1.0, "N": 2}, "generator": "zero",
           "terminal": "state", "lower": "state - 1", "upper": "state + 1",
-          "mc": {"M": 200, "degree": 30}, "seed": 3}, "SingularRegressionError"),
-    ], ids=["implicit-stall", "singular-regression"])
-    def test_solver_failure_exits_3_with_report(self, tmp_path, capsys, config, error):
+          "mc": {"M": 200, "degree": 30}, "seed": 3}, "SingularRegressionError", {}),
+        ({"kind": "bsde", "lattice": {"T": 1.0, "N": 4}, "scheme": "implicit",
+          "generator": "linear:-1e4,0", "terminal": "state"}, "FixedPointError",
+         {"step": 3, "residual": None}),
+    ], ids=["implicit-stall", "singular-regression", "implicit-nan"])
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_solver_failure_exits_3_with_report(self, tmp_path, capsys, config, error,
+                                                fields):
         out = tmp_path / "out"
         assert run_experiment(ExperimentConfig.from_dict(config), out) == 3
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is False
         assert report["error"]["type"] == error
         assert report["error"]["message"]
+        # an implicit failure names its step and carries its residual, a
+        # number, or null when it is not finite
+        extra = set(report["error"]) - {"type", "message"}
+        assert extra == set(fields)
+        for key, want in fields.items():
+            got = report["error"][key]
+            if isinstance(want, type):
+                assert isinstance(got, want) and math.isfinite(got)
+            else:
+                assert got == want
         assert json.loads((out / "manifest.json").read_text())["kind"] == config["kind"]
         write_config(tmp_path, "stall.json", config)
         assert main(["verify-all", str(tmp_path), "--out", str(tmp_path / "res")]) == 3

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from drbsde_lab.generator import (
     Generator,
+    TabulatedDriver,
     check_hypotheses,
     load_driver_file,
     negate_reflect,
@@ -224,6 +228,24 @@ class TestCheckHypotheses:
         # |g(y,0)| = |s||cos y| <= 1 + |s| = h at every node
         assert report.results["H4"].passed
 
+    def test_nan_margin_is_a_counterexample(self):
+        # NaN on y > 2 only: "NaN > tol" is false, so a bare comparison
+        # would let H1, H2, H4 and H5 pass with a NaN worst margin
+        g = Generator(
+            lambda t, s, y, z: np.where(np.asarray(y) > 2.0, np.nan, 0.0 * z),
+            kappa=1.0, lam=0.0, alpha=0.5, h=0.0, name="nan-corner",
+        )
+        with np.errstate(invalid="ignore"):
+            report = check_hypotheses(g, 500, seed=1)
+        for name in ("H1", "H2", "H4", "H5"):
+            res = report.results[name]
+            assert not res.passed and np.isnan(res.worst), name
+            t, s, y, yp, z, zp = res.counterexample
+            # the first sample whose margin is NaN
+            assert y > 2.0 or (name == "H2" and yp > 2.0), name
+        assert not report.results["H3"].passed
+        assert not report.all_pass
+
     def test_deterministic_under_seed(self):
         g = registry_generator("linear:0.5,0.5")
         a = check_hypotheses(g, 1000, seed=9)
@@ -278,3 +300,122 @@ class TestRegistry:
             Generator(lambda t, s, y, z: 0.0, kappa=0.0, lam=0.0)
         with pytest.raises(ValueError):
             Generator(lambda t, s, y, z: 0.0, kappa=1.0, lam=0.0, alpha=1.0)
+
+
+def reference_interpolation(axes, values, t, state, y, z):
+    """The 16-corner loop ``TabulatedDriver`` used before it gathered only
+    the corners of its live axes; kept here as the oracle."""
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    values = np.asarray(values, dtype=float)
+    coords = np.broadcast_arrays(
+        *[np.asarray(c, dtype=float) for c in (t, state, y, z)]
+    )
+    out = np.zeros(coords[0].shape)
+    los, ws = [], []
+    for axis, c in zip(axes, coords):
+        if axis.size == 1:
+            los.append(np.zeros(c.shape, dtype=np.int64))
+            ws.append(np.zeros(c.shape))
+            continue
+        lo = np.clip(np.searchsorted(axis, c, side="right") - 1, 0, axis.size - 2)
+        w = np.clip((c - axis[lo]) / (axis[lo + 1] - axis[lo]), 0.0, 1.0)
+        los.append(lo)
+        ws.append(w)
+    for corner in range(16):
+        idx, weight = [], np.ones(coords[0].shape)
+        for d in range(4):
+            hi = (corner >> d) & 1
+            step = hi if axes[d].size > 1 else 0
+            idx.append(los[d] + step)
+            weight = weight * (ws[d] if hi else (1.0 - ws[d]))
+        out += weight * values[tuple(idx)]
+    return out
+
+
+def _bits(a, nan_sign=True):
+    a = np.asarray(a)
+    if not nan_sign:
+        a = np.where(np.isnan(a), np.nan, a)
+    return a.shape, a.dtype, a.view(np.uint64).tobytes()
+
+
+TABLE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 / 3.0, 5e-324, 1e300]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def tables(draw):
+    """(axes, values) with 1-4 knots per axis, C-ordered, broadcast or transposed."""
+    sizes = [draw(st.integers(1, 4)) for _ in range(4)]
+    axes = []
+    for n in sizes:
+        start = draw(st.floats(-3.0, 3.0))
+        gaps = draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1, max_size=n - 1))
+        axes.append(start + np.concatenate([[0.0], np.cumsum(gaps)]))
+    layout = draw(st.sampled_from(["contiguous", "broadcast", "transposed"]))
+    if layout == "broadcast":
+        # one axis of size > 1 (if any) repeats a single slice: stride 0
+        live = [d for d, n in enumerate(sizes) if n > 1]
+        shape = list(sizes)
+        if live:
+            shape[draw(st.sampled_from(live))] = 1
+        flat = draw(st.lists(TABLE_VALUES, min_size=int(np.prod(shape)),
+                             max_size=int(np.prod(shape))))
+        values = np.broadcast_to(np.array(flat).reshape(shape), sizes)
+    else:
+        n = int(np.prod(sizes))
+        flat = np.array(draw(st.lists(TABLE_VALUES, min_size=n, max_size=n)))
+        values = flat.reshape(sizes)
+        if layout == "transposed":
+            # Fortran order: same values, distinct slices, reversed strides
+            values = np.asfortranarray(values)
+    return axes, values
+
+
+@st.composite
+def coordinates(draw, axes):
+    """Four broadcastable coordinates: knots, inside, outside, -0.0, NaN."""
+    shapes = draw(mutually_broadcastable_shapes(num_shapes=4, max_dims=2, max_side=3))
+    coords = []
+    for axis, shape in zip(axes, shapes.input_shapes):
+        lo, hi = float(axis[0]), float(axis[-1])
+        point = st.one_of(
+            st.sampled_from([float(a) for a in axis]),
+            st.floats(lo - 1.0, hi + 1.0),
+            st.sampled_from([-0.0, np.nan, -np.nan, np.inf, -np.inf]),
+        )
+        n = int(np.prod(shape))
+        vals = draw(st.lists(point, min_size=n, max_size=n))
+        if shape == () and draw(st.booleans()):
+            coords.append(vals[0])  # a plain Python float
+        else:
+            coords.append(np.array(vals, dtype=float).reshape(shape))
+    return coords
+
+
+class TestTabulatedDriver:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_sixteen_corner_oracle_bitwise(self, data):
+        axes, values = data.draw(tables())
+        coords = data.draw(coordinates(axes))
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = TabulatedDriver(axes, values)(*coords)
+            want = reference_interpolation(axes, values, *coords)
+        assert isinstance(got, np.ndarray)
+        # IEEE 754 leaves the sign of a NaN result open, and numpy's scalar
+        # and vector loops pick different operands: with a -NaN coordinate
+        # only the NaN positions must agree; every other bit must match
+        nan_sign = not any(
+            np.signbit(np.asarray(c))[np.isnan(c)].any() for c in coords
+        )
+        assert _bits(got, nan_sign) == _bits(want, nan_sign)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_table_rejected(self, bad):
+        values = np.zeros((1, 1, 2, 2))
+        values[0, 0, 1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedDriver(([0.0], [0.0], [0.0, 1.0], [0.0, 1.0]), values)

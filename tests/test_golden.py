@@ -11,6 +11,8 @@ dump writers were replaced by the streaming column writer.
 
 import hashlib
 
+import numpy as np
+
 import pytest
 
 from drbsde_lab.cli import ExperimentConfig, run_experiment
@@ -170,3 +172,41 @@ def test_dumps_match_golden_bytes(case, tmp_path):
     assert run_experiment(ExperimentConfig.from_dict(cfg), tmp_path) == 0
     dump = tmp_path / case.split("/")[1]
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
+
+
+def write_tanh_sin_driver(path):
+    """Tabulated ``0.5*tanh(y) + 0.3*sin(z)``: one state knot, two equal t slices."""
+    y = np.linspace(-4.0, 4.0, 81)
+    z = np.linspace(-4.0, 4.0, 81)
+    grid = 0.5 * np.tanh(y)[:, None] + 0.3 * np.sin(z)[None, :]
+    np.savez(path, t=np.array([0.0, 1.0]), state=np.array([0.0]), y=y, z=z,
+             values=np.broadcast_to(grid, (2, 1, y.size, z.size)),
+             kappa=0.5, lam=0.5, alpha=0.5, h=0.0)
+
+
+# tabulated-driver runs; hashes recorded before the driver evaluation was
+# rewritten to gather only the corners of its live axes
+TABULATED = {
+    "penalization/upper/implicit": (
+        {"kind": "penalization", "lattice": WALK, "scheme": "implicit",
+         "side": "upper", "terminal": RAILS["terminal"], "upper": RAILS["upper"]},
+        {"status": 0,
+         "report.json": "ec3040943fc355996a1d2744c4ac7e888f3fe9ceda45471d5da3917f405f4da1",
+         "solution.csv": "0378f7abde537f5db2a162d8017c8c5cbba4ececa775b573086644b69524edbf"},
+    ),
+    "pasting/implicit": (
+        dict(CONFIGS["pasting"], scheme="implicit"),
+        {"status": 0,
+         "report.json": "6a4234d4b3642a97ab9125789fc8defb0c83873106178b04c46851e0c52da9b5",
+         "solution.csv": "10d3cdd663008572af4a2361250affac83bf9d03fdf191cd3551ed010824ea8c"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(TABULATED))
+def test_tabulated_driver_outputs_match_golden_bytes(case, tmp_path):
+    cfg, golden = TABULATED[case]
+    driver = tmp_path / "driver.npz"
+    write_tanh_sin_driver(driver)
+    cfg = dict(cfg, generator=f"driver-file:{driver}")
+    assert output_hashes(cfg, tmp_path / "out") == golden
