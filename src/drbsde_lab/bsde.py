@@ -49,14 +49,17 @@ IMPLICIT_CAP = 100
 class FixedPointError(RuntimeError):
     """Damped implicit iteration failed to meet tolerance within the cap.
 
-    ``step`` is the time step and ``residual`` the last sup-norm residual
-    (NaN or inf when the iterates left the finite range).
+    ``step`` is the time step, ``residual`` the last sup-norm residual
+    (NaN or inf when the iterates left the finite range) and ``node`` the
+    last-axis index (the node on a lattice) of the first NaN residual, or
+    else of the largest.
     """
 
-    def __init__(self, message: str, step: int, residual: float):
+    def __init__(self, message: str, step: int, residual: float, node: int):
         super().__init__(message)
         self.step = step
         self.residual = residual
+        self.node = node
 
 
 def monotone_guard(lattice: Lattice, g: Generator) -> tuple[float, bool]:
@@ -119,9 +122,9 @@ def _driver_update(driver, expectation, dt: float, lam_plus: float, scheme: str,
     if not residual <= IMPLICIT_TOL * scale:
         how = (f"diverged at iteration {it}" if math.isnan(residual)
                else f"did not converge within {IMPLICIT_CAP} iterations")
-        raise FixedPointError(
-            f"implicit step {k} {how} (residual {residual:.3g})", k, residual
-        )
+        node = int(np.unravel_index(np.argmax(gap), gap.shape)[-1])  # first NaN, if any
+        raise FixedPointError(f"implicit step {k} {how} at node {node} "
+                              f"(residual {residual:.3g})", k, residual, node)
     return target
 
 

@@ -8,7 +8,7 @@ verification passes its tolerance, 1 on verification failure (reports are
 still written), 2 on configuration or size-guard errors, 3 when a solver
 fails (an implicit step does not converge, a regression is singular); the
 report then says ``"passed": false`` and names the error (an implicit
-failure also gives its step and its residual, ``null`` when not finite).
+failure also gives its step, node and residual, ``null`` when not finite).
 
 ``drbsde-lab verify-all <dir>`` runs every ``*.json`` config in a directory
 and aggregates a pass/fail table.
@@ -297,11 +297,12 @@ def _run_dynkin_verify(cfg: ExperimentConfig, out: Path) -> dict:
     lat = cfg.lattice()
     game = _game(cfg, lat)
     tol = cfg.tolerance("value_gap")
-    oracle = game_value_oracle(lat, game, cfg.scheme, tol)
-    saddle = verify_saddle(lat, game, None, cfg.scheme, tol, cfg.seed)
+    sol = solve_drbsde(lat, game, cfg.scheme)
+    oracle = game_value_oracle(lat, game, cfg.scheme, tol, solution=sol)
+    saddle = verify_saddle(lat, game, sol, cfg.scheme, tol, cfg.seed)
     write_game_report(out / "game_report.txt", oracle)
     if cfg.raw.get("write_pair_table", False):
-        write_pair_table_csv(out / "pair_table.csv", lat, game, cfg.scheme)
+        write_pair_table_csv(out / "pair_table.csv", oracle.table)
     passed = oracle.passed and saddle.passed
     return {
         "passed": passed,
@@ -494,6 +495,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> int:
         error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, FixedPointError):
             error["step"] = exc.step
+            error["node"] = exc.node
             error["residual"] = exc.residual if math.isfinite(exc.residual) else None
         payload = {"passed": False, "error": error}
     report = {"kind": config.kind, **payload}

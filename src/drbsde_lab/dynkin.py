@@ -12,19 +12,24 @@ terminal data when both wait to the end:
                     xi             if tau = gamma = T
 
 The exhaustive oracle brute-forces the pair table, so its sup-inf/inf-sup
-values are exact finite maxima, independent of any solver identity.
+values are exact finite maxima, independent of any solver identity.  It
+still enumerates every pair, but a pair's value at a node depends only on
+both rules' flags below it, so each block of 64 rows evaluates each distinct
+pair of subtree classes per node once.  The bits are those of the full
+broadcast: each step's batch holds exactly its distinct elements (padded
+with repeats), so the implicit fixed point's sup-norm stopping test is too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .bsde import g_evaluate, step_candidate
 from .drbsde import DynkinGame, solve_drbsde
-from .lattice import FULL_TREE, Lattice, StoppingRule
+from .lattice import DUMP_CHUNK, FULL_TREE, Lattice, StoppingRule, _write_rows
 from .rbsde import first_hitting
 
 ORACLE_MAX_N = 4
@@ -136,6 +141,29 @@ def payoff_R(tau: StoppingRule, gamma: StoppingRule, path, game: DynkinGame) -> 
     return float(game.xi.values[p])
 
 
+def _subtree_classes(flags: list[np.ndarray], n: int):
+    """Each row's class ``(flag, down-child class, up-child class)`` at each
+    node, hashed bottom-up and numbered per node (one class at the horizon).
+
+    Returns the rows' root classes and, per step ``k < n``, the flags
+    ``(A_k, 2**k)`` and children's classes ``(A_k, 2**(k+1))`` of each
+    node's classes, ``A_k`` the most at one node; a node with fewer repeats
+    its last class.
+    """
+    cls, width, layout = np.zeros((flags[0].shape[0], 1 << n), dtype=np.int64), 1, [None] * n
+    for k in range(n - 1, -1, -1):
+        base = np.arange(1 << k) * (2 * width * width)  # each node's key range
+        key = (flags[k] * width + cls[:, 0::2]) * width + cls[:, 1::2] + base
+        uniq, inv = np.unique(key, return_inverse=True)
+        first = np.searchsorted(uniq, base)
+        counts = np.diff(np.append(first, uniq.size))
+        cls = inv.reshape(key.shape) - first
+        rep = uniq[first + np.minimum(np.arange(counts.max())[:, None], counts - 1)] - base
+        kids = np.stack([rep // width % width, rep % width], axis=-1).reshape(len(rep), -1)
+        layout[k], width = (rep >= width * width, kids), int(counts.max())
+    return cls[:, 0], layout
+
+
 def _pair_table_block(
     tree: Lattice,
     game: DynkinGame,
@@ -148,19 +176,21 @@ def _pair_table_block(
     ``tau_flags[k]`` has shape ``(a, w_k)`` and ``gamma_flags[k]`` shape
     ``(b, w_k)``; the result has shape ``(a, b)``.  The pair stops at the
     first node either rule flags; the upper rail wins ties.  This oracle
-    keeps its own loop over the shared batched step.
+    keeps its own loop over the shared batched step, on each step's
+    distinct pairs of subtree classes per node (see the module docstring).
     """
-    a = tau_flags[0].shape[0]
-    b = gamma_flags[0].shape[0]
     n = tree.N
-    v = np.broadcast_to(game.xi.values, (a, b, 1 << n)).copy()
+    tau_root, tau_layout = _subtree_classes(tau_flags, n)
+    gamma_root, gamma_layout = _subtree_classes(gamma_flags, n)
+    v = game.xi.values[None, None, :]
     for k in range(n - 1, -1, -1):
-        cand, _ = step_candidate(tree, game.g, k, v, scheme)
-        stop_t = tau_flags[k][:, None, :]
-        stop_g = gamma_flags[k][None, :, :]
+        (stop_t, kids_t), (stop_g, kids_g) = tau_layout[k], gamma_layout[k]
+        children = v[kids_t[:, None, :], kids_g[None, :, :], np.arange(2 << k)]
+        cand, _ = step_candidate(tree, game.g, k, children, scheme)
+        stop_t, stop_g = stop_t[:, None, :], stop_g[None, :, :]
         pay = np.where(stop_g, game.U[k], game.L[k])
         v = np.where(stop_t | stop_g, pay, cand)
-    return v[..., 0]
+    return v[tau_root[:, None], gamma_root[None, :], 0]
 
 
 def strategy_value(
@@ -198,6 +228,7 @@ class GameReport:
     n_rules: int = 0
     tol: float = 1e-10
     scale: float = 1.0
+    table: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def oracle_gap(self) -> float:
@@ -255,9 +286,11 @@ def game_value_oracle(
     scheme: str = "explicit",
     tol: float = 1e-10,
     block: int = 64,
+    solution=None,
 ) -> GameReport:
     """Brute-force the full pair table and compare both iterated optima
-    against the backward solve."""
+    against the backward solve (``solution``, solved here when ``None``);
+    the report keeps the table."""
     table = pair_value_table(tree, game, scheme, block)
     count = table.shape[0]
     row_min = table.min(axis=1)
@@ -266,15 +299,17 @@ def game_value_oracle(
     inf_sup = float(col_max.min())
     i_best = int(np.argmax(row_min))
     j_best = int(np.argmin(col_max))
-    y0 = solve_drbsde(tree, game, scheme).root_value
+    if solution is None:
+        solution = solve_drbsde(tree, game, scheme)
     return GameReport(
-        y0=y0,
+        y0=solution.root_value,
         sup_inf=sup_inf,
         inf_sup=inf_sup,
         optimal_pair=(i_best, j_best),
         n_rules=count,
         tol=tol,
         scale=game.scale(),
+        table=table,
     )
 
 
@@ -300,18 +335,16 @@ def write_game_report(path, report: GameReport) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_pair_table_csv(path, tree: Lattice, game: DynkinGame,
-                         scheme: str = "explicit") -> None:
-    """On-demand dump of the full pair-value table (size-guarded)."""
-    table = pair_value_table(tree, game, scheme)
-    import csv
-
+def write_pair_table_csv(path, table: np.ndarray) -> None:
+    """Dump a pair-value table (``GameReport.table``) row-major,
+    ``DUMP_CHUNK`` rows per write."""
+    flat = table.ravel()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tau_index", "gamma_index", "value"])
-        for i in range(table.shape[0]):
-            for j in range(table.shape[1]):
-                w.writerow([i, j, f"{table[i, j]:.17g}"])
+        fh.write("tau_index,gamma_index,value\r\n")
+        for start in range(0, flat.size, DUMP_CHUNK):
+            chunk = flat[start:start + DUMP_CHUNK]
+            rows, cols = np.divmod(np.arange(start, start + chunk.size), table.shape[1])
+            _write_rows(fh, (map(str, rows.tolist()), map(str, cols.tolist())), [chunk])
 
 
 def verify_saddle(

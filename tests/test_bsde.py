@@ -5,6 +5,7 @@ import pytest
 
 from drbsde_lab.bsde import (
     FixedPointError,
+    _driver_update,
     g_evaluate,
     martingale_represent,
     monotone_guard,
@@ -146,6 +147,19 @@ class TestSolveBsde:
         assert err.value.step == 3
         assert math.isnan(err.value.residual)
         assert times == [lat.time(3)] * calls
+
+    @pytest.mark.parametrize("slopes,node", [((0, 0, -300, -400), 3),
+                                             ((0, -1e300, 0, -400), 1)],
+                             ids=["largest-residual", "first-nan"])
+    def test_failure_names_its_node(self, slopes, node):
+        # the node is the last-axis index of the first NaN residual, or else
+        # of the largest; a batch axis in front does not count
+        w = np.array(slopes, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FixedPointError) as err:
+                _driver_update(lambda y: w * y, np.ones((2, 4)), 0.25, 0.0, "implicit", 3)
+        assert err.value.node == node
+        assert f"at node {node} " in str(err.value)
 
     def test_comparison_under_guard(self):
         # ordered data and ordered drivers give ordered values, node-wise

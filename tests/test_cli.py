@@ -238,13 +238,13 @@ class TestRunKinds:
     @pytest.mark.parametrize("config,error,fields", [
         ({"kind": "bsde", "lattice": {"T": 1.0, "N": 4}, "scheme": "implicit",
           "generator": "linear:-50,0", "terminal": "state"}, "FixedPointError",
-         {"step": 3, "residual": float}),
+         {"step": 3, "node": 0, "residual": float}),
         ({"kind": "mc-crosscheck", "lattice": {"T": 1.0, "N": 2}, "generator": "zero",
           "terminal": "state", "lower": "state - 1", "upper": "state + 1",
           "mc": {"M": 200, "degree": 30}, "seed": 3}, "SingularRegressionError", {}),
         ({"kind": "bsde", "lattice": {"T": 1.0, "N": 4}, "scheme": "implicit",
           "generator": "linear:-1e4,0", "terminal": "state"}, "FixedPointError",
-         {"step": 3, "residual": None}),
+         {"step": 3, "node": 0, "residual": None}),
     ], ids=["implicit-stall", "singular-regression", "implicit-nan"])
     @np.errstate(over="ignore", invalid="ignore")
     def test_solver_failure_exits_3_with_report(self, tmp_path, capsys, config, error,
@@ -255,8 +255,8 @@ class TestRunKinds:
         assert report["passed"] is False
         assert report["error"]["type"] == error
         assert report["error"]["message"]
-        # an implicit failure names its step and carries its residual, a
-        # number, or null when it is not finite
+        # an implicit failure names its step and node and carries its
+        # residual, a number, or null when it is not finite
         extra = set(report["error"]) - {"type", "message"}
         assert extra == set(fields)
         for key, want in fields.items():
@@ -269,6 +269,42 @@ class TestRunKinds:
         write_config(tmp_path, "stall.json", config)
         assert main(["verify-all", str(tmp_path), "--out", str(tmp_path / "res")]) == 3
         assert "SOLVER-ERROR" in capsys.readouterr().out
+
+
+class TestDynkinVerify:
+    def test_one_solve_serves_the_oracle_and_the_saddle(self, tmp_path, monkeypatch):
+        from drbsde_lab import cli, dynkin
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2] if len(args) > 2 else kwargs.get("scheme"))
+            return solve(*args, **kwargs)
+
+        solve = cli.solve_drbsde
+        monkeypatch.setattr(cli, "solve_drbsde", counted)
+        monkeypatch.setattr(dynkin, "solve_drbsde", counted)
+        cfg = ExperimentConfig.from_dict(dict(GAME_CONFIG, scheme="implicit"))
+        assert run_experiment(cfg, tmp_path) == 0
+        assert calls == ["implicit"]
+
+    def test_pair_table_is_the_oracle_table(self, tmp_path, monkeypatch):
+        from drbsde_lab import dynkin
+
+        tables = []
+
+        def counted(*args, **kwargs):
+            tables.append(table(*args, **kwargs))
+            return tables[-1]
+
+        table = dynkin.pair_value_table
+        monkeypatch.setattr(dynkin, "pair_value_table", counted)
+        cfg = ExperimentConfig.from_dict(dict(GAME_CONFIG, write_pair_table=True))
+        assert run_experiment(cfg, tmp_path) == 0
+        assert len(tables) == 1
+        rows = (tmp_path / "pair_table.csv").read_text().splitlines()
+        assert len(rows) == 1 + tables[0].size == 1 + 26 * 26
+        assert rows[27] == f"1,0,{tables[0][1, 0]:.17g}"
 
 
 class TestDeterminism:

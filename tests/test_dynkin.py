@@ -1,6 +1,13 @@
+import csv
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drbsde_lab import bsde, dynkin
+from drbsde_lab.bsde import step_candidate
 from drbsde_lab.drbsde import DynkinGame, solve_drbsde
 from drbsde_lab.dynkin import (
     StoppingRule,
@@ -14,7 +21,7 @@ from drbsde_lab.dynkin import (
     write_game_report,
     write_pair_table_csv,
 )
-from drbsde_lab.generator import Generator, registry_generator
+from drbsde_lab.generator import Generator, registry_generator, stop_generator
 from drbsde_lab.lattice import (
     FULL_TREE,
     AdaptedProcess,
@@ -272,7 +279,7 @@ class TestSaddle:
         text = (tmp_path / "game.txt").read_text()
         assert text.startswith("y0 ")
         assert "passed true" in text
-        write_pair_table_csv(tmp_path / "pairs.csv", tree, game)
+        write_pair_table_csv(tmp_path / "pairs.csv", report.table)
         lines = (tmp_path / "pairs.csv").read_text().splitlines()
         assert lines[0] == "tau_index,gamma_index,value"
         assert len(lines) == 1 + 25  # 5x5 pairs at N=2
@@ -294,3 +301,130 @@ class TestSaddle:
         assert report.max_saddle_violation <= 1e-10
         assert report.saddle_equality_gap <= 1e-10
         assert report.sandwich_slack <= 1e-10
+
+
+def reference_pair_table_block(tree, game, tau_flags, gamma_flags, scheme):
+    """The pair-table block as first written: one step over the full
+    ``(a, b, 2**k)`` broadcast of every pair at every node."""
+    a = tau_flags[0].shape[0]
+    b = gamma_flags[0].shape[0]
+    n = tree.N
+    v = np.broadcast_to(game.xi.values, (a, b, 1 << n)).copy()
+    for k in range(n - 1, -1, -1):
+        cand, _ = step_candidate(tree, game.g, k, v, scheme)
+        stop_t = tau_flags[k][:, None, :]
+        stop_g = gamma_flags[k][None, :, :]
+        pay = np.where(stop_g, game.U[k], game.L[k])
+        v = np.where(stop_t | stop_g, pay, cand)
+    return v[..., 0]
+
+
+def reference_write_pair_table_csv(path, table):
+    """The pair-table dump as first written: one ``csv`` row per pair."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["tau_index", "gamma_index", "value"])
+        for i in range(table.shape[0]):
+            for j in range(table.shape[1]):
+                w.writerow([i, j, f"{table[i, j]:.17g}"])
+
+
+def step_spy(seen):
+    """``step_candidate`` that records, per step, the distinct
+    ``(node, down bits, up bits)`` triples of its batch."""
+
+    def spy(lattice, g, k, next_values, scheme, stats=None):
+        down, up = lattice.split_children(next_values)
+        node = np.broadcast_to(np.arange(down.shape[-1]), down.shape)
+        triples = np.stack([node, down.view(np.int64), up.view(np.int64)], axis=-1)
+        seen[k] = np.unique(triples.reshape(-1, 3), axis=0)
+        return bsde.step_candidate(lattice, g, k, next_values, scheme, stats)
+
+    return spy
+
+
+@pytest.fixture(scope="module")
+def tabulated_driver(tmp_path_factory):
+    from test_golden import write_tanh_sin_driver
+
+    path = tmp_path_factory.mktemp("driver") / "driver.npz"
+    write_tanh_sin_driver(path)
+    return f"driver-file:{path}"
+
+
+def separated_game(tree, g, shift=0.0):
+    f = lambda s: np.tanh(s + shift)
+    return DynkinGame(
+        xi=TerminalPayoff.from_function(tree, f),
+        g=g,
+        L=AdaptedProcess.from_function(tree, lambda t, s: f(s) - 0.3 - 0.05 * t),
+        U=AdaptedProcess.from_function(tree, lambda t, s: f(s) + 0.25 + 0.1 * t),
+    )
+
+
+def stacked_rules(tree):
+    rules, _ = enumerate_stopping_rules(tree)
+    return [np.stack([r.flags[k] for r in rules]) for k in range(tree.N + 1)]
+
+
+class TestPairTableClasses:
+    DRIVERS = ["linear:0.5,0.3", "linear:-0.5,0.3", "constant:0.2", "tabulated", "stopped"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), scheme=st.sampled_from(["explicit", "implicit"]),
+           driver=st.sampled_from(DRIVERS),
+           layout=st.sampled_from(["block", "saddle-row", "saddle-column", "random"]),
+           data=st.data())
+    def test_matches_the_full_broadcast_bitwise(self, tabulated_driver, n, scheme,
+                                                driver, layout, data):
+        tree = build_lattice(1.0, n, FULL_TREE)
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        if driver == "tabulated":
+            g = registry_generator(tabulated_driver)
+        elif driver == "stopped":
+            g = stop_generator(registry_generator("linear:0.5,0.3"),
+                               StoppingRule.at_step(tree, int(rng.integers(0, n + 1))))
+        else:
+            g = registry_generator(driver)
+        game = separated_game(tree, g, shift=float(rng.uniform(-0.5, 0.5)))
+        if layout == "random":
+            # any flags, not only canonical rules: flags after a stop and
+            # at the horizon too
+            a, b = data.draw(st.integers(1, 40), label="a"), data.draw(st.integers(1, 40), label="b")
+            p = data.draw(st.sampled_from([0.05, 0.3, 0.7]), label="p")
+            tau = [rng.random((a, 1 << k)) < p for k in range(n + 1)]
+            gamma = [rng.random((b, 1 << k)) < p for k in range(n + 1)]
+        else:
+            stacked = stacked_rules(tree)
+            count = stacked[0].shape[0]
+            if layout == "block":
+                size = data.draw(st.integers(1, 64), label="size")
+                lo = data.draw(st.integers(0, count - 1), label="lo")
+                tau, gamma = [f[lo:lo + size] for f in stacked], stacked
+            else:
+                sol = solve_drbsde(tree, game, scheme)
+                side = "upper" if layout == "saddle-row" else "lower"
+                star = [f[None, :] for f in first_hitting(sol, None, side).canonicalize().flags]
+                tau, gamma = (stacked, star) if side == "upper" else (star, stacked)
+        got_steps, want_steps = {}, {}
+        with mock.patch.object(dynkin, "step_candidate", step_spy(got_steps)):
+            got = dynkin._pair_table_block(tree, game, tau, gamma, scheme)
+        with mock.patch.dict(globals(), step_candidate=step_spy(want_steps)):
+            want = reference_pair_table_block(tree, game, tau, gamma, scheme)
+        assert got.shape == want.shape == (tau[0].shape[0], gamma[0].shape[0])
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        # the reason the bits agree: each step's batch holds exactly the
+        # distinct elements of the full broadcast, no fewer and no more
+        assert got_steps.keys() == want_steps.keys() == set(range(n))
+        for k in range(n):
+            np.testing.assert_array_equal(got_steps[k], want_steps[k])
+
+    def test_pair_table_csv_matches_the_row_writer(self, tmp_path):
+        tree = build_lattice(1.0, 3, FULL_TREE)
+        game = separated_game(tree, registry_generator("linear:-0.5,0.3"))
+        table = pair_value_table(tree, game, "implicit")
+        table[1, 2], table[3, 4] = -0.0, np.nan  # signed zero and NaN format too
+        write_pair_table_csv(tmp_path / "new.csv", table)
+        reference_write_pair_table_csv(tmp_path / "old.csv", table)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

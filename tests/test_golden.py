@@ -10,6 +10,7 @@ dump writers were replaced by the streaming column writer.
 """
 
 import hashlib
+import json
 
 import numpy as np
 
@@ -172,6 +173,30 @@ def test_dumps_match_golden_bytes(case, tmp_path):
     assert run_experiment(ExperimentConfig.from_dict(cfg), tmp_path) == 0
     dump = tmp_path / case.split("/")[1]
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
+
+
+# a game whose value lies strictly between the rails at the root (the
+# dynkin-verify cases above report the upper rail, 0.25, for y0 and both
+# optima, in both schemes); hashes recorded before the pair table evaluated
+# subtree classes
+GAME = {"kind": "dynkin-verify", "lattice": {**TREE, "N": 4}, "scheme": "implicit",
+        "generator": "linear:-0.5,0.3", "terminal": RAILS["terminal"],
+        "lower": "max(state, -0.8) - 0.3 - 0.1*t",
+        "upper": "max(state, -0.8) + 0.35 + 0.1*t",
+        "seed": 11, "write_pair_table": True}
+GAME_GOLDEN = {
+    "report.json": "ffd3abc124f568c3594e69bbc5172564e53d2a37454f98d72a7c2618802a4a8c",
+    "game_report.txt": "9c2f34eef7aedb61452131fa1e3ec176a9ae7b3b51613fc050572ffb2ee3cafd",
+    "pair_table.csv": "339fae7e0ed85ab8c80dc8c341571ffb1707d6c990e1a1041c72677b29230bc3",
+}
+
+
+def test_separated_game_matches_golden_bytes(tmp_path):
+    assert run_experiment(ExperimentConfig.from_dict(GAME), tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert 0 < report["checks"]["oracle_gap"] < 1e-15
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GAME_GOLDEN} == GAME_GOLDEN
 
 
 def write_tanh_sin_driver(path):
