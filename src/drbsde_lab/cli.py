@@ -6,9 +6,10 @@ axiom or hypothesis sweep, or a Monte Carlo cross-check -- and writes its
 reports under the output directory.  Exit status: 0 when every requested
 verification passes its tolerance, 1 on verification failure (reports are
 still written), 2 on configuration or size-guard errors, 3 when a solver
-fails (an implicit step does not converge, a regression is singular); the
-report then says ``"passed": false`` and names the error (an implicit
-failure also gives its step, node and residual, ``null`` when not finite).
+fails (an implicit step does not converge, a regression is singular), 4 on
+any other exception, an internal error; after a 3 or a 4 the report says
+``"passed": false`` and names the error (an implicit failure also gives its
+step, node and residual, ``null`` when not finite).
 
 ``drbsde-lab verify-all <dir>`` runs every ``*.json`` config in a directory
 and aggregates a pass/fail table.
@@ -25,6 +26,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,13 +49,14 @@ from .drbsde import (
     write_ledger_csv,
 )
 from .dynkin import (
+    _check_oracle_tree,
     game_value_oracle,
     verify_saddle,
     write_game_report,
     write_pair_table_csv,
 )
 from .exprs import ExpressionError, compile_expression
-from .generator import Generator, check_hypotheses, registry_generator
+from .generator import DEFAULT_BOX, Generator, check_hypotheses, registry_generator
 from .lattice import (
     AdaptedProcess,
     Lattice,
@@ -65,12 +68,14 @@ from .mc import (
     McProblem,
     RegressionBasis,
     SingularRegressionError,
+    mc_terminal,
     simulate_paths,
     solve_mc,
     write_bundle_csv,
     write_mc_sidecar,
 )
-from .rbsde import penalization_run, solve_rbsde, write_penalization_csv
+from .rbsde import (_check_reflected_inputs, _check_schedule, penalization_run, solve_rbsde,
+                    write_penalization_csv)
 
 KINDS = (
     "bsde",
@@ -94,6 +99,15 @@ DEFAULT_TOLERANCES = {
 
 class ConfigError(ValueError):
     pass
+
+
+@contextmanager
+def _config_check():
+    """Inputs checked inside are config data: their errors are config errors."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -136,14 +150,12 @@ class ExperimentConfig:
         spec = self.raw.get("lattice")
         if not isinstance(spec, dict):
             raise ConfigError("config needs a 'lattice' object")
-        try:
+        with _config_check():
             return build_lattice(
                 float(spec.get("T", 1.0)),
                 int(spec.get("N", 8)),
                 spec.get("mode", "recombining"),
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def generator(self) -> Generator:
         spec = self.raw.get("generator", "zero")
@@ -162,7 +174,7 @@ class ExperimentConfig:
 
                     g = replace(g, **overrides)
                 return g
-        except (KeyError, ValueError, OSError) as exc:
+        except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad generator spec {spec!r}: {exc}") from exc
         raise ConfigError(f"bad generator spec {spec!r}")
 
@@ -179,9 +191,8 @@ class ExperimentConfig:
 
     def terminal(self, lattice: Lattice) -> TerminalPayoff:
         fn = self.expression("terminal", required=True)
-        return TerminalPayoff.from_function(
-            lattice, lambda s: fn(lattice.T, s)
-        )
+        with _config_check():
+            return TerminalPayoff.from_function(lattice, lambda s: fn(lattice.T, s))
 
     def obstacle(self, key: str, lattice: Lattice):
         fn = self.expression(key)
@@ -190,20 +201,28 @@ class ExperimentConfig:
         return AdaptedProcess.from_function(lattice, fn)
 
     def tolerance(self, key: str) -> float:
-        tols = self.raw.get("tolerances", {})
-        return float(tols.get(key, DEFAULT_TOLERANCES[key]))
+        with _config_check():
+            return float(self.raw.get("tolerances", {}).get(key, DEFAULT_TOLERANCES[key]))
+
+    def choice(self, key: str, default: str, allowed) -> str:
+        value = self.raw.get(key, default)
+        if value not in allowed:
+            raise ConfigError(f"{key} must be one of {allowed}, got {value!r}")
+        return value
 
     @property
     def scheme(self) -> str:
-        return self.raw.get("scheme", "explicit")
+        return self.choice("scheme", "explicit", ("explicit", "implicit"))
 
     @property
     def seed(self) -> int:
-        return int(self.raw.get("seed", 0))
+        with _config_check():
+            return int(self.raw.get("seed", 0))
 
     @property
     def schedule(self):
-        return tuple(float(x) for x in self.raw.get("schedule", (1, 4, 16, 64, 256, 1024)))
+        with _config_check():
+            return _check_schedule(self.raw.get("schedule", (1, 4, 16, 64, 256, 1024)))
 
 
 def _write_report(out: Path, payload: dict) -> None:
@@ -238,12 +257,13 @@ def _run_bsde(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _run_rbsde(cfg: ExperimentConfig, out: Path) -> dict:
     lat = cfg.lattice()
-    side = cfg.raw.get("side", "lower")
-    key = "lower" if side == "lower" else "upper"
-    obstacle = cfg.obstacle(key, lat)
+    side = cfg.choice("side", "lower", ("lower", "upper"))
+    obstacle, xi = cfg.obstacle(side, lat), cfg.terminal(lat)
     if obstacle is None:
-        raise ConfigError(f"rbsde config needs a {key!r} obstacle expression")
-    sol = solve_rbsde(lat, cfg.terminal(lat), cfg.generator(), obstacle, side, cfg.scheme)
+        raise ConfigError(f"rbsde config needs a {side!r} obstacle expression")
+    with _config_check():
+        _check_reflected_inputs(lat, xi, obstacle, side)
+    sol = solve_rbsde(lat, xi, cfg.generator(), obstacle, side, cfg.scheme)
     _solution_files(out, sol)
     write_process_csv(out / "obstacle.csv", obstacle)
     flat = sol.flat_off_lower() if side == "lower" else sol.flat_off_upper()
@@ -297,6 +317,8 @@ def _run_dynkin_verify(cfg: ExperimentConfig, out: Path) -> dict:
     lat = cfg.lattice()
     game = _game(cfg, lat)
     tol = cfg.tolerance("value_gap")
+    with _config_check():
+        _check_oracle_tree(lat)
     sol = solve_drbsde(lat, game, cfg.scheme)
     oracle = game_value_oracle(lat, game, cfg.scheme, tol, solution=sol)
     saddle = verify_saddle(lat, game, sol, cfg.scheme, tol, cfg.seed)
@@ -322,13 +344,14 @@ def _run_dynkin_verify(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _run_penalization(cfg: ExperimentConfig, out: Path) -> dict:
     lat = cfg.lattice()
-    side = cfg.raw.get("side", "lower")
-    obstacle = cfg.obstacle("lower" if side == "lower" else "upper", lat)
+    side = cfg.choice("side", "lower", ("lower", "upper"))
+    obstacle, xi = cfg.obstacle(side, lat), cfg.terminal(lat)
     if obstacle is None:
         raise ConfigError("penalization config needs the obstacle expression")
+    with _config_check():
+        _check_reflected_inputs(lat, xi, obstacle, side)
     levels, report = penalization_run(
-        lat, cfg.terminal(lat), cfg.generator(), obstacle, side,
-        cfg.schedule, cfg.scheme,
+        lat, xi, cfg.generator(), obstacle, side, cfg.schedule, cfg.scheme
     )
     write_penalization_csv(out / "penalization.csv", report)
     _solution_files(out, levels[-1])
@@ -346,6 +369,8 @@ def _run_penalization(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _run_pasting(cfg: ExperimentConfig, out: Path) -> dict:
     lat = cfg.lattice()
+    if lat.mode != "full-tree":
+        raise ConfigError("pasting experiments need a full-tree lattice")
     game = _game(cfg, lat)
     report = cross_validate(lat, game, cfg.scheme, cfg.schedule)
     ledger = report.ledger
@@ -375,12 +400,10 @@ def _run_axioms(cfg: ExperimentConfig, out: Path) -> dict:
     lat = cfg.lattice()
     if lat.mode != "full-tree":
         raise ConfigError("axioms experiments need a full-tree lattice")
+    with _config_check():
+        cases = int(cfg.raw.get("cases", 50))
     report = verify_evaluation_axioms(
-        lat,
-        cfg.generator(),
-        cases=int(cfg.raw.get("cases", 50)),
-        seed=cfg.seed,
-        scheme=cfg.scheme,
+        lat, cfg.generator(), cases=cases, seed=cfg.seed, scheme=cfg.scheme,
         tol=cfg.tolerance("axioms"),
     )
     checks = {
@@ -392,13 +415,13 @@ def _run_axioms(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _run_hypotheses(cfg: ExperimentConfig, out: Path) -> dict:
     spec = cfg.raw.get("box")
-    box = tuple(tuple(float(x) for x in pair) for pair in spec) if spec else None
-    kwargs = {"seed": cfg.seed}
-    if box is not None:
-        kwargs["box"] = box
-    report = check_hypotheses(
-        cfg.generator(), int(cfg.raw.get("samples", 2000)), **kwargs
-    )
+    with _config_check():
+        box = tuple(tuple(float(x) for x in pair) for pair in spec) if spec else DEFAULT_BOX
+        samples = int(cfg.raw.get("samples", 2000))
+        if [len(pair) for pair in box] != [2] * 4 or samples < 1:
+            raise ValueError("box needs four (lo, hi) pairs and samples must be >= 1")
+        expected_fail = set(cfg.raw.get("expected_failures", []))
+    report = check_hypotheses(cfg.generator(), samples, box, cfg.seed)
     checks = {
         name: {
             "passed": r.passed,
@@ -407,7 +430,6 @@ def _run_hypotheses(cfg: ExperimentConfig, out: Path) -> dict:
         }
         for name, r in report.results.items()
     }
-    expected_fail = set(cfg.raw.get("expected_failures", []))
     unexpected = [
         name for name, r in report.results.items()
         if (not r.passed) != (name in expected_fail)
@@ -424,10 +446,11 @@ def _run_mc_crosscheck(cfg: ExperimentConfig, out: Path) -> dict:
     game = _game(cfg, lat)
     lattice_sol = solve_drbsde(lat, game, cfg.scheme)
 
-    mc_spec = cfg.raw.get("mc", {})
-    m_paths = int(mc_spec.get("M", 100_000))
-    degree = int(mc_spec.get("degree", 3))
-    paths = simulate_paths(1, lat.T, lat.N, m_paths, cfg.seed)
+    with _config_check():
+        mc_spec = cfg.raw.get("mc", {})
+        m_paths = int(mc_spec.get("M", 100_000))
+        degree = int(mc_spec.get("degree", 3))
+        paths = simulate_paths(1, lat.T, lat.N, m_paths, cfg.seed)
     term_fn = cfg.expression("terminal", required=True)
     lower_fn = cfg.expression("lower")
     upper_fn = cfg.expression("upper")
@@ -442,6 +465,8 @@ def _run_mc_crosscheck(cfg: ExperimentConfig, out: Path) -> dict:
         lower=wrap(lower_fn),
         upper=wrap(upper_fn),
     )
+    with _config_check():
+        mc_terminal(paths, problem)
     result = solve_mc(paths, problem, cfg.generator(),
                       RegressionBasis("polynomial", degree), cfg.scheme)
     write_mc_sidecar(out / "mc_estimate.json", result)
@@ -482,16 +507,16 @@ def run_experiment(config: ExperimentConfig, out_dir) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
+    status = None
     try:
         payload = _DISPATCH[config.kind](config, out)
     except (ConfigError, SeparationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (FixedPointError, SingularRegressionError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+    except Exception as exc:  # noqa: BLE001 -- any other exception is exit 4
+        status = 3 if isinstance(exc, (FixedPointError, SingularRegressionError)) else 4
+        what = "solver failure" if status == 3 else f"internal error: {type(exc).__name__}"
+        print(f"{what}: {exc}", file=sys.stderr)
         error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, FixedPointError):
             error["step"] = exc.step
@@ -509,8 +534,8 @@ def run_experiment(config: ExperimentConfig, out_dir) -> int:
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if "error" in payload:
-        return 3
+    if status is not None:
+        return status
     return 0 if payload["passed"] else 1
 
 
@@ -551,7 +576,7 @@ def main(argv=None) -> int:
         print(f"no configs found in {base}", file=sys.stderr)
         return 2
     out_base = Path(args.out) if args.out else base / "results"
-    names = {0: "PASS", 1: "FAIL", 2: "CONFIG-ERROR", 3: "SOLVER-ERROR"}
+    names = {0: "PASS", 1: "FAIL", 2: "CONFIG-ERROR", 3: "SOLVER-ERROR", 4: "INTERNAL-ERROR"}
     worst = 0
     rows = []
     for path in configs:

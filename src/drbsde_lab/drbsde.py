@@ -121,11 +121,11 @@ def solve_drbsde(lattice: Lattice, game: DynkinGame, scheme: str = "explicit") -
         y = np.minimum(game.U[k], np.maximum(game.L[k], cand))
         return y, np.maximum(game.L[k] - cand, 0.0), np.maximum(cand - game.U[k], 0.0)
 
-    meta = _base_meta(lattice, game.g, scheme)
-    Y, Z, dK, dJ, stats = backward_induction(lattice, game.g, game.xi.values, scheme, clamp)
-    meta.update(stats)
+    (Y, Z, dK, dJ, stats), = backward_induction(
+        lattice, game.g, game.xi.values, scheme, clamp)
     return Solution(
-        kind="doubly-reflected", Y=Y, Z=Z, dK=dK, dJ=dJ, meta=meta,
+        kind="doubly-reflected", Y=Y, Z=Z, dK=dK, dJ=dJ,
+        meta={**_base_meta(lattice, game.g, scheme), **stats},
         obstacle_lower=game.L, obstacle_upper=game.U,
     )
 
@@ -135,32 +135,33 @@ def solve_drbsde(lattice: Lattice, game: DynkinGame, scheme: str = "explicit") -
 # ----------------------------------------------------------------------
 
 
-def _penalized_reflected(lattice, game, n, direction, scheme):
-    """One penalty level of either scheme.
+def _penalized_reflected(lattice, game, schedule, direction, scheme):
+    """Every level of either scheme, one row each, in one sweep.
 
     increasing: keep the upper reflection, push up with the lower penalty;
     decreasing: keep the lower reflection, push down with the upper penalty.
     """
+    n = np.asarray(schedule)[:, None]
+
     def project(k, cand):
         if direction == "increasing":
             pushed = penalty_step(cand, game.L[k], n, lattice.dt, "lower")
             y = np.minimum(game.U[k], pushed)
-            return y, np.zeros_like(y), pushed - y
+            return y, np.broadcast_to(0.0, y.shape), pushed - y
         pushed = penalty_step(cand, game.U[k], n, lattice.dt, "upper")
         y = np.maximum(game.L[k], pushed)
-        return y, y - pushed, np.zeros_like(y)
+        return y, y - pushed, np.broadcast_to(0.0, y.shape)
 
-    meta = _base_meta(lattice, game.g, scheme)
-    meta["penalty_level"] = n
-    meta["direction"] = direction
-    Y, Z, dK, dJ, stats = backward_induction(lattice, game.g, game.xi.values, scheme, project)
-    meta.update(stats)
-    return Solution(
+    terminal = np.broadcast_to(game.xi.values, (len(schedule), game.xi.values.size))
+    rows = backward_induction(lattice, game.g, terminal, scheme, project)
+    return [Solution(
         kind="reflected-upper" if direction == "increasing" else "reflected-lower",
-        Y=Y, Z=Z, dK=dK, dJ=dJ, meta=meta,
+        Y=Y, Z=Z, dK=dK, dJ=dJ,
+        meta={**_base_meta(lattice, game.g, scheme), "penalty_level": level,
+              "direction": direction, **stats},
         obstacle_lower=game.L if direction == "decreasing" else None,
         obstacle_upper=game.U if direction == "increasing" else None,
-    )
+    ) for level, (Y, Z, dK, dJ, stats) in zip(schedule, rows)]
 
 
 def double_penalization(
@@ -185,7 +186,7 @@ def _penalty_family(lattice, game, schedule, direction, scheme, direct: Solution
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"unknown direction {direction!r}")
     schedule = _check_schedule(schedule)
-    levels = [_penalized_reflected(lattice, game, n, direction, scheme) for n in schedule]
+    levels = _penalized_reflected(lattice, game, schedule, direction, scheme)
     if direction == "increasing":
         report = _penalization_report(levels, direct, game.L, "lower", schedule)
     else:
@@ -306,15 +307,13 @@ def pasting_construct(
         dj = np.where(lower_mode, 0.0, np.maximum(cand - game.U[k], 0.0))
         return y, dk, dj
 
-    Y, Z, dK, dJ, stats = backward_induction(
+    (Y, Z, dK, dJ, stats), = backward_induction(
         lattice, game.g, game.xi.values, scheme, one_sided
     )
-    meta = _base_meta(lattice, game.g, scheme)
-    meta.update(stats)
-    meta["route"] = "pasting"
-    meta["eps_hit"] = eps
     pasted = Solution(
-        kind="doubly-reflected", Y=Y, Z=Z, dK=dK, dJ=dJ, meta=meta,
+        kind="doubly-reflected", Y=Y, Z=Z, dK=dK, dJ=dJ,
+        meta={**_base_meta(lattice, game.g, scheme), **stats, "route": "pasting",
+              "eps_hit": eps},
         obstacle_lower=game.L, obstacle_upper=game.U,
     )
 
@@ -370,10 +369,6 @@ class CrossReport:
     @property
     def ledger_max_depth(self) -> int:
         return self.ledger.max_depth
-
-    def max_route_gap(self) -> float:
-        return max(self.gap_direct_pasting, self.gap_direct_increasing,
-                   self.gap_direct_decreasing)
 
 
 def cross_validate(

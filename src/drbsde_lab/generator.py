@@ -46,11 +46,6 @@ class Generator:
         return self.fn(t, state, y, z)
 
     @property
-    def eval(self):
-        """The evaluation function itself (alias of ``fn``)."""
-        return self.fn
-
-    @property
     def lam_plus(self) -> float:
         return max(self.lam, 0.0)
 
@@ -81,17 +76,6 @@ class Generator:
                 "path-dependent stopping rules need the full-tree backend"
             )
         return rule.not_yet_stopped()
-
-
-def _combine_h(ha, hb):
-    """Pointwise sum of two h bounds, collapsing constants."""
-    if isinstance(ha, AdaptedProcess) or isinstance(hb, AdaptedProcess):
-        raise TypeError("combining adapted-process h bounds is not supported")
-    if callable(ha) or callable(hb):
-        fa = ha if callable(ha) else (lambda t, s, _v=float(ha): _v)
-        fb = hb if callable(hb) else (lambda t, s, _v=float(hb): _v)
-        return lambda t, s: fa(t, s) + fb(t, s)
-    return float(ha) + float(hb)
 
 
 def _obstacle_lookup(obstacle: AdaptedProcess):

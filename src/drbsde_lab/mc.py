@@ -239,6 +239,20 @@ def write_mc_sidecar(path, result: "McResult") -> None:
         fh.write("\n")
 
 
+def mc_terminal(paths: PathBundle, problem: McProblem) -> np.ndarray:
+    """Terminal data per path, checked for shape and for the obstacle order
+    the lattice solvers also require."""
+    ends = paths.states[:, paths.N, :]
+    term = np.asarray(problem.terminal(ends), dtype=float)
+    if term.shape != (paths.M,):
+        raise ValueError("terminal function must return one value per path")
+    if problem.lower is not None and np.any(problem.lower(paths.T, ends) > term + 1e-12):
+        raise ValueError("terminal data below the lower obstacle on a path")
+    if problem.upper is not None and np.any(term > problem.upper(paths.T, ends) + 1e-12):
+        raise ValueError("terminal data above the upper obstacle on a path")
+    return term
+
+
 def solve_mc(
     paths: PathBundle,
     problem: McProblem,
@@ -263,18 +277,7 @@ def solve_mc(
         raise ValueError("stopped drivers follow lattice nodes: no path backend")
     M, N, d = paths.M, paths.N, paths.d
     dt = paths.dt
-    term_all = np.asarray(problem.terminal(paths.states[:, N, :]), dtype=float)
-    if term_all.shape != (M,):
-        raise ValueError("terminal function must return one value per path")
-    # terminal order checks mirror the lattice solvers
-    if problem.lower is not None:
-        low = problem.lower(paths.T, paths.states[:, N, :])
-        if np.any(low > term_all + 1e-12):
-            raise ValueError("terminal data below the lower obstacle on a path")
-    if problem.upper is not None:
-        up = problem.upper(paths.T, paths.states[:, N, :])
-        if np.any(term_all > up + 1e-12):
-            raise ValueError("terminal data above the upper obstacle on a path")
+    term_all = mc_terminal(paths, problem)
 
     max_cond = 1.0
     flat_lower = 0.0

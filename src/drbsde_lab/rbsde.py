@@ -67,26 +67,30 @@ def _check_reflected_inputs(lattice, xi, obstacle, side):
 
 
 def _solve_reflected_lower(lattice, xi, g, obstacle, scheme, penalty_n=None):
-    """Direct lower-obstacle induction; optional implicit penalty instead of
-    projection when ``penalty_n`` is given."""
+    """Direct lower-obstacle induction; given a schedule ``penalty_n``, one
+    sweep of the implicit penalty instead of projection, a row per level,
+    returning one ``plain`` solution per level."""
+    levels = None if penalty_n is None else np.asarray(penalty_n)[:, None]
+
     def project(k, cand):
-        zeros = np.zeros_like(cand)
-        if penalty_n is not None:
-            y = penalty_step(cand, obstacle[k], penalty_n, lattice.dt, "lower")
-            return y, zeros, zeros
+        zeros = np.broadcast_to(0.0, cand.shape)
+        if levels is not None:
+            return penalty_step(cand, obstacle[k], levels, lattice.dt, "lower"), zeros, zeros
         y = np.maximum(obstacle[k], cand)
         return y, y - cand, zeros
 
-    meta = _base_meta(lattice, g, scheme)
-    Y, Z, dK, dJ, stats = backward_induction(lattice, g, xi.values, scheme, project)
-    meta.update(stats)
-    if penalty_n is not None:
-        meta["penalty_level"] = penalty_n
-        return Solution(kind="plain", Y=Y, Z=Z, dK=dK, dJ=dJ, meta=meta)
-    return Solution(
-        kind="reflected-lower", Y=Y, Z=Z, dK=dK, dJ=dJ, meta=meta,
-        obstacle_lower=obstacle,
-    )
+    terminal = xi.values if levels is None else np.broadcast_to(
+        xi.values, (len(levels), xi.values.size))
+    rows = backward_induction(lattice, g, terminal, scheme, project)
+    if levels is None:
+        (Y, Z, dK, dJ, stats), = rows
+        return Solution(
+            kind="reflected-lower", Y=Y, Z=Z, dK=dK, dJ=dJ,
+            meta={**_base_meta(lattice, g, scheme), **stats}, obstacle_lower=obstacle,
+        )
+    return [Solution(kind="plain", Y=Y, Z=Z, dK=dK, dJ=dJ, meta={
+                **_base_meta(lattice, g, scheme), **stats, "penalty_level": n})
+            for n, (Y, Z, dK, dJ, stats) in zip(penalty_n, rows)]
 
 
 def solve_rbsde(
@@ -238,29 +242,14 @@ def penalization_run(
     schedule = _check_schedule(schedule)
     _check_reflected_inputs(lattice, xi, obstacle, side)
 
-    def solve_level(n):
-        if side == "lower":
-            return _solve_reflected_lower(lattice, xi, g, obstacle, scheme, penalty_n=n)
-        mirrored = _solve_reflected_lower(
-            lattice,
-            TerminalPayoff(lattice, -np.asarray(xi.values)),
-            negate_reflect(g),
-            _negate_process(obstacle),
-            scheme,
-            penalty_n=n,
-        )
-        meta = dict(mirrored.meta)
-        meta["generator"] = g.name
-        return Solution(
-            kind="plain",
-            Y=_negate_process(mirrored.Y),
-            Z=_negate_process(mirrored.Z),
-            dK=mirrored.dK,
-            dJ=mirrored.dJ,
-            meta=meta,
-        )
-
-    levels = [solve_level(n) for n in schedule]
+    if side == "lower":
+        levels = _solve_reflected_lower(lattice, xi, g, obstacle, scheme, penalty_n=schedule)
+    else:
+        levels = [Solution(kind="plain", Y=_negate_process(m.Y), Z=_negate_process(m.Z),
+                           dK=m.dK, dJ=m.dJ, meta={**m.meta, "generator": g.name})
+                  for m in _solve_reflected_lower(
+                      lattice, TerminalPayoff(lattice, -np.asarray(xi.values)),
+                      negate_reflect(g), _negate_process(obstacle), scheme, penalty_n=schedule)]
     reflected = solve_rbsde(lattice, xi, g, obstacle, side, scheme)
     return levels, _penalization_report(levels, reflected, obstacle, side, schedule)
 
@@ -392,35 +381,27 @@ def verify_snell(
         if lat.mode != "full-tree" or lat.N > 4:
             raise ValueError("enumeration needs a full tree with N <= 4")
         rules, _ = enumerate_stopping_rules(lat)
-        root = StoppingRule.at_step(lat, 0)
-        best = -np.inf
-        for rule in rules:
-            table = g_evaluate(lat, root, rule, reward, g, scheme)
-            best = max(best, float(table[0][0]))
-            rules_checked += 1
+        tables = g_evaluate(lat, StoppingRule.at_step(lat, 0), rules, reward, g, scheme)
+        best = max(float(table[0][0]) for table in tables)
+        rules_checked = len(rules)
         max_gap = abs(best - solution.root_value)
     else:
         raise ValueError(f"unknown verification mode {mode!r}")
 
-    # sandwich on sampled rules from the root
+    # sandwich on sampled rules from the root, as one sweep
+    from .bsde import random_rule
+
     rng = np.random.default_rng(seed)
     root = StoppingRule.at_step(lat, 0)
     tau_sharp = first_hitting(solution, root, "lower")
-    sandwich_slack = 0.0
-    equality_gap = 0.0
+    gammas = [random_rule(lat, rng) if lat.mode == "full-tree"
+              else StoppingRule.at_step(lat, int(rng.integers(0, lat.N + 1)))
+              for _ in range(sample_rules)]
     y0 = solution.root_value
-    for _ in range(sample_rules):
-        if lat.mode == "full-tree":
-            from .bsde import random_rule
-
-            gamma = random_rule(lat, rng)
-        else:
-            gamma = StoppingRule.at_step(lat, int(rng.integers(0, lat.N + 1)))
-        table = g_evaluate(lat, root, gamma, solution.Y, g, scheme)
-        sandwich_slack = max(sandwich_slack, float(table[0][0]) - y0)
-        capped = gamma.union(tau_sharp)
-        table_eq = g_evaluate(lat, root, capped, solution.Y, g, scheme)
-        equality_gap = max(equality_gap, abs(float(table_eq[0][0]) - y0))
+    tables = g_evaluate(lat, root, gammas + [gamma.union(tau_sharp) for gamma in gammas],
+                        solution.Y, g, scheme)
+    sandwich_slack = max([0.0] + [float(t[0][0]) - y0 for t in tables[:sample_rules]])
+    equality_gap = max([0.0] + [abs(float(t[0][0]) - y0) for t in tables[sample_rules:]])
     return SnellReport(
         mode=mode,
         max_gap=max_gap,

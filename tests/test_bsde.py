@@ -441,3 +441,142 @@ class TestSerialization:
         assert lines[-1].split(",")[4] == ""
         meta = (tmp_path / "s.meta.json").read_text()
         assert '"scheme": "explicit"' in meta
+
+
+def tanh_sin():
+    """A Python driver with transcendental functions, evaluated by numpy."""
+    return Generator(lambda t, s, y, z: 0.5 * np.tanh(y) + 0.3 * np.sin(z),
+                     kappa=0.5, lam=0.5, name="tanh-sin")
+
+
+def batch_driver(name, lattice):
+    if name == "tanh-sin":
+        return tanh_sin()
+    g = registry_generator("linear:-0.5,0.3")
+    if name == "stopped":
+        return stop_generator(g, StoppingRule.at_step(lattice, lattice.N // 2))
+    return g
+
+
+def same_bits(a, b):
+    return all(np.array_equal(np.asarray(x).view(np.int64), np.asarray(y).view(np.int64))
+               for x, y in zip(a.values, b.values))
+
+
+class TestBatchedRows:
+    """Rows swept together give each row's own bits: every element of the
+    implicit fixed point converges on its own."""
+
+    @pytest.mark.parametrize("driver", ["linear", "stopped", "tanh-sin"])
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_g_evaluate_rows_equal_separate_runs(self, scheme, driver):
+        tree = build_lattice(1.0, 5, FULL_TREE)
+        g = batch_driver(driver, tree)
+        rng = np.random.default_rng(3)
+        nus, taus, pays = [], [], []
+        for _ in range(9):
+            tau = random_rule(tree, rng)
+            nus.append(tau.union(random_rule(tree, rng)))
+            taus.append(tau)
+            vals = [3.0 * rng.normal(size=tree.n_nodes(k)) for k in range(tree.N + 1)]
+            # payoffs undefined past the stop frontier: NaN expectations there
+            for v, reach in zip(vals, tau.not_yet_stopped()):
+                v[~reach] = np.nan
+            pays.append(AdaptedProcess(tree, tuple(vals)))
+        batched = g_evaluate(tree, nus, taus, pays, g, scheme)
+        assert len(batched) == 9
+        for nu, tau, pay, table in zip(nus, taus, pays, batched):
+            assert same_bits(table, g_evaluate(tree, nu, tau, pay, g, scheme))
+        # a shared start rule and payoff serve every row
+        root = StoppingRule.at_step(tree, 0)
+        pay = AdaptedProcess(tree, tuple(rng.normal(size=tree.n_nodes(k))
+                                         for k in range(tree.N + 1)))
+        for tau, table in zip(taus, g_evaluate(tree, root, taus, pay, g, scheme)):
+            assert same_bits(table, g_evaluate(tree, root, tau, pay, g, scheme))
+
+    def test_empty_batch(self):
+        tree = build_lattice(1.0, 2, FULL_TREE)
+        pay = AdaptedProcess.constant(tree, 1.0)
+        assert g_evaluate(tree, StoppingRule.at_step(tree, 0), [], pay,
+                          registry_generator("zero")) == []
+
+    def test_rows_keep_their_own_iteration_counts(self):
+        # a row of zeros converges at once, a row of large values does not
+        e = np.array([[0.0, 0.0, 0.0], [5.0, -4.0, 3.0]])
+        stats = {}
+        _driver_update(lambda y: -0.5 * y, e, 0.1, 0.0, "implicit", 0, stats)
+        one, two = ({} for _ in range(2))
+        _driver_update(lambda y: -0.5 * y, e[0], 0.1, 0.0, "implicit", 0, one)
+        _driver_update(lambda y: -0.5 * y, e[1], 0.1, 0.0, "implicit", 0, two)
+        assert stats["max_iterations"].tolist() == [one["max_iterations"],
+                                                     two["max_iterations"]]
+        assert one["max_iterations"] == 1 < two["max_iterations"]
+
+
+def row_key(nu, tau, payoff, table):
+    return (nu.key(), tau.key(), b"".join(v.tobytes() for v in payoff.values),
+            b"".join(v.tobytes() for v in table.values))
+
+
+def recording_g_evaluate(rows):
+    """``g_evaluate`` that records every row it evaluates, batched or not."""
+    def spy(lattice, nu, tau, payoff, g, scheme="explicit"):
+        out = g_evaluate(lattice, nu, tau, payoff, g, scheme)
+        given = (nu, tau, payoff, out)
+        n = max(len(a) if isinstance(a, list) else 1 for a in given)
+        nus, taus, pays, tables = ([a] * n if not isinstance(a, list) else a for a in given)
+        rows.extend(row_key(*row) for row in zip(nus, taus, pays, tables))
+        return out
+
+    return spy
+
+
+def reference_axiom_rows(lattice, g, cases, seed, scheme):
+    """The draws and evaluations of the case loop as it ran before the
+    sweeps were batched: each case drawn just before its ``g_evaluate``
+    calls, one call per table."""
+    from drbsde_lab.bsde import _is_y_free, _kills_zero_z
+    from drbsde_lab.bsde import _subtree_indicator as events
+
+    rows, ev = [], recording_g_evaluate([])
+    rng = np.random.default_rng(seed)
+    y_free, const_ok = _is_y_free(g, lattice), _kills_zero_z(g, lattice)
+    n = lattice.total_nodes
+    for _ in range(cases):
+        tau = random_rule(lattice, rng)
+        gamma = tau.union(random_rule(lattice, rng))
+        nu = gamma.union(random_rule(lattice, rng))
+        xi = [rng.normal(size=lattice.n_nodes(k)) for k in range(lattice.N + 1)]
+        eta = [v + rng.exponential(0.5, size=v.shape) for v in xi]
+        pays = [xi, eta]
+        if const_ok:
+            pays.append(events(lattice, nu, rng.normal(size=n)))
+        ind = events(lattice, nu, (rng.random(n) < 0.5).astype(float))
+        pays.append([iv * xv for iv, xv in zip(ind, xi)])
+        if y_free:
+            pays.append([sv + xv for sv, xv in zip(events(lattice, nu, rng.normal(size=n)), xi)])
+        tables = [g_evaluate(lattice, nu, tau, AdaptedProcess(lattice, tuple(p)), g, scheme)
+                  for p in pays]
+        rows += [row_key(nu, tau, AdaptedProcess(lattice, tuple(p)), t)
+                 for p, t in zip(pays, tables)]
+        rows.append(row_key(nu, gamma, tables[0], g_evaluate(lattice, nu, gamma, tables[0],
+                                                               g, scheme)))
+    return rows
+
+
+@pytest.mark.parametrize("driver", ["sin-z", "tanh-sin"])
+def test_axiom_sweeps_draw_and_evaluate_like_the_case_loop(monkeypatch, driver):
+    # 30 cases run as three blocks of independent tables and three of
+    # compositions; the rows are the one-by-one loop's, bit for bit
+    from drbsde_lab import bsde
+
+    tree = build_lattice(1.0, 4, FULL_TREE)
+    g = tanh_sin() if driver == "tanh-sin" else Generator(
+        lambda t, s, y, z: 0.3 * np.sin(z) + 0.1 * np.abs(z), kappa=0.5, lam=0.0)
+    got = []
+    monkeypatch.setattr(bsde, "g_evaluate", recording_g_evaluate(got))
+    report = verify_evaluation_axioms(tree, g, cases=30, seed=9, scheme="implicit")
+    want = reference_axiom_rows(tree, g, 30, 9, "implicit")
+    assert len(got) == len(want) == 30 * (4 if driver == "tanh-sin" else 6)
+    assert sorted(got) == sorted(want)
+    assert {c.cases for c in report.checks.values() if c.status != "skipped"} == {30}

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from drbsde_lab.cli import (
     ConfigError,
@@ -271,6 +273,49 @@ class TestRunKinds:
         assert "SOLVER-ERROR" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("exc", [ValueError("shapes (3,) and (4,) not aligned"),
+                                     RuntimeError("unexpected state")],
+                             ids=["value-error", "runtime-error"])
+    def test_internal_error_exits_4_with_report(self, tmp_path, capsys, monkeypatch, exc):
+        # a ValueError from inside a solver is a bug, not a config error
+        from drbsde_lab import cli
+
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "solve_bsde", broken)
+        config = {"kind": "bsde", "lattice": {"T": 1.0, "N": 4}, "terminal": "state"}
+        out = tmp_path / "out"
+        assert run_experiment(ExperimentConfig.from_dict(config), out) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"internal error: {type(exc).__name__}:")
+        assert "Traceback" not in err
+        report = json.loads((out / "report.json").read_text())
+        assert report == {"kind": "bsde", "passed": False,
+                          "error": {"type": type(exc).__name__, "message": str(exc)}}
+        assert json.loads((out / "manifest.json").read_text())["kind"] == "bsde"
+        write_config(tmp_path, "broken.json", config)
+        assert main(["verify-all", str(tmp_path), "--out", str(tmp_path / "res")]) == 4
+        assert "INTERNAL-ERROR" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("config,message", [
+        ({"kind": "rbsde", "lattice": {"T": 1.0, "N": 3}, "side": "lower",
+          "terminal": "state", "lower": "state + 1"}, "terminal order violated"),
+        ({"kind": "penalization", "lattice": {"T": 1.0, "N": 3}, "side": "lower",
+          "terminal": "state", "lower": "state - 1", "schedule": [4, 1]},
+         "strictly increasing"),
+        ({**GAME_CONFIG, "lattice": {"T": 1.0, "N": 5, "mode": "full-tree"}},
+         "enumeration size guard"),
+        ({**GAME_CONFIG, "kind": "pasting", "lattice": {"T": 1.0, "N": 3}},
+         "full-tree lattice"),
+        ({"kind": "bsde", "lattice": {"T": 1.0, "N": 3}, "terminal": "state",
+          "scheme": "Implicit"}, "scheme must be one of"),
+    ], ids=["terminal-order", "schedule", "oracle-cap", "full-tree-only", "scheme"])
+    def test_config_reachable_solver_checks_exit_2(self, tmp_path, capsys, config, message):
+        assert run_experiment(ExperimentConfig.from_dict(config), tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
 class TestDynkinVerify:
     def test_one_solve_serves_the_oracle_and_the_saddle(self, tmp_path, monkeypatch):
         from drbsde_lab import cli, dynkin
@@ -366,3 +411,73 @@ class TestMain:
         assert main([
             "run", str(path), "--out", str(tmp_path / "out"), "--seed", "9"
         ]) == 0
+
+
+KINDS = ["bsde", "rbsde", "drbsde", "dynkin-verify", "penalization", "pasting", "axioms",
+         "hypotheses", "mc-crosscheck"]
+DROP = object()
+# per field, values that are absent, of the wrong type or out of range
+SPOILERS = {
+    "lattice": [DROP, "x", {"T": 0.0, "N": 2}, {"N": 0}, {"N": "x"}, {"N": [2]},
+                {"N": 5, "mode": "full-tree"}, {"N": 2, "mode": "walk"}, {"T": None}],
+    "scheme": ["Implicit", 1, None],
+    "generator": ["cubic:1", "linear:1", "linear:-50,0", "driver-file:absent.npz", 5,
+                  {"name": "zero"}, {"name": "linear:0.5,0.3", "kappa": -1.0},
+                  {"name": "zero", "lam": "x"}, {}],
+    "terminal": [DROP, "min(state", "exp(state)", 7, "abs(state) * 1e300 * 1e300", "state"],
+    "lower": [DROP, "state + 1", "state", "x"],
+    "upper": [DROP, "state - 1", "state", "1e300 * 1e300"],
+    "side": ["both", None],
+    "schedule": [[], [4, 1], ["a"], 5, [0.5]],
+    "cases": ["x", -1, None],
+    "samples": [0, -1, "x"],
+    "box": [[[0, 1]], [[0, 1, 2], [-1, 1], [-1, 1], [-1, 1]], "x",
+            [[0, 1], [-1, 1], [-1, 1], [-1, 1]]],
+    "expected_failures": [5, ["H1"]],
+    "mc": [{"M": 50}, {"degree": -1}, {"M": "x"}, [], {"M": 400, "degree": 0}],
+    "seed": ["x", None],
+    "tolerances": [{"value_gap": "x"}, "x", {"value_gap": 0.0}],
+}
+
+
+@st.composite
+def random_configs(draw):
+    """A small valid config of a random kind, with up to two fields spoiled."""
+    base = draw(st.sampled_from(["state", "max(state, -0.8)", "0.5", "abs(state) - 1"]))
+    cfg = {
+        "kind": draw(st.sampled_from(KINDS)),
+        "lattice": {"T": 1.0, "N": draw(st.integers(1, 4)),
+                    "mode": draw(st.sampled_from(["recombining", "full-tree"]))},
+        "scheme": draw(st.sampled_from(["explicit", "implicit"])),
+        "generator": draw(st.sampled_from(["zero", "constant:0.2", "linear:0.5,0.3",
+                                           "linear:-0.5,0.3"])),
+        "terminal": base, "lower": f"{base} - 0.3 - 0.1*t", "upper": f"{base} + 0.3 + 0.1*t",
+        "side": draw(st.sampled_from(["lower", "upper"])),
+        "schedule": [1, 4, 16], "cases": 2, "samples": 20, "mc": {"M": 200, "degree": 2},
+        "seed": draw(st.integers(0, 9)),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(SPOILERS)), max_size=2, unique=True)):
+        value = draw(st.sampled_from(SPOILERS[key]))
+        if value is DROP:
+            cfg.pop(key, None)
+        else:
+            cfg[key] = value
+    return cfg
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=random_configs())
+@np.errstate(all="ignore")
+def test_random_configs_end_in_a_documented_status(tmp_path, capsys, config):
+    # any config, however malformed, is a pass, a failed check, a config
+    # error or a solver failure; an internal error (exit 4) would be a bug
+    path = write_config(tmp_path, "random.json", config)
+    out = tmp_path / "out"
+    status = main(["run", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert status in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+    if status in (0, 1, 3):
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is (status == 0)

@@ -358,3 +358,21 @@ class TestCrossValidate:
         dec, _ = double_penalization(tree, game, [1024.0], "decreasing")
         for sol in (direct, pasted, inc[0], dec[0]):
             assert abs(sol.root_value) <= 1e-12
+
+
+class TestBatchedLevels:
+    @pytest.mark.parametrize("driver", ["linear", "stopped", "tanh-sin"])
+    @pytest.mark.parametrize("direction", ["increasing", "decreasing"])
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_levels_equal_separate_runs(self, scheme, direction, driver):
+        from test_bsde import batch_driver, same_bits
+
+        tree = build_lattice(1.0, 6, FULL_TREE)
+        game = make_game(tree, seed=4, driver=batch_driver(driver, tree))
+        schedule = (1.0, 16.0, 256.0, 4096.0)
+        levels, _ = double_penalization(tree, game, schedule, direction, scheme)
+        for n, level in zip(schedule, levels):
+            (alone,), _ = double_penalization(tree, game, (n,), direction, scheme)
+            assert level.meta == alone.meta and level.meta["penalty_level"] == n
+            for name in ("Y", "Z", "dK", "dJ"):
+                assert same_bits(getattr(level, name), getattr(alone, name))

@@ -428,3 +428,35 @@ class TestPairTableClasses:
         write_pair_table_csv(tmp_path / "new.csv", table)
         reference_write_pair_table_csv(tmp_path / "old.csv", table)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def implicit_game_table():
+    tree = build_lattice(1.0, 4, FULL_TREE)
+    game = separated_game(tree, registry_generator("linear:-0.5,0.3"))
+    return tree, game, pair_value_table(tree, game, "implicit")
+
+
+class TestPairValuesStandAlone:
+    """A pair's value depends on the pair alone, not on its block."""
+
+    @pytest.mark.parametrize("block", [1, 8, 677])
+    def test_pair_table_is_block_invariant(self, implicit_game_table, block):
+        tree, game, table = implicit_game_table
+        other = pair_value_table(tree, game, "implicit", block)
+        np.testing.assert_array_equal(other.view(np.int64), table.view(np.int64))
+
+    @settings(max_examples=25, deadline=None)
+    @given(i=st.integers(0, 676), j=st.integers(0, 676))
+    def test_strategy_value_is_its_table_entry(self, implicit_game_table, i, j):
+        tree, game, table = implicit_game_table
+        rules, _ = enumerate_stopping_rules(tree)
+        value = strategy_value(tree, game, rules[i], rules[j], "implicit")
+        assert np.float64(value).view(np.int64) == table[i, j].view(np.int64)
+
+    def test_saddle_pair_value_is_the_solved_value(self, implicit_game_table):
+        tree, game, table = implicit_game_table
+        report = game_value_oracle(tree, game, "implicit")
+        assert report.oracle_gap == 0.0
+        i, j = report.optimal_pair
+        assert table[i, j] == report.y0 == solve_drbsde(tree, game, "implicit").root_value

@@ -4,7 +4,9 @@ One small config per experiment kind, in both schemes wherever the kind
 takes one, with linear or constant drivers only.  The hashes were recorded
 before the solver loops were merged into one backward-induction kernel; a
 refactor of the solvers must leave every one of them unchanged.  The one
-hash that moved when that happened is marked below.  The ``obstacle.csv``
+hash that moved when that happened is marked below, and so are the implicit
+hashes that moved when the implicit fixed point began to converge each
+element on its own (its old stopping test was a sup norm over the batch).  The ``obstacle.csv``
 and ``paths.csv`` dumps are pinned too, with hashes recorded before the
 dump writers were replaced by the streaming column writer.
 """
@@ -54,30 +56,36 @@ GOLDEN = {
         "report.json": "cc91a9794692efcfcfec67040c6e59f9b20e41dc04cc19f968871198dff4087e",
         "solution.csv": "940721b87ee3c931bac81046eefed849a23fd85c9d5c9badc039b36a1b6cb5dc",
     },
+    # per-element fixed point: 63 of 624 values moved, by at most 28 ulps
+    # (4.4e-16); solution.csv was 22fb1678...
     "bsde/implicit": {
         "status": 0,
         "report.json": "80ad1f65226d6cdf00b16fee48e8de336aad6c6a3c0c9baf06e4061bcfef57ee",
-        "solution.csv": "22fb16785e226ffb0b9003338172ff8bf20985167d92c5a178123b235f30486a",
+        "solution.csv": "ea6a48e387e362bf858e72813cccfa31c0d9ecdd275b3541af2a00b9ddbc9167",
     },
     "rbsde/explicit": {
         "status": 0,
         "report.json": "e9a9da6b35db87615ddb721f6ab8fff0cb274ad06c9235e57d6bfa91b4d7173f",
         "solution.csv": "c3b041ecd69d7dfa55a8fd4f85cf5b6020df82c21798fb6d7ec42b4cf3fcd289",
     },
+    # per-element fixed point: 13 of 200 values moved, by at most 8 ulps
+    # (2.2e-16); solution.csv was f3090456...
     "rbsde/implicit": {
         "status": 0,
         "report.json": "e9a9da6b35db87615ddb721f6ab8fff0cb274ad06c9235e57d6bfa91b4d7173f",
-        "solution.csv": "f3090456978d2af3a5ce57aa94a81a1ba40c3a21be75d7167fb108376a64b7c5",
+        "solution.csv": "47cdd901303f7b112ff489e5e1ebd066b0fa4b247f6438f2216265ab20b1045c",
     },
     "drbsde/explicit": {
         "status": 0,
         "report.json": "1c05aef30190fbf889c161dbd07a752c7517e81bf21fc8c5edff9443d384d520",
         "solution.csv": "9f500f0963f70d20e608337541872ff287c7249951900e25926e46effc86eccd",
     },
+    # per-element fixed point: 59 of 624 values moved, by at most 28 ulps
+    # (4.4e-16); solution.csv was 7e35acc8...
     "drbsde/implicit": {
         "status": 0,
         "report.json": "1c05aef30190fbf889c161dbd07a752c7517e81bf21fc8c5edff9443d384d520",
-        "solution.csv": "7e35acc84e3dd541d9701d0e34e6f10fe8fa05b4dfaa1f33c1ec3c6be19a5366",
+        "solution.csv": "b0efb99ae966b8d990828fa76a65f2cfb2728082341d492ecbc79ae7b0422da6",
     },
     "dynkin-verify/explicit": {
         "status": 0,
@@ -92,20 +100,25 @@ GOLDEN = {
         "report.json": "006682f3b81ab0ab8a396993cb21f126d89f71c09074886eb2e96906224dd4f1",
         "solution.csv": "f4b8b219ccd97045f3fa57928a0239a98f5bf6bc14f8eb7fd5c1f92c45ab5bb1",
     },
+    # per-element fixed point: 23 of 624 values of the last level moved, by
+    # at most 13 ulps (2.2e-16), and 2 of penalization.csv's 6 gaps by 8 ulps;
+    # solution.csv was c8abdb1e...
     "penalization/implicit": {
         "status": 0,
         "report.json": "7437e6ff9f66b470078be4ad93c03a821fb1a1dbcc1c2a23161aae1532c262c0",
-        "solution.csv": "c8abdb1e1098a6d5f2dee65179b59704d312b6e161f2fbb20dc1d1ff68f95545",
+        "solution.csv": "931718624780382ecac5e019cfe21ee0c9c68ce5b1bf1b99f5fff536ec1b9a0b",
     },
     "pasting/explicit": {
         "status": 0,
         "report.json": "2b131297dbf6bab1ec2a1b999f0b24ef0a131ce62316be1ca5752a104f9d654d",
         "solution.csv": "00da38c40c9a46dd7c9ef0cbb4013328422f18611a7bda998640d65ee59c05fb",
     },
+    # per-element fixed point: 13 of 200 values moved, by at most 8 ulps
+    # (2.2e-16); solution.csv was 9bf75940...
     "pasting/implicit": {
         "status": 0,
         "report.json": "c0b2c6c302f2df6b73bf4c710ef6600b860e3cf3aab85c4771292ebb00c56e4a",
-        "solution.csv": "9bf75940720beb19682739dc9b9fb867168c9be5e0515312585efa4fe74bc50c",
+        "solution.csv": "cb7e38faaa19d7d3a8406b43999aa4923bfea469eb382ddc3c259a6d1b3f3f60",
     },
     "axioms/explicit": {
         "status": 0,
@@ -125,10 +138,12 @@ GOLDEN = {
     },
     # the one intended change: the path backend now shares the lattice's
     # fixed point and polishes to 1e-15 instead of 1e-13 relative, which
-    # moves stderr and budget in the 12th digit (report.json was 79053efe...)
+    # moves stderr and budget in the 12th digit (report.json was 79053efe...);
+    # then the per-element fixed point moved stderr and budget again, by 54
+    # ulps (2.8e-17) (report.json was c0eb095d...)
     "mc-crosscheck/implicit": {
         "status": 0,
-        "report.json": "c0eb095d1606f187456872733850bad3ce82ff8aa1dc2973740ce2ac0563af6f",
+        "report.json": "c6b7a69285043ad62c4570a6046e218b3bfbefaf5c6dd4d4618779a02c8bebe3",
     },
 }
 
@@ -178,23 +193,27 @@ def test_dumps_match_golden_bytes(case, tmp_path):
 # a game whose value lies strictly between the rails at the root (the
 # dynkin-verify cases above report the upper rail, 0.25, for y0 and both
 # optima, in both schemes); hashes recorded before the pair table evaluated
-# subtree classes
+# subtree classes.  The per-element fixed point moved y0, sup_inf and inf_sup
+# by at most 2 ulps (5.6e-17) and 355,947 of 458,329 pair values by at most
+# 4.2e-16; the saddle pair's value is now the solved y0 bit for bit, so the
+# oracle gap went from 1.1e-16 to 0 (the hashes were ffd3abc1..., 9c2f34ee...
+# and 339fae7e...)
 GAME = {"kind": "dynkin-verify", "lattice": {**TREE, "N": 4}, "scheme": "implicit",
         "generator": "linear:-0.5,0.3", "terminal": RAILS["terminal"],
         "lower": "max(state, -0.8) - 0.3 - 0.1*t",
         "upper": "max(state, -0.8) + 0.35 + 0.1*t",
         "seed": 11, "write_pair_table": True}
 GAME_GOLDEN = {
-    "report.json": "ffd3abc124f568c3594e69bbc5172564e53d2a37454f98d72a7c2618802a4a8c",
-    "game_report.txt": "9c2f34eef7aedb61452131fa1e3ec176a9ae7b3b51613fc050572ffb2ee3cafd",
-    "pair_table.csv": "339fae7e0ed85ab8c80dc8c341571ffb1707d6c990e1a1041c72677b29230bc3",
+    "report.json": "0c6bf0d3ecadc73d04764eff5034288a0c2d4bf2e91b5ef538c323c9ffe079ba",
+    "game_report.txt": "85919873f1177c31fbdaf9e5919710d34521447cda7e4c4ed1b0f46d77275939",
+    "pair_table.csv": "03e84d417cc7080cea025ef3e0ba8d57cbf2a3cc2d2ccfdc5fd0d1eb0ed18200",
 }
 
 
 def test_separated_game_matches_golden_bytes(tmp_path):
     assert run_experiment(ExperimentConfig.from_dict(GAME), tmp_path) == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert 0 < report["checks"]["oracle_gap"] < 1e-15
+    assert report["checks"]["oracle_gap"] == 0.0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in GAME_GOLDEN} == GAME_GOLDEN
 
@@ -210,20 +229,23 @@ def write_tanh_sin_driver(path):
 
 
 # tabulated-driver runs; hashes recorded before the driver evaluation was
-# rewritten to gather only the corners of its live axes
+# rewritten to gather only the corners of its live axes.  The per-element
+# fixed point moved 6 of penalization's 624 values by at most 7 ulps and 7
+# of pasting's 200 by at most 56 ulps, both up to 2.5e-16 (solution.csv was
+# 0378f7ab... and 10d3cdd6...)
 TABULATED = {
     "penalization/upper/implicit": (
         {"kind": "penalization", "lattice": WALK, "scheme": "implicit",
          "side": "upper", "terminal": RAILS["terminal"], "upper": RAILS["upper"]},
         {"status": 0,
          "report.json": "ec3040943fc355996a1d2744c4ac7e888f3fe9ceda45471d5da3917f405f4da1",
-         "solution.csv": "0378f7abde537f5db2a162d8017c8c5cbba4ececa775b573086644b69524edbf"},
+         "solution.csv": "d56a94471bad2ef15fa2ea504fb8b7cd4745219fecdd17968b577b5f104a8ee5"},
     ),
     "pasting/implicit": (
         dict(CONFIGS["pasting"], scheme="implicit"),
         {"status": 0,
          "report.json": "6a4234d4b3642a97ab9125789fc8defb0c83873106178b04c46851e0c52da9b5",
-         "solution.csv": "10d3cdd663008572af4a2361250affac83bf9d03fdf191cd3551ed010824ea8c"},
+         "solution.csv": "2c0d519746a7c94a5f4aff1b44c3197e4087f9457c7ced2c54764f5501e375b2"},
     ),
 }
 

@@ -376,3 +376,27 @@ class TestVerifySnell:
         sol = solve_rbsde(lat, xi, registry_generator("zero"), L)
         with pytest.raises(ValueError):
             verify_snell(lat, sol, xi, registry_generator("zero"), "enumerate")
+
+
+class TestBatchedLevels:
+    @pytest.mark.parametrize("driver", ["linear", "stopped", "tanh-sin"])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_levels_equal_separate_runs(self, scheme, side, driver):
+        # the schedule runs as one sweep, a row per level; each level keeps
+        # the bits and the metadata of its own one-level run
+        from test_bsde import batch_driver, same_bits
+
+        lat = build_lattice(1.0, 24)
+        g = batch_driver(driver, lat)
+        xi = TerminalPayoff.from_function(lat, lambda s: np.tanh(s))
+        sign = 1.0 if side == "lower" else -1.0
+        obstacle = AdaptedProcess.from_function(
+            lat, lambda t, s: np.tanh(s) + sign * (0.2 * np.cos(3 * s) - 0.25))
+        schedule = (1.0, 16.0, 256.0, 4096.0)
+        levels, _ = penalization_run(lat, xi, g, obstacle, side, schedule, scheme)
+        for n, level in zip(schedule, levels):
+            (alone,), _ = penalization_run(lat, xi, g, obstacle, side, (n,), scheme)
+            assert level.meta == alone.meta and level.meta["penalty_level"] == n
+            for name in ("Y", "Z", "dK", "dJ"):
+                assert same_bits(getattr(level, name), getattr(alone, name))
