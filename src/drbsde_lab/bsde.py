@@ -17,26 +17,33 @@ next-step slice into children, giving the exact conditional expectation
 A stopped driver (see ``generator.stop_generator``) is switched off inside
 :func:`step_candidate` itself, so every solver and oracle gives it the same
 meaning.  :func:`backward_induction` runs "step, then project" from the
-horizon to the root; the plain, reflected, doubly reflected, penalized and
-pasted solvers and the evaluation operator between two stopping rules are
-all projections plugged into it.  Its leading axes are rows: a family of
-independent solves (the levels of a penalty schedule, many evaluations)
-runs as one sweep, each row bitwise equal to its own solve, because no
-element's fixed point looks at any other.  The independent oracles (the Snell
-recursion and the Dynkin pair table) keep their own loops over the same
-step.  The Monte Carlo backend shares :func:`_driver_update`.
+horizon to the root.  Its leading axes are rows: a family of independent
+solves (the levels of a penalty schedule, many evaluations) runs as one
+sweep, each row bitwise equal to its own solve, because no element's fixed
+point looks at any other.
+
+The projection is :func:`_reflect`, the one place a candidate is clamped to
+a lower obstacle L and/or an upper obstacle U, or pushed toward one by the
+closed-form implicit penalty step, and the push booked as dK/dJ.  The plain,
+reflected, doubly reflected and penalized solvers run it through
+:func:`_reflected_sweep`; pasting, the evaluation between stopping rules and
+the Monte Carlo backend (which also shares :func:`_driver_update`) call it
+directly.  An upper obstacle alone is swept as the mirror of a lower one,
+there and only there, because the mirror fixes the signed zeros that pinned
+outputs carry.  The independent oracles (the Snell recursion and the Dynkin
+pair table) keep their own loops and projections over the same step.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .generator import Generator
+from .generator import Generator, negate_reflect
 from .lattice import (
     AdaptedProcess,
     Lattice,
@@ -206,10 +213,43 @@ def backward_induction(lattice: Lattice, g: Generator, terminal, scheme: str, pr
             for r in np.ndindex(last.shape[:-1])]
 
 
-def _unprojected(k: int, cand: np.ndarray):
-    """Projection of the plain equation: keep the candidate, book nothing."""
-    zeros = np.broadcast_to(0.0, cand.shape)
-    return cand, zeros, zeros
+def penalty_step(candidate: np.ndarray, obstacle: np.ndarray, n: float, dt: float,
+                 side: str) -> np.ndarray:
+    """Closed-form implicit penalty solve at one node slice."""
+    if side == "lower":
+        pushed = (candidate + dt * n * obstacle) / (1.0 + dt * n)
+        return np.where(candidate >= obstacle, candidate, pushed)
+    if side == "upper":
+        pushed = (candidate + dt * n * obstacle) / (1.0 + dt * n)
+        return np.where(candidate <= obstacle, candidate, pushed)
+    raise ValueError(f"unknown obstacle side {side!r}")
+
+
+def _reflect(cand, lower=None, upper=None, dt: float = 0.0, penalty=None):
+    """The one projection: returns ``(y, dK, dJ)`` for a candidate slice.
+
+    The lower side acts first, then the upper side.  A side named by
+    ``penalty = (side, n)`` takes the implicit penalty step at level ``n``
+    and books nothing; any other given side is clamped and books what it
+    moved: ``dK = max(L, c) - c``, ``dJ = c - min(U, c)``, ``c`` being the
+    value that side receives.
+    """
+    pen_side, level = penalty if penalty is not None else (None, None)
+    zeros = np.broadcast_to(0.0, np.shape(cand))
+    y, dk, dj = cand, zeros, zeros
+    if lower is not None:
+        if pen_side == "lower":
+            y = penalty_step(y, lower, level, dt, "lower")
+        else:
+            y = np.maximum(lower, y)
+            dk = y - cand
+    if upper is not None:
+        if pen_side == "upper":
+            y = penalty_step(y, upper, level, dt, "upper")
+        else:
+            lifted, y = y, np.minimum(upper, y)
+            dj = lifted - y
+    return y, dk, dj
 
 
 # ----------------------------------------------------------------------
@@ -290,16 +330,66 @@ def _base_meta(lattice: Lattice, g: Generator, scheme: str) -> dict:
     return meta
 
 
+def _negate_process(p: AdaptedProcess) -> AdaptedProcess:
+    return AdaptedProcess(p.lattice, tuple(-v for v in p.values))
+
+
+def _reflected_sweep(lattice: Lattice, g: Generator, terminal, scheme: str, lower=None,
+                     upper=None, penalty=None, meta=None) -> list[Solution]:
+    """Sweep :func:`_reflect` from ``terminal`` to the root, one solution per row.
+
+    ``lower`` and ``upper`` are the obstacle processes.  ``penalty = (side,
+    schedule)`` penalizes that side instead of clamping it, one row per
+    level, each row's meta naming its ``penalty_level``.  The kind and the
+    attached obstacles follow the clamped sides; the meta is the base meta,
+    the iteration stats and ``meta``.
+
+    An upper side alone runs as the mirror of a lower sweep: negate the
+    data, reflect the driver through the origin, sweep against ``-U`` and
+    negate back, the compensators trading places.  The mirror pins the
+    signed zeros of upper solutions: a direct ``min(U, c)`` would turn some
+    of their ``-0.0`` values of Z into ``+0.0``.
+    """
+    if lower is None and upper is not None:
+        mirrored = _reflected_sweep(
+            lattice, negate_reflect(g), -np.asarray(terminal), scheme, _negate_process(upper),
+            penalty=None if penalty is None else ("lower", penalty[1]), meta=meta)
+        return [replace(
+            m, kind="plain" if m.obstacle_lower is None else "reflected-upper",
+            Y=_negate_process(m.Y), Z=_negate_process(m.Z), dK=m.dJ, dJ=m.dK,
+            meta={**m.meta, "generator": g.name}, obstacle_lower=None,
+            obstacle_upper=upper if m.obstacle_lower is not None else None,
+        ) for m in mirrored]
+    side, schedule = penalty or (None, (None,))
+    terminal = np.asarray(terminal, dtype=float)
+    if penalty is not None:
+        terminal = np.broadcast_to(terminal, (len(schedule), terminal.shape[-1]))
+        penalty = (side, np.asarray(schedule)[:, None])
+
+    def project(k, cand):
+        return _reflect(cand, None if lower is None else lower[k],
+                        None if upper is None else upper[k], lattice.dt, penalty)
+
+    clamped_lower = lower if side != "lower" else None
+    clamped_upper = upper if side != "upper" else None
+    kind = SOLUTION_KINDS[(clamped_lower is not None) + 2 * (clamped_upper is not None)]
+    return [Solution(
+        kind=kind, Y=Y, Z=Z, dK=dK, dJ=dJ,
+        meta={**_base_meta(lattice, g, scheme), **stats, **(meta or {}),
+              **({} if n is None else {"penalty_level": n})},
+        obstacle_lower=clamped_lower, obstacle_upper=clamped_upper,
+    ) for n, (Y, Z, dK, dJ, stats) in zip(
+        schedule, backward_induction(lattice, g, terminal, scheme, project), strict=True)]
+
+
 def solve_bsde(
     lattice: Lattice, xi: TerminalPayoff, g: Generator, scheme: str = "explicit"
 ) -> Solution:
     """Solve the plain backward equation with terminal data ``xi``."""
     if not lattice.same_grid(xi.lattice):
         raise ValueError("terminal data lives on a different lattice")
-    meta = _base_meta(lattice, g, scheme)
-    (Y, Z, dK, dJ, stats), = backward_induction(lattice, g, xi.values, scheme, _unprojected)
-    meta.update(stats)
-    return Solution(kind="plain", Y=Y, Z=Z, dK=dK, dJ=dJ, meta=meta)
+    sol, = _reflected_sweep(lattice, g, xi.values, scheme)
+    return sol
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +445,7 @@ def g_evaluate(
 
     def collect(k, cand):
         flagged = np.stack([t.flags[k] for t in taus])
-        return _unprojected(k, np.where(flagged, np.stack([p[k] for p in pays]), cand))
+        return _reflect(np.where(flagged, np.stack([p[k] for p in pays]), cand))
 
     terminal = np.stack([p[lattice.N] for p in pays])
     tables = [row[0] for row in backward_induction(lattice, g, terminal, scheme, collect)]

@@ -27,7 +27,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -170,8 +170,6 @@ class ExperimentConfig:
                     if key in spec
                 }
                 if overrides:
-                    from dataclasses import replace
-
                     g = replace(g, **overrides)
                 return g
         except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
@@ -198,7 +196,13 @@ class ExperimentConfig:
         fn = self.expression(key)
         if fn is None:
             return None
-        return AdaptedProcess.from_function(lattice, fn)
+        process = AdaptedProcess.from_function(lattice, fn)
+        for k, values in enumerate(process.values):
+            bad = ~np.isfinite(values)
+            if bad.any():
+                raise ConfigError(f"{key!r} obstacle is not finite at node "
+                                  f"(k={k}, id={lattice.node_ids(k)[int(np.argmax(bad))]})")
+        return process
 
     def tolerance(self, key: str) -> float:
         with _config_check():

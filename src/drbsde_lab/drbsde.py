@@ -14,6 +14,10 @@ Routes cross-validated against the direct backward induction:
 * pasting -- alternating one-obstacle segments between the contact
   frontiers of the solution, each segment fed by the continuation value
   already built past its end.
+
+Every route projects with ``bsde._reflect``: the direct solve and both
+penalty schemes through ``bsde._reflected_sweep``, pasting directly, with
+each node's inactive rail given as -inf or +inf.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bsde import Solution, _base_meta, backward_induction
+from .bsde import Solution, _base_meta, _reflect, _reflected_sweep, backward_induction
 from .generator import Generator
 from .lattice import (
     FULL_TREE,
@@ -33,7 +37,7 @@ from .lattice import (
     StoppingRule,
     TerminalPayoff,
 )
-from .rbsde import _check_schedule, _penalization_report, default_eps_hit, penalty_step
+from .rbsde import _check_schedule, _penalization_report, default_eps_hit
 
 SEPARATION_FLOOR = 1e-9
 
@@ -55,16 +59,13 @@ class DynkinGame:
         lat = self.xi.lattice
         if not (lat.same_grid(self.L.lattice) and lat.same_grid(self.U.lattice)):
             raise ValueError("obstacles must live on the terminal data's lattice")
-        scale = max(
-            1.0, self.L.sup_norm(), self.U.sup_norm(), float(np.max(np.abs(self.xi.values)))
-        )
-        margin = self.separation_margin()
-        if margin <= SEPARATION_FLOOR * scale:
+        margin, floor = self.separation_margin(), SEPARATION_FLOOR * self.scale()
+        if not margin > floor:  # a NaN margin fails too
             k, i = self._worst_node()
             raise SeparationError(
                 f"obstacles are not strictly separated at node "
                 f"(k={k}, id={lat.node_ids(k)[i]}): U - L = {margin:.3g} "
-                f"(floor {SEPARATION_FLOOR * scale:.3g})"
+                f"(floor {floor:.3g})"
             )
         low = self.L.terminal() > self.xi.values
         if low.any():
@@ -86,18 +87,18 @@ class DynkinGame:
         return self.xi.lattice
 
     def separation_margin(self) -> float:
-        return min(
-            float(np.min(self.U[k] - self.L[k])) for k in range(self.lattice.N + 1)
-        )
+        """Smallest gap ``U - L``; NaN when any gap is NaN."""
+        return float(np.min([np.min(self.U[k] - self.L[k]) for k in range(self.lattice.N + 1)]))
 
     def _worst_node(self):
-        best = (0, 0, np.inf)
-        for k in range(self.lattice.N + 1):
-            diff = self.U[k] - self.L[k]
-            i = int(np.argmin(diff))
-            if diff[i] < best[2]:
-                best = (k, i, float(diff[i]))
-        return best[0], best[1]
+        """``(k, i)`` of the first gap ``U - L`` that is not finite, else of the
+        first smallest one."""
+        gaps = [self.U[k] - self.L[k] for k in range(self.lattice.N + 1)]
+        for k, gap in enumerate(gaps):
+            if not np.isfinite(gap).all():
+                return k, int(np.argmin(np.isfinite(gap)))
+        k = int(np.argmin([gap.min() for gap in gaps]))
+        return k, int(np.argmin(gaps[k]))
 
     def scale(self) -> float:
         return max(
@@ -117,51 +118,13 @@ def solve_drbsde(lattice: Lattice, game: DynkinGame, scheme: str = "explicit") -
     """
     if not lattice.same_grid(game.lattice):
         raise ValueError("game lives on a different lattice")
-    def clamp(k, cand):
-        y = np.minimum(game.U[k], np.maximum(game.L[k], cand))
-        return y, np.maximum(game.L[k] - cand, 0.0), np.maximum(cand - game.U[k], 0.0)
-
-    (Y, Z, dK, dJ, stats), = backward_induction(
-        lattice, game.g, game.xi.values, scheme, clamp)
-    return Solution(
-        kind="doubly-reflected", Y=Y, Z=Z, dK=dK, dJ=dJ,
-        meta={**_base_meta(lattice, game.g, scheme), **stats},
-        obstacle_lower=game.L, obstacle_upper=game.U,
-    )
+    sol, = _reflected_sweep(lattice, game.g, game.xi.values, scheme, game.L, game.U)
+    return sol
 
 
 # ----------------------------------------------------------------------
 # the two penalization schemes
 # ----------------------------------------------------------------------
-
-
-def _penalized_reflected(lattice, game, schedule, direction, scheme):
-    """Every level of either scheme, one row each, in one sweep.
-
-    increasing: keep the upper reflection, push up with the lower penalty;
-    decreasing: keep the lower reflection, push down with the upper penalty.
-    """
-    n = np.asarray(schedule)[:, None]
-
-    def project(k, cand):
-        if direction == "increasing":
-            pushed = penalty_step(cand, game.L[k], n, lattice.dt, "lower")
-            y = np.minimum(game.U[k], pushed)
-            return y, np.broadcast_to(0.0, y.shape), pushed - y
-        pushed = penalty_step(cand, game.U[k], n, lattice.dt, "upper")
-        y = np.maximum(game.L[k], pushed)
-        return y, y - pushed, np.broadcast_to(0.0, y.shape)
-
-    terminal = np.broadcast_to(game.xi.values, (len(schedule), game.xi.values.size))
-    rows = backward_induction(lattice, game.g, terminal, scheme, project)
-    return [Solution(
-        kind="reflected-upper" if direction == "increasing" else "reflected-lower",
-        Y=Y, Z=Z, dK=dK, dJ=dJ,
-        meta={**_base_meta(lattice, game.g, scheme), "penalty_level": level,
-              "direction": direction, **stats},
-        obstacle_lower=game.L if direction == "decreasing" else None,
-        obstacle_upper=game.U if direction == "increasing" else None,
-    ) for level, (Y, Z, dK, dJ, stats) in zip(schedule, rows)]
 
 
 def double_penalization(
@@ -186,12 +149,12 @@ def _penalty_family(lattice, game, schedule, direction, scheme, direct: Solution
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"unknown direction {direction!r}")
     schedule = _check_schedule(schedule)
-    levels = _penalized_reflected(lattice, game, schedule, direction, scheme)
-    if direction == "increasing":
-        report = _penalization_report(levels, direct, game.L, "lower", schedule)
-    else:
-        report = _penalization_report(levels, direct, game.U, "upper", schedule)
-    return levels, report
+    # increasing: keep the upper reflection, push up with the lower penalty;
+    # decreasing: keep the lower reflection, push down with the upper penalty
+    side, obstacle = ("lower", game.L) if direction == "increasing" else ("upper", game.U)
+    levels = _reflected_sweep(lattice, game.g, game.xi.values, scheme, game.L, game.U,
+                              penalty=(side, schedule), meta={"direction": direction})
+    return levels, _penalization_report(levels, direct, obstacle, side, schedule)
 
 
 # ----------------------------------------------------------------------
@@ -298,14 +261,8 @@ def pasting_construct(
     # backward sweep: one-obstacle step per node, side chosen by its segment
     def one_sided(k, cand):
         lower_mode = side[k] == LOWER
-        y = np.where(
-            lower_mode,
-            np.maximum(game.L[k], cand),
-            np.minimum(game.U[k], cand),
-        )
-        dk = np.where(lower_mode, np.maximum(game.L[k] - cand, 0.0), 0.0)
-        dj = np.where(lower_mode, 0.0, np.maximum(cand - game.U[k], 0.0))
-        return y, dk, dj
+        return _reflect(cand, np.where(lower_mode, game.L[k], -np.inf),
+                        np.where(lower_mode, np.inf, game.U[k]))
 
     (Y, Z, dK, dJ, stats), = backward_induction(
         lattice, game.g, game.xi.values, scheme, one_sided

@@ -3,10 +3,11 @@
 Conditional expectations are cross-sectional least-squares projections on a
 user-chosen basis, in place of the lattice's exact child averages; the
 driver update (explicit, or the damped implicit fixed point) is the
-lattice kernel's own, and the reflection and penalty steps are identical
-to the lattice solvers and are applied after the projection, so obstacle
-constraints hold path by path, exactly.  This is the backend for
-dimensions above one and for cross-checking the lattice at scale.
+lattice kernel's own, and so is the reflection and penalty step,
+``bsde._reflect``, applied after the regression, so obstacle constraints
+hold path by path, exactly; the flat-off products are read off its
+compensator increments.  This is the backend for dimensions above one and
+for cross-checking the lattice at scale.
 
 Reproducibility: path ``i`` draws from a counter-based bit generator keyed
 by ``(seed, i)``, so bundles are bit-identical across runs and independent
@@ -15,12 +16,14 @@ of how many other paths are simulated.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
+from .bsde import _driver_update, _reflect
 from .generator import Generator
 from .lattice import DUMP_CHUNK, _write_rows
 
@@ -218,8 +221,6 @@ def write_bundle_csv(path, bundle: PathBundle) -> None:
 
 def write_mc_sidecar(path, result: "McResult") -> None:
     """Estimate sidecar: seed, basis spec and diagnostics."""
-    import json
-
     payload = {
         "y0": result.y0,
         "stderr": result.stderr,
@@ -270,9 +271,6 @@ def solve_mc(
     is bootstrapped from disjoint path batches re-solved end to end, so it
     sees the regression-stage noise, not just the final averaging.
     """
-    from .bsde import _driver_update
-    from .rbsde import penalty_step
-
     if g.stop_rule is not None:
         raise ValueError("stopped drivers follow lattice nodes: no path backend")
     M, N, d = paths.M, paths.N, paths.d
@@ -282,32 +280,17 @@ def solve_mc(
     max_cond = 1.0
     flat_lower = 0.0
     flat_upper = 0.0
+    penalized = None if penalty is None else penalty[0]
 
     def clamp(y, t, states, record):
         nonlocal flat_lower, flat_upper
-        out = y
-        if problem.lower is not None:
-            low = np.asarray(problem.lower(t, states), dtype=float)
-            if penalty is not None and penalty[0] == "lower":
-                out = penalty_step(out, low, penalty[1], dt, "lower")
-            else:
-                new = np.maximum(low, out)
-                if record:
-                    flat_lower = max(
-                        flat_lower, float(np.max(np.abs((new - low) * (new - out))))
-                    )
-                out = new
-        if problem.upper is not None:
-            up = np.asarray(problem.upper(t, states), dtype=float)
-            if penalty is not None and penalty[0] == "upper":
-                out = penalty_step(out, up, penalty[1], dt, "upper")
-            else:
-                new = np.minimum(up, out)
-                if record:
-                    flat_upper = max(
-                        flat_upper, float(np.max(np.abs((up - new) * (out - new))))
-                    )
-                out = new
+        low, up = (None if fn is None else np.asarray(fn(t, states), dtype=float)
+                   for fn in (problem.lower, problem.upper))
+        out, dk, dj = _reflect(y, low, up, dt, penalty)
+        if record and low is not None and penalized != "lower":
+            flat_lower = max(flat_lower, float(np.max(np.abs((out - low) * dk))))
+        if record and up is not None and penalized != "upper":
+            flat_upper = max(flat_upper, float(np.max(np.abs((up - out) * dj))))
         return out
 
     def driver_step(expectation, zhat, k, states):

@@ -3,7 +3,9 @@
 The reflected solution is the backward induction that projects the plain
 candidate onto the admissible side of the obstacle and books the projection
 as a compensator increment, so the flat-off products ``(Y - L) * dK`` vanish
-node by node, exactly.
+node by node, exactly.  The projection is ``bsde._reflect``, run by
+``bsde._reflected_sweep``, where an upper obstacle runs as the sign-flip
+mirror of a lower solve to keep the signed zeros of the pinned outputs.
 
 The penalty route replaces the projection by an implicit one-node solve of
 
@@ -24,25 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bsde import Solution, _base_meta, backward_induction, step_candidate
-from .generator import Generator, negate_reflect
+from .bsde import Solution, _reflected_sweep, g_evaluate, random_rule, step_candidate
+from .generator import Generator
 from .lattice import AdaptedProcess, Lattice, StoppingRule, TerminalPayoff
-
-
-def penalty_step(candidate: np.ndarray, obstacle: np.ndarray, n: float, dt: float,
-                 side: str) -> np.ndarray:
-    """Closed-form implicit penalty solve at one node slice."""
-    if side == "lower":
-        pushed = (candidate + dt * n * obstacle) / (1.0 + dt * n)
-        return np.where(candidate >= obstacle, candidate, pushed)
-    if side == "upper":
-        pushed = (candidate + dt * n * obstacle) / (1.0 + dt * n)
-        return np.where(candidate <= obstacle, candidate, pushed)
-    raise ValueError(f"unknown obstacle side {side!r}")
-
-
-def _negate_process(p: AdaptedProcess) -> AdaptedProcess:
-    return AdaptedProcess(p.lattice, tuple(-v for v in p.values))
 
 
 def _check_reflected_inputs(lattice, xi, obstacle, side):
@@ -66,33 +52,6 @@ def _check_reflected_inputs(lattice, xi, obstacle, side):
             )
 
 
-def _solve_reflected_lower(lattice, xi, g, obstacle, scheme, penalty_n=None):
-    """Direct lower-obstacle induction; given a schedule ``penalty_n``, one
-    sweep of the implicit penalty instead of projection, a row per level,
-    returning one ``plain`` solution per level."""
-    levels = None if penalty_n is None else np.asarray(penalty_n)[:, None]
-
-    def project(k, cand):
-        zeros = np.broadcast_to(0.0, cand.shape)
-        if levels is not None:
-            return penalty_step(cand, obstacle[k], levels, lattice.dt, "lower"), zeros, zeros
-        y = np.maximum(obstacle[k], cand)
-        return y, y - cand, zeros
-
-    terminal = xi.values if levels is None else np.broadcast_to(
-        xi.values, (len(levels), xi.values.size))
-    rows = backward_induction(lattice, g, terminal, scheme, project)
-    if levels is None:
-        (Y, Z, dK, dJ, stats), = rows
-        return Solution(
-            kind="reflected-lower", Y=Y, Z=Z, dK=dK, dJ=dJ,
-            meta={**_base_meta(lattice, g, scheme), **stats}, obstacle_lower=obstacle,
-        )
-    return [Solution(kind="plain", Y=Y, Z=Z, dK=dK, dJ=dJ, meta={
-                **_base_meta(lattice, g, scheme), **stats, "penalty_level": n})
-            for n, (Y, Z, dK, dJ, stats) in zip(penalty_n, rows)]
-
-
 def solve_rbsde(
     lattice: Lattice,
     xi: TerminalPayoff,
@@ -103,34 +62,15 @@ def solve_rbsde(
 ) -> Solution:
     """Reflected solve with one obstacle on either side.
 
-    The upper side is computed by the sign flip: negate the data, reflect
-    the driver through the origin, solve against the lower obstacle ``-U``
-    and negate back (the compensators trade places).
+    The upper side runs as the sign-flip mirror of a lower solve (see
+    ``bsde._reflected_sweep``), and its meta says so.
     """
     _check_reflected_inputs(lattice, xi, obstacle, side)
-    if side == "lower":
-        return _solve_reflected_lower(lattice, xi, g, obstacle, scheme)
-    if side != "upper":
+    if side not in ("lower", "upper"):
         raise ValueError(f"unknown obstacle side {side!r}")
-    mirrored = _solve_reflected_lower(
-        lattice,
-        TerminalPayoff(lattice, -np.asarray(xi.values)),
-        negate_reflect(g),
-        _negate_process(obstacle),
-        scheme,
-    )
-    meta = dict(mirrored.meta)
-    meta["generator"] = g.name
-    meta["route"] = "sign-flip of lower solve"
-    return Solution(
-        kind="reflected-upper",
-        Y=_negate_process(mirrored.Y),
-        Z=_negate_process(mirrored.Z),
-        dK=mirrored.dJ,
-        dJ=mirrored.dK,
-        meta=meta,
-        obstacle_upper=obstacle,
-    )
+    sol, = _reflected_sweep(lattice, g, xi.values, scheme, **{side: obstacle}, meta=(
+        {"route": "sign-flip of lower solve"} if side == "upper" else None))
+    return sol
 
 
 # ----------------------------------------------------------------------
@@ -242,15 +182,9 @@ def penalization_run(
     schedule = _check_schedule(schedule)
     _check_reflected_inputs(lattice, xi, obstacle, side)
 
-    if side == "lower":
-        levels = _solve_reflected_lower(lattice, xi, g, obstacle, scheme, penalty_n=schedule)
-    else:
-        levels = [Solution(kind="plain", Y=_negate_process(m.Y), Z=_negate_process(m.Z),
-                           dK=m.dK, dJ=m.dJ, meta={**m.meta, "generator": g.name})
-                  for m in _solve_reflected_lower(
-                      lattice, TerminalPayoff(lattice, -np.asarray(xi.values)),
-                      negate_reflect(g), _negate_process(obstacle), scheme, penalty_n=schedule)]
     reflected = solve_rbsde(lattice, xi, g, obstacle, side, scheme)
+    levels = _reflected_sweep(lattice, g, xi.values, scheme, **{side: obstacle},
+                              penalty=(side, schedule))
     return levels, _penalization_report(levels, reflected, obstacle, side, schedule)
 
 
@@ -354,8 +288,6 @@ def verify_snell(
     exceeds Y now, with equality once the rule is capped at the first
     contact time.
     """
-    from .bsde import g_evaluate  # local import keeps module load order simple
-
     lat = lattice
     if solution.obstacle_lower is None:
         raise ValueError("verify_snell needs a lower-reflected solution")
@@ -376,7 +308,7 @@ def verify_snell(
             vals = np.maximum(obstacle[k], cand)
             max_gap = max(max_gap, float(np.max(np.abs(vals - solution.Y[k]))))
     elif mode == "enumerate":
-        from .dynkin import enumerate_stopping_rules
+        from .dynkin import enumerate_stopping_rules  # dynkin imports this module
 
         if lat.mode != "full-tree" or lat.N > 4:
             raise ValueError("enumeration needs a full tree with N <= 4")
@@ -389,8 +321,6 @@ def verify_snell(
         raise ValueError(f"unknown verification mode {mode!r}")
 
     # sandwich on sampled rules from the root, as one sweep
-    from .bsde import random_rule
-
     rng = np.random.default_rng(seed)
     root = StoppingRule.at_step(lat, 0)
     tau_sharp = first_hitting(solution, root, "lower")

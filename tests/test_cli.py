@@ -237,6 +237,32 @@ class TestRunKinds:
         assert "not strictly separated at node" in err
         assert "(k=" in err
 
+    @pytest.mark.parametrize("kind,side,how", [
+        ("rbsde", "lower", "nan"), ("rbsde", "upper", "inf"), ("drbsde", "lower", "nan"),
+        ("dynkin-verify", "upper", "nan"), ("penalization", "upper", "nan"),
+        ("pasting", "lower", "inf"), ("mc-crosscheck", "upper", "inf"),
+    ])
+    @np.errstate(invalid="ignore", over="ignore")
+    def test_non_finite_obstacle_exits_2_and_names_node(self, tmp_path, capsys, kind, side,
+                                                        how):
+        # the blow-up is inf at the top node of the last step and 0 elsewhere
+        blowup = "1e300*max(state - 1.5, 0)*1e300"
+        bad = blowup if how == "inf" else f"{blowup} - {blowup}"
+        sign = "-" if side == "lower" else "+"
+        full = kind in ("dynkin-verify", "pasting")
+        config = {**GAME_CONFIG, "kind": kind, "side": side, "generator": "zero",
+                  "lattice": {"T": 1.0, "N": 3, "mode": "full-tree"} if full
+                  else {"T": 1.0, "N": 4}, "mc": {"M": 200, "degree": 2}}
+        config[side] = f"{config[side]} {sign} {bad}"
+        out = tmp_path / "out"
+        assert run_experiment(ExperimentConfig.from_dict(config), out) == 2
+        err = capsys.readouterr().err
+        n = config["lattice"]["N"]
+        assert err.startswith(f"config error: {side!r} obstacle is not finite at node (k={n}, id=")
+        for path in out.iterdir():
+            text = path.read_text()
+            assert "nan" not in text.lower() and "inf" not in text.lower(), path.name
+
     @pytest.mark.parametrize("config,error,fields", [
         ({"kind": "bsde", "lattice": {"T": 1.0, "N": 4}, "scheme": "implicit",
           "generator": "linear:-50,0", "terminal": "state"}, "FixedPointError",

@@ -52,6 +52,19 @@ class TestGameValidation:
                 U=AdaptedProcess.constant(lat, 0.5),
             )
 
+    @pytest.mark.parametrize("rail,value", [("L", np.nan), ("U", np.nan), ("U", np.inf),
+                                            ("L", np.inf)])
+    def test_non_finite_gap_fails_and_is_named(self, rail, value):
+        # one spoiled node at a later step: the margin test must still fail,
+        # and the error must name that node, not the narrowest finite gap
+        lat = build_lattice(1.0, 4)
+        game = make_game(lat, seed=1)
+        vals = [v.copy() for v in getattr(game, rail).values]
+        vals[3][2] = value
+        rails = {"L": game.L, "U": game.U, rail: AdaptedProcess(lat, tuple(vals))}
+        with pytest.raises(SeparationError, match=rf"\(k=3, id={lat.node_ids(3)[2]}\)"):
+            DynkinGame(xi=game.xi, g=game.g, **rails)
+
     def test_terminal_must_sit_between_rails(self):
         lat = build_lattice(1.0, 2)
         with pytest.raises(ValueError, match="below the lower rail"):

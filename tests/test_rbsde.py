@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drbsde_lab.bsde import solve_bsde, step_candidate
+from drbsde_lab.bsde import penalty_step, solve_bsde, step_candidate
 from drbsde_lab.generator import Generator, registry_generator
 from drbsde_lab.lattice import (
     FULL_TREE,
@@ -13,7 +13,6 @@ from drbsde_lab.rbsde import (
     default_eps_hit,
     first_hitting,
     penalization_run,
-    penalty_step,
     solve_rbsde,
     verify_snell,
     write_penalization_csv,
