@@ -200,8 +200,9 @@ class ExperimentConfig:
         for k, values in enumerate(process.values):
             bad = ~np.isfinite(values)
             if bad.any():
+                i = int(np.argmax(bad))
                 raise ConfigError(f"{key!r} obstacle is not finite at node "
-                                  f"(k={k}, id={lattice.node_ids(k)[int(np.argmax(bad))]})")
+                                  f"(k={k}, id={lattice.node_ids(k, i, i + 1)[0]})")
         return process
 
     def tolerance(self, key: str) -> float:

@@ -13,7 +13,9 @@ Routes cross-validated against the direct backward induction:
   ``n (y - U)^+``, values falling toward it;
 * pasting -- alternating one-obstacle segments between the contact
   frontiers of the solution, each segment fed by the continuation value
-  already built past its end.
+  already built past its end.  The frontiers are chained
+  ``rbsde.first_hitting`` rules, the same first contact times the saddle
+  and Snell checks read.
 
 Every route projects with ``bsde._reflect``: the direct solve and both
 penalty schemes through ``bsde._reflected_sweep``, pasting directly, with
@@ -37,7 +39,8 @@ from .lattice import (
     StoppingRule,
     TerminalPayoff,
 )
-from .rbsde import _check_schedule, _penalization_report, default_eps_hit
+from .rbsde import (_check_schedule, _penalization_report, _started_mask,
+                    default_eps_hit, first_hitting)
 
 SEPARATION_FLOOR = 1e-9
 
@@ -64,23 +67,15 @@ class DynkinGame:
             k, i = self._worst_node()
             raise SeparationError(
                 f"obstacles are not strictly separated at node "
-                f"(k={k}, id={lat.node_ids(k)[i]}): U - L = {margin:.3g} "
+                f"(k={k}, id={lat.node_ids(k, i, i + 1)[0]}): U - L = {margin:.3g} "
                 f"(floor {floor:.3g})"
             )
-        low = self.L.terminal() > self.xi.values
-        if low.any():
-            i = int(np.argmax(low))
-            raise ValueError(
-                f"terminal data below the lower rail at node "
-                f"(k={lat.N}, id={lat.node_ids(lat.N)[i]})"
-            )
-        high = self.xi.values > self.U.terminal()
-        if high.any():
-            i = int(np.argmax(high))
-            raise ValueError(
-                f"terminal data above the upper rail at node "
-                f"(k={lat.N}, id={lat.node_ids(lat.N)[i]})"
-            )
+        for bad, where in ((self.L.terminal() > self.xi.values, "below the lower"),
+                           (self.xi.values > self.U.terminal(), "above the upper")):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"terminal data {where} rail at node "
+                                 f"(k={lat.N}, id={lat.node_ids(lat.N, i, i + 1)[0]})")
 
     @property
     def lattice(self) -> Lattice:
@@ -170,7 +165,6 @@ class PastingLedger:
     sides: tuple[str, ...]                # side of segment 1, 2, ...
     node_counts: tuple[int, ...]
     max_depth: int                        # per-path segment count, maximum
-    depth_by_terminal: np.ndarray
     segments_by_terminal: np.ndarray      # nonempty segments along each path
     direct: Solution                      # the solve the contacts were read off
 
@@ -203,12 +197,13 @@ def pasting_construct(
 ):
     """Rebuild the solution from alternating one-obstacle segments.
 
-    Contact frontiers are read off the limit solution: walking forward from
-    the root in lower mode, a node within ``eps`` of the upper rail flips
-    the segment to upper mode, a later touch of the lower rail flips back,
-    and so on.  Each node then takes a single one-obstacle step (its
-    segment's side only), with terminal data flowing backward out of the
-    continuation already built -- so agreement with the direct solve
+    Contact frontiers are read off the limit solution as chained
+    :func:`rbsde.first_hitting` rules: the first node within ``eps`` of the
+    upper rail from the root, then the first touch of the lower rail at or
+    after it, and so on, the segment starting at each.  Segment 1 is lower,
+    and sides alternate.  Each node then takes a single one-obstacle step
+    (its segment's side only), with terminal data flowing backward out of
+    the continuation already built -- so agreement with the direct solve
     certifies that the solution really is an alternation of one-obstacle
     solutions between its own contact times.
     """
@@ -226,41 +221,27 @@ def pasting_construct(
             f"band 2*eps = {2 * eps:.3g}; contacts would be ambiguous"
         )
 
-    # forward sweep: segment side and index per node
-    side, seg = [], []
-    LOWER, UPPER = 0, 1
-    for k in range(lattice.N + 1):
-        if k == 0:
-            cur_side = np.zeros(1, dtype=np.int8)
-            cur_seg = np.ones(1, dtype=np.int64)
-        else:
-            cur_side = lattice.spread_to_children(side[k - 1])
-            cur_seg = lattice.spread_to_children(seg[k - 1])
-        if k < lattice.N:
-            hit_up = direct.Y[k] >= game.U[k] - eps
-            hit_low = direct.Y[k] <= game.L[k] + eps
-            flip_to_upper = (cur_side == LOWER) & hit_up
-            flip_to_lower = (cur_side == UPPER) & hit_low
-            cur_side[flip_to_upper] = UPPER
-            cur_side[flip_to_lower] = LOWER
-            cur_seg[flip_to_upper | flip_to_lower] += 1
-        side.append(cur_side)
-        seg.append(cur_seg)
+    # contact frontiers: boundary d is the first touch of the upper rail (d
+    # odd) or the lower rail (d even) at or after boundary d-1; no node
+    # touches both, so each falls strictly later and at most N stop inside
+    boundaries, start = [], None
+    for d in range(1, lattice.N + 1):
+        rule = first_hitting(direct, start, "upper" if d % 2 else "lower", eps).canonicalize()
+        if not any(f.any() for f in rule.flags[:-1]):
+            break
+        boundaries.append(start := rule)
 
-    depth_by_terminal = seg[lattice.N]
-    max_depth = int(depth_by_terminal.max())
-    # a flip at the root leaves segment 1 empty; every other flip starts a
-    # nonempty segment, at most one flip per node, never two at one node
-    segments_by_terminal = depth_by_terminal - int(seg[0][0]) + 1
-    if int(segments_by_terminal.max()) > lattice.N + 1:
-        raise RuntimeError(
-            f"pasting did not terminate: {int(segments_by_terminal.max())} "
-            f"nonempty segments on a path of {lattice.N} steps"
-        )
+    # segment index: 1 + the boundaries started at or before the node; a
+    # terminal node keeps its parent's
+    seg = [np.ones(lattice.n_nodes(k), dtype=np.int64) for k in range(lattice.N)]
+    for rule in boundaries:
+        for k, started in enumerate(_started_mask(rule)[:-1]):
+            seg[k] += started
+    seg.append(lattice.spread_to_children(seg[-1]))
 
     # backward sweep: one-obstacle step per node, side chosen by its segment
     def one_sided(k, cand):
-        lower_mode = side[k] == LOWER
+        lower_mode = seg[k] % 2 == 1
         return _reflect(cand, np.where(lower_mode, game.L[k], -np.inf),
                         np.where(lower_mode, np.inf, game.U[k]))
 
@@ -274,31 +255,15 @@ def pasting_construct(
         obstacle_lower=game.L, obstacle_upper=game.U,
     )
 
-    boundaries = []
-    sides = []
-    node_counts = []
-    for depth in range(1, max_depth + 1):
-        in_seg = [seg[k] == depth for k in range(lattice.N + 1)]
-        node_counts.append(int(sum(int(m.sum()) for m in in_seg)))
-        sides.append("lower" if depth % 2 == 1 else "upper")
-        if depth < max_depth:
-            flags = [
-                (seg[k] == depth + 1)
-                & (lattice.spread_to_children(seg[k - 1] == depth) if k > 0 else True)
-                for k in range(lattice.N + 1)
-            ]
-            # boundary rule: first node of the next segment
-            flags = [np.asarray(f, dtype=bool) for f in flags]
-            flags[lattice.N] = np.ones(lattice.n_nodes(lattice.N), dtype=bool)
-            boundaries.append(StoppingRule(lattice, tuple(flags)))
-
+    max_depth = len(boundaries) + 1
     ledger = PastingLedger(
         boundaries=tuple(boundaries),
-        sides=tuple(sides),
-        node_counts=tuple(node_counts),
+        sides=tuple("lower" if d % 2 else "upper" for d in range(1, max_depth + 1)),
+        node_counts=tuple(sum(int(np.count_nonzero(s == d)) for s in seg)
+                          for d in range(1, max_depth + 1)),
         max_depth=max_depth,
-        depth_by_terminal=depth_by_terminal,
-        segments_by_terminal=segments_by_terminal,
+        # a contact at the root leaves segment 1 empty
+        segments_by_terminal=seg[lattice.N] - int(seg[0][0]) + 1,
         direct=direct,
     )
     return pasted, ledger
@@ -322,10 +287,6 @@ class CrossReport:
     penalty_cap: float
     pasted: Solution
     ledger: PastingLedger
-
-    @property
-    def ledger_max_depth(self) -> int:
-        return self.ledger.max_depth
 
 
 def cross_validate(

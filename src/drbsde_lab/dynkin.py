@@ -116,14 +116,6 @@ def _delay_rule(rule: StoppingRule, k: int) -> StoppingRule:
     return StoppingRule(lat, tuple(flags))
 
 
-def _first_flag_step(rule: StoppingRule, terminal_index: int) -> int:
-    lat = rule.lattice
-    for k in range(lat.N + 1):
-        if rule.flags[k][terminal_index >> (lat.N - k)]:
-            return k
-    return lat.N
-
-
 def payoff_R(tau: StoppingRule, gamma: StoppingRule, path, game: DynkinGame) -> float:
     """Game payoff along one terminal path (index or bit word)."""
     lat = game.lattice
@@ -132,8 +124,7 @@ def payoff_R(tau: StoppingRule, gamma: StoppingRule, path, game: DynkinGame) -> 
     if not (lat.same_grid(tau.lattice) and lat.same_grid(gamma.lattice)):
         raise ValueError("rules live on a different lattice")
     p = int(path, 2) if isinstance(path, str) else int(path)
-    k_tau = _first_flag_step(tau, p)
-    k_gamma = _first_flag_step(gamma, p)
+    k_tau, k_gamma = int(tau.stop_steps()[p]), int(gamma.stop_steps()[p])
     if k_tau < k_gamma:
         return float(game.L[k_tau][p >> (lat.N - k_tau)])
     if k_gamma <= k_tau and k_gamma < lat.N:

@@ -145,7 +145,9 @@ def compile_expression(src: str) -> Callable:
     tree = _Parser(src).parse()
 
     def fn(t, state):
-        out = _evaluate(tree, t, state)
+        # an overflow is data, not a warning: callers reject non-finite values
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _evaluate(tree, t, state)
         return np.broadcast_to(np.asarray(out, dtype=float), np.shape(state)).copy() \
             if np.shape(out) != np.shape(state) else np.asarray(out, dtype=float)
 

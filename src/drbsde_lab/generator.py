@@ -81,8 +81,9 @@ class Generator:
 def _obstacle_lookup(obstacle: AdaptedProcess):
     """(t, state) -> obstacle value, resolved through the obstacle's lattice.
 
-    Used only for generator-level penalty closures (hypothesis checks,
-    axiom sweeps); solvers read obstacles straight off their node arrays.
+    Used only by the generator-level penalty closures
+    :func:`penalize_lower` and :func:`penalize_upper`; solvers read
+    obstacles straight off their node arrays.
     Obstacles must be state-resolvable: nodes sharing a state share a value.
     """
     lat = obstacle.lattice

@@ -56,7 +56,6 @@ class Lattice:
         self.mode = mode
         self.dt = self.T / self.N
         self.sqrt_dt = math.sqrt(self.dt)
-        self.dimension = 1
         self._states: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -408,24 +407,22 @@ class StoppingRule:
 
     def pathwise_le(self, other: "StoppingRule") -> bool:
         """True when this rule stops no later than ``other`` on every path."""
-        self._check_mate(other)
-        lat = self.lattice
-        # clean(n): some path reaches n with neither rule flagged strictly before
-        clean = np.ones(1, dtype=bool)
-        for k in range(lat.N + 1):
-            violated = clean & other.flags[k] & ~self.flags[k]
-            if violated.any():
-                return False
-            if k == lat.N:
-                break
-            clean = lat.spread_to_children(clean & ~self.flags[k] & ~other.flags[k])
-        return True
+        # a path reaching a node unstopped by either rule must not find
+        # ``other`` flagged there without this rule
+        reach = self.union(other).not_yet_stopped()
+        return not any((r & o & ~s).any() for r, o, s in zip(reach, other.flags, self.flags))
 
     def stop_steps(self) -> np.ndarray:
-        """Full tree only: stopping step of the path through each terminal node."""
-        lat = self.lattice
-        if lat.mode != FULL_TREE:
+        """Full tree only: stopping step of the path through each terminal
+        node, read-only."""
+        if self.lattice.mode != FULL_TREE:
             raise ValueError("per-path stop steps need the full-tree backend")
+        return self._stop_steps
+
+    @cached_property
+    def _stop_steps(self) -> np.ndarray:
+        # cached: payoff_R reads one path per call
+        lat = self.lattice
         cur = np.full(1, -1, dtype=np.int64)  # -1: not stopped yet
         if self.flags[0][0]:
             cur[0] = 0
@@ -435,6 +432,7 @@ class StoppingRule:
             nxt[fresh] = k
             cur = nxt
         cur[cur < 0] = lat.N
+        cur.flags.writeable = False
         return cur
 
     def key(self) -> bytes:

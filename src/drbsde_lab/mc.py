@@ -240,17 +240,32 @@ def write_mc_sidecar(path, result: "McResult") -> None:
         fh.write("\n")
 
 
+def _finite(values, what: str, k: int) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"{what} is not finite on path {int(np.argmax(bad))} at step {k}")
+    return values
+
+
 def mc_terminal(paths: PathBundle, problem: McProblem) -> np.ndarray:
-    """Terminal data per path, checked for shape and for the obstacle order
-    the lattice solvers also require."""
+    """Terminal data per path, checked for shape, for the obstacle order the
+    lattice solvers also require, and for finite terminal and obstacle
+    values at every path step, one step at a time."""
     ends = paths.states[:, paths.N, :]
     term = np.asarray(problem.terminal(ends), dtype=float)
     if term.shape != (paths.M,):
         raise ValueError("terminal function must return one value per path")
-    if problem.lower is not None and np.any(problem.lower(paths.T, ends) > term + 1e-12):
-        raise ValueError("terminal data below the lower obstacle on a path")
-    if problem.upper is not None and np.any(term > problem.upper(paths.T, ends) + 1e-12):
-        raise ValueError("terminal data above the upper obstacle on a path")
+    _finite(term, "terminal data", paths.N)
+    for side, fn in (("lower", problem.lower), ("upper", problem.upper)):
+        if fn is None:
+            continue
+        for k in range(paths.N):
+            _finite(fn(paths.dt * k, paths.states[:, k, :]), f"{side} obstacle", k)
+        rail = _finite(fn(paths.T, ends), f"{side} obstacle", paths.N)
+        if np.any(rail > term + 1e-12 if side == "lower" else term > rail + 1e-12):
+            raise ValueError(f"terminal data {'below' if side == 'lower' else 'above'} "
+                             f"the {side} obstacle on a path")
     return term
 
 

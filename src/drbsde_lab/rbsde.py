@@ -34,22 +34,13 @@ from .lattice import AdaptedProcess, Lattice, StoppingRule, TerminalPayoff
 def _check_reflected_inputs(lattice, xi, obstacle, side):
     if not lattice.same_grid(xi.lattice) or not lattice.same_grid(obstacle.lattice):
         raise ValueError("terminal data and obstacle must live on the lattice")
-    if side == "lower":
-        bad = obstacle.terminal() > xi.values
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"terminal order violated: obstacle above terminal data at node "
-                f"(k={lattice.N}, id={lattice.node_ids(lattice.N)[i]})"
-            )
-    else:
-        bad = xi.values > obstacle.terminal()
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"terminal order violated: terminal data above obstacle at node "
-                f"(k={lattice.N}, id={lattice.node_ids(lattice.N)[i]})"
-            )
+    lower = side == "lower"
+    bad = obstacle.terminal() > xi.values if lower else xi.values > obstacle.terminal()
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "obstacle above terminal data" if lower else "terminal data above obstacle"
+        raise ValueError(f"terminal order violated: {what} at node "
+                         f"(k={lattice.N}, id={lattice.node_ids(lattice.N, i, i + 1)[0]})")
 
 
 def solve_rbsde(
@@ -242,12 +233,10 @@ def first_hitting(
 
 
 def _started_mask(nu: StoppingRule) -> list[np.ndarray]:
-    """Per node: the start rule has fired at or before this node."""
-    lat = nu.lattice
-    out = [np.asarray(nu.flags[0], dtype=bool)]
-    for k in range(lat.N):
-        out.append(lat.spread_to_children(out[k]) | nu.flags[k + 1])
-    return out
+    """Per node: the start rule has fired at or before this node (flagged
+    here, or no path reaches it unstopped); exact on the full tree, and on
+    the walk for the deterministic rules :func:`first_hitting` accepts."""
+    return [f | ~r for f, r in zip(nu.flags, nu.not_yet_stopped())]
 
 
 @dataclass(frozen=True)

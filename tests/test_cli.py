@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,28 @@ class TestRunKinds:
         for path in out.iterdir():
             text = path.read_text()
             assert "nan" not in text.lower() and "inf" not in text.lower(), path.name
+
+    def test_non_finite_obstacle_prints_only_the_config_error(self, tmp_path, capsys):
+        config = {"kind": "rbsde", "lattice": {"T": 1.0, "N": 4}, "terminal": "state",
+                  "lower": "state - 1 + 1e300*1e300 - 1e300*1e300"}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = run_experiment(ExperimentConfig.from_dict(config), tmp_path / "out")
+        assert status == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "config error: 'lower' obstacle is not finite at node (k=0, id=0)\n")
+
+    def test_obstacle_overflowing_on_paths_exits_2(self, tmp_path, capsys):
+        # finite on every lattice node (|state| <= 4), -inf on the paths
+        # with |W_T| > 4.003; the flat-off product used to read max(0, nan) = 0
+        config = {**GAME_CONFIG, "kind": "mc-crosscheck",
+                  "lattice": {"T": 1.0, "N": 16, "mode": "recombining"},
+                  "lower": "max(state, -0.8) - 0.3 - state*state*state*state*6.9e305 - 6.9e305",
+                  "mc": {"M": 100_000, "degree": 3}, "seed": 3}
+        assert run_experiment(ExperimentConfig.from_dict(config), tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: lower obstacle is not finite on path ")
 
     @pytest.mark.parametrize("config,error,fields", [
         ({"kind": "bsde", "lattice": {"T": 1.0, "N": 4}, "scheme": "implicit",

@@ -75,6 +75,21 @@ class TestGameValidation:
                 U=AdaptedProcess.constant(lat, 1.0),
             )
 
+    @pytest.mark.parametrize("rail,where", [("L", "below the lower"),
+                                            ("U", "above the upper")])
+    def test_terminal_order_error_names_the_full_tree_node(self, rail, where):
+        # both rails move past the terminal data at the node with word 10011
+        tree = build_lattice(1.0, 5, FULL_TREE)
+        game = make_game(tree, seed=1)
+        rails = {}
+        for name in ("L", "U"):
+            vals = [v.copy() for v in getattr(game, name).values]
+            vals[5][0b10011] += 1.0 if rail == "L" else -1.0
+            rails[name] = AdaptedProcess(tree, tuple(vals))
+        with pytest.raises(ValueError, match=rf"terminal data {where} rail at node "
+                                             rf"\(k=5, id=10011\)"):
+            DynkinGame(xi=game.xi, g=game.g, **rails)
+
     def test_margin_reported(self):
         lat = build_lattice(1.0, 4)
         game = make_game(lat, seed=1)

@@ -8,7 +8,8 @@ hash that moved when that happened is marked below, and so are the implicit
 hashes that moved when the implicit fixed point began to converge each
 element on its own (its old stopping test was a sup norm over the batch).  The ``obstacle.csv``
 and ``paths.csv`` dumps are pinned too, with hashes recorded before the
-dump writers were replaced by the streaming column writer.
+dump writers were replaced by the streaming column writer, and so is the
+``ledger.csv`` of a contact-rich pasting game.
 """
 
 import hashlib
@@ -216,6 +217,39 @@ def test_separated_game_matches_golden_bytes(tmp_path):
     assert report["checks"]["oracle_gap"] == 0.0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in GAME_GOLDEN} == GAME_GOLDEN
+
+
+# a contact-rich pasting game: the solution starts on the upper rail, which
+# leaves segment 1 empty, and its ledger has three segments; no other pin
+# covers ``ledger.csv``.  Hashes recorded before the contact frontiers were
+# read from chained ``first_hitting`` rules
+CONTACTS = {"kind": "pasting", "lattice": {**TREE, "N": 6}, "generator": LINEAR,
+            "terminal": RAILS["terminal"],
+            "lower": "max(state, -0.8) - 0.05 - 0.1*t",
+            "upper": "max(state, -0.8) + 0.05 + 0.1*t"}
+CONTACTS_LEDGER = "c140625002018893a10ea1d917d8864b2bc11eb4d168f32d04d2121bd558f5a7"
+CONTACTS_GOLDEN = {
+    "explicit": {
+        "ledger.csv": CONTACTS_LEDGER,
+        "solution.csv": "b3830ab074508eb43a9e2631d642916885f0031ae5fffc829cf482a1df0c19e2",
+        "report.json": "34d11ba92aa75f68030f17bd2d648f86daac199a00c4ed22cea7f6db4553869d",
+    },
+    "implicit": {
+        "ledger.csv": CONTACTS_LEDGER,
+        "solution.csv": "c1782550be3ce21d830743c5c3b1783374c117eebdc2d88d75a3a040e493f51d",
+        "report.json": "d43d4dedbcaa12da488768ddbe9073f3c7fb1d0e7afe3421b4b6095a9f0cda54",
+    },
+}
+
+
+@pytest.mark.parametrize("scheme", list(CONTACTS_GOLDEN))
+def test_contact_rich_pasting_matches_golden_bytes(scheme, tmp_path):
+    cfg = dict(CONTACTS, scheme=scheme)
+    assert run_experiment(ExperimentConfig.from_dict(cfg), tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["checks"]["ledger_max_depth"] == 3
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in CONTACTS_GOLDEN[scheme]} == CONTACTS_GOLDEN[scheme]
 
 
 def write_tanh_sin_driver(path):

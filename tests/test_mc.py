@@ -9,6 +9,7 @@ from drbsde_lab.mc import (
     RegressionBasis,
     SingularRegressionError,
     _project,
+    mc_terminal,
     simulate_paths,
     solve_mc,
     write_bundle_csv,
@@ -181,6 +182,28 @@ class TestSolve:
         )
         with pytest.raises(ValueError, match="below the lower obstacle"):
             solve_mc(paths, prob, registry_generator("zero"))
+
+    @pytest.mark.parametrize("spoiled", ["terminal", "lower", "upper"])
+    def test_non_finite_data_on_a_path_rejected(self, spoiled):
+        # one path's state at step 3 spoils the data there and nowhere else
+        paths = simulate_paths(1, 1.0, 4, 500, 2)
+        marked = paths.states[17, 3 if spoiled != "terminal" else 4, 0]
+
+        def spoil(base):
+            return lambda *args: np.where(args[-1][:, 0] == marked, np.inf, base(args[-1]))
+
+        rails = {"terminal": lambda s: np.tanh(s[:, 0]),
+                 "lower": lambda s: np.tanh(s[:, 0]) - 0.3,
+                 "upper": lambda s: np.tanh(s[:, 0]) + 0.3}
+        prob = McProblem(
+            terminal=rails["terminal"] if spoiled != "terminal" else spoil(rails["terminal"]),
+            **{side: spoil(rails[side]) if side == spoiled else
+               (lambda t, s, fn=rails[side]: fn(s)) for side in ("lower", "upper")},
+        )
+        what = "terminal data" if spoiled == "terminal" else f"{spoiled} obstacle"
+        step = 4 if spoiled == "terminal" else 3
+        with pytest.raises(ValueError, match=rf"{what} is not finite on path 17 at step {step}"):
+            mc_terminal(paths, prob)
 
 
 class TestSerialization:

@@ -99,6 +99,17 @@ class TestSolveRbsde:
             solve_rbsde(lat, xi, registry_generator("zero"),
                         AdaptedProcess.constant(lat, -0.5), "upper")
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_terminal_order_error_names_the_full_tree_node(self, side):
+        tree = build_lattice(1.0, 6, FULL_TREE)
+        xi = TerminalPayoff.from_function(tree, lambda s: np.zeros_like(s))
+        vals = [np.full(tree.n_nodes(k), -0.5 if side == "lower" else 0.5)
+                for k in range(tree.N + 1)]
+        vals[6][0b101101] = -vals[6][0b101101]
+        with pytest.raises(ValueError, match=r"at node \(k=6, id=101101\)"):
+            solve_rbsde(tree, xi, registry_generator("zero"),
+                        AdaptedProcess(tree, tuple(vals)), side)
+
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     def test_upper_side_agrees_with_independent_clamp(self, scheme):
         # the production route goes through the sign flip; compare against a
