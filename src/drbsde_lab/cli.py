@@ -66,9 +66,9 @@ from .lattice import (
 )
 from .mc import (
     McProblem,
+    PathDataError,
     RegressionBasis,
     SingularRegressionError,
-    mc_terminal,
     simulate_paths,
     solve_mc,
     write_bundle_csv,
@@ -470,10 +470,11 @@ def _run_mc_crosscheck(cfg: ExperimentConfig, out: Path) -> dict:
         lower=wrap(lower_fn),
         upper=wrap(upper_fn),
     )
-    with _config_check():
-        mc_terminal(paths, problem)
-    result = solve_mc(paths, problem, cfg.generator(),
-                      RegressionBasis("polynomial", degree), cfg.scheme)
+    try:
+        result = solve_mc(paths, problem, cfg.generator(),
+                          RegressionBasis("polynomial", degree), cfg.scheme)
+    except PathDataError as exc:
+        raise ConfigError(str(exc)) from exc
     write_mc_sidecar(out / "mc_estimate.json", result)
     if cfg.raw.get("write_paths", False):
         write_bundle_csv(out / "paths.csv", paths)

@@ -34,6 +34,10 @@ class SingularRegressionError(RuntimeError):
     """The regression design matrix is numerically rank deficient."""
 
 
+class PathDataError(ValueError):
+    """Terminal or obstacle data on the paths fails a :func:`mc_terminal` check."""
+
+
 @dataclass(frozen=True)
 class PathBundle:
     """Simulated Brownian increments and the state paths they drive."""
@@ -116,23 +120,29 @@ class RegressionBasis:
     degree: int = 3
     bins: int = 8
 
-    def design(self, states: np.ndarray, edges: Optional[np.ndarray] = None):
+    def design(self, states: np.ndarray) -> np.ndarray:
         """Design matrix at one time slice; states has shape (M, d)."""
         if self.family == "polynomial":
-            return self._poly(states), None
+            return self._poly(states)
         if self.family == "indicator-bins":
             if states.shape[1] != 1:
                 raise ValueError("indicator bins support one dimension")
             x = states[:, 0]
-            if edges is None:
-                qs = np.linspace(0.0, 1.0, self.bins + 1)[1:-1]
-                edges = np.quantile(x, qs)
+            edges = np.quantile(x, np.linspace(0.0, 1.0, self.bins + 1)[1:-1])
             idx = np.searchsorted(edges, x)
             mat = np.zeros((x.size, self.bins))
             mat[np.arange(x.size), idx] = 1.0
             keep = mat.sum(axis=0) > 0
-            return mat[:, keep], edges
+            return mat[:, keep]
         raise ValueError(f"unknown basis family {self.family!r}")
+
+    def design_rows(self, states: np.ndarray, design: np.ndarray, rows: slice) -> np.ndarray:
+        """Design of ``states[rows]`` alone, given ``design`` of all ``states``:
+        a row slice of it for the elementwise polynomials, rebuilt for
+        indicator bins, whose quantile edges come from the rows given."""
+        if self.family == "polynomial":
+            return design[rows]
+        return self.design(states[rows])
 
     def _poly(self, states: np.ndarray) -> np.ndarray:
         m, d = states.shape
@@ -244,18 +254,18 @@ def _finite(values, what: str, k: int) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     bad = ~np.isfinite(values)
     if bad.any():
-        raise ValueError(f"{what} is not finite on path {int(np.argmax(bad))} at step {k}")
+        raise PathDataError(f"{what} is not finite on path {int(np.argmax(bad))} at step {k}")
     return values
 
 
 def mc_terminal(paths: PathBundle, problem: McProblem) -> np.ndarray:
     """Terminal data per path, checked for shape, for the obstacle order the
     lattice solvers also require, and for finite terminal and obstacle
-    values at every path step, one step at a time."""
+    values at every path step, one step at a time (:class:`PathDataError`)."""
     ends = paths.states[:, paths.N, :]
     term = np.asarray(problem.terminal(ends), dtype=float)
     if term.shape != (paths.M,):
-        raise ValueError("terminal function must return one value per path")
+        raise PathDataError("terminal function must return one value per path")
     _finite(term, "terminal data", paths.N)
     for side, fn in (("lower", problem.lower), ("upper", problem.upper)):
         if fn is None:
@@ -264,8 +274,8 @@ def mc_terminal(paths: PathBundle, problem: McProblem) -> np.ndarray:
             _finite(fn(paths.dt * k, paths.states[:, k, :]), f"{side} obstacle", k)
         rail = _finite(fn(paths.T, ends), f"{side} obstacle", paths.N)
         if np.any(rail > term + 1e-12 if side == "lower" else term > rail + 1e-12):
-            raise ValueError(f"terminal data {'below' if side == 'lower' else 'above'} "
-                             f"the {side} obstacle on a path")
+            raise PathDataError(f"terminal data {'below' if side == 'lower' else 'above'} "
+                                f"the {side} obstacle on a path")
     return term
 
 
@@ -285,70 +295,91 @@ def solve_mc(
     closed-form implicit penalty instead of the clamp.  The standard error
     is bootstrapped from disjoint path batches re-solved end to end, so it
     sees the regression-stage noise, not just the final averaging.
+
+    Batch ``b`` is bundle rows ``[b*size, (b+1)*size)``.  One backward loop
+    advances the bundle and all batches together on each step's shared design
+    and obstacle values; the driver and the reflection are elementwise, so one
+    call on all batch rows gives each batch the bits of its own solve, and a
+    :class:`FixedPointError` names the path by its index in the bundle.
+
+    The driver is ``g.fn(t, state, y, z)`` with ``state`` and ``z`` of shape
+    ``(M,)`` at d = 1 and ``(M, d)`` at d > 1.  Bad terminal or obstacle data
+    raises :class:`PathDataError`.
     """
     if g.stop_rule is not None:
         raise ValueError("stopped drivers follow lattice nodes: no path backend")
     M, N, d = paths.M, paths.N, paths.d
     dt = paths.dt
-    term_all = mc_terminal(paths, problem)
+    v = mc_terminal(paths, problem)
+    n_batches = max(2, min(batches, M // 100))
+    size = M // n_batches
+    used = n_batches * size
+    batch_v = v[:used]
 
     max_cond = 1.0
     flat_lower = 0.0
     flat_upper = 0.0
     penalized = None if penalty is None else penalty[0]
 
-    def clamp(y, t, states, record):
-        nonlocal flat_lower, flat_upper
-        low, up = (None if fn is None else np.asarray(fn(t, states), dtype=float)
-                   for fn in (problem.lower, problem.upper))
-        out, dk, dj = _reflect(y, low, up, dt, penalty)
-        if record and low is not None and penalized != "lower":
-            flat_lower = max(flat_lower, float(np.max(np.abs((out - low) * dk))))
-        if record and up is not None and penalized != "upper":
-            flat_upper = max(flat_upper, float(np.max(np.abs((up - out) * dj))))
-        return out
+    def rails(t, states):
+        return tuple(None if fn is None else np.asarray(fn(t, states), dtype=float)
+                     for fn in (problem.lower, problem.upper))
 
-    def driver_step(expectation, zhat, k, states):
+    def targets(values, db):
+        return np.column_stack([values] + [values * db[:, j] / dt for j in range(d)])
+
+    def advance(fitted, k, states, low, up):
+        """Driver update from the fitted (E, Z) columns, then the reflection."""
         svar = states[:, 0] if d == 1 else states
+        zhat = fitted[:, 1] if d == 1 else fitted[:, 1:]
 
         def driver(y):
             return np.asarray(g.fn(dt * k, svar, y, zhat), dtype=float)
 
-        return _driver_update(driver, expectation, dt, g.lam_plus, scheme, k)
+        cand = _driver_update(driver, fitted[:, 0], dt, g.lam_plus, scheme, k)
+        return _reflect(cand, low, up, dt, penalty)
 
-    def backward(idx, record=False):
-        nonlocal max_cond
-        v = term_all[idx]
-        for k in range(N - 1, 0, -1):
-            states_k = paths.states[idx, k, :]
-            db = paths.increments[idx, k, :]
-            design, _ = basis.design(states_k)
-            targets = np.column_stack([v] + [v * db[:, j] / dt for j in range(d)])
-            fitted, cond = _project(design, targets)
-            if record:
-                max_cond = max(max_cond, cond)
-            expectation = fitted[:, 0]
-            zhat = fitted[:, 1] if d == 1 else fitted[:, 1:]
-            y = driver_step(expectation, zhat, k, states_k)
-            v = clamp(y, dt * k, states_k, record)
-        # root: every path shares the state, plain averages are exact
-        e0 = float(v.mean())
-        z0 = v @ paths.increments[idx, 0, :] / (dt * idx.size)
-        y0 = driver_step(
-            np.array([e0]),
-            np.atleast_1d(float(z0[0])) if d == 1 else z0[None, :],
-            0,
-            paths.states[idx[:1], 0, :],
-        )
-        return float(clamp(y0, 0.0, paths.states[idx[:1], 0, :], record)[0])
+    def book(out, low, up, dk, dj):
+        nonlocal flat_lower, flat_upper
+        if low is not None and penalized != "lower":
+            flat_lower = max(flat_lower, float(np.max(np.abs((out - low) * dk))))
+        if up is not None and penalized != "upper":
+            flat_upper = max(flat_upper, float(np.max(np.abs((up - out) * dj))))
 
-    y0 = backward(np.arange(M), record=True)
+    for k in range(N - 1, 0, -1):
+        states = np.ascontiguousarray(paths.states[:, k, :])
+        db = paths.increments[:, k, :]
+        design = basis.design(states)
+        low, up = rails(dt * k, states)
+        fitted, cond = _project(design, targets(v, db))
+        max_cond = max(max_cond, cond)
+        v, dk, dj = advance(fitted, k, states, low, up)
+        book(v, low, up, dk, dj)
+        del fitted, dk, dj
+        # the batches: one regression each, written back in place
+        fitted = targets(batch_v, db[:used])
+        for lo in range(0, used, size):
+            rows = slice(lo, lo + size)
+            fitted[rows] = _project(basis.design_rows(states, design, rows), fitted[rows])[0]
+        batch_v = advance(fitted, k, states[:used], *(None if r is None else r[:used]
+                                                       for r in (low, up)))[0]
 
-    n_batches = max(2, min(batches, M // 100))
-    size = M // n_batches
-    batch_vals = np.array(
-        [backward(np.arange(b * size, (b + 1) * size)) for b in range(n_batches)]
-    )
+    # root: every path shares the state, plain averages are exact
+    origin = paths.states[:1, 0, :]
+    low, up = rails(0.0, origin)
+    inc = np.ascontiguousarray(paths.increments[:, 0, :])
+
+    def root(values, inc):
+        e0 = np.array([float(values.mean())])
+        z0 = values @ inc / (dt * values.size)
+        fitted = np.column_stack([e0, z0[None, :]])
+        return advance(fitted, 0, origin, low, up)
+
+    out, dk, dj = root(v, inc)
+    book(out, low, up, dk, dj)
+    y0 = float(out[0])
+    batch_vals = np.array([float(root(batch_v[lo:lo + size], inc[lo:lo + size])[0][0])
+                           for lo in range(0, used, size)])
     rng = np.random.default_rng(paths.seed ^ 0x5EED_B00F)
     resampled = rng.integers(0, n_batches, size=(bootstrap_samples, n_batches))
     boot_means = batch_vals[resampled].mean(axis=1)

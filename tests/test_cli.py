@@ -224,6 +224,24 @@ class TestRunKinds:
         })
         assert run_experiment(cfg, tmp_path / "out") == 0
 
+    def test_mc_crosscheck_scans_the_path_data_once(self, tmp_path, monkeypatch):
+        from drbsde_lab import cli, mc
+
+        calls = []
+        scan = mc.mc_terminal
+
+        def counted(*args):
+            calls.append(1)
+            return scan(*args)
+
+        # wherever the scan is bound by name, it is counted
+        monkeypatch.setattr(mc, "mc_terminal", counted)
+        monkeypatch.setattr(cli, "mc_terminal", counted, raising=False)
+        config = {**GAME_CONFIG, "kind": "mc-crosscheck",
+                  "lattice": {"T": 1.0, "N": 8}, "mc": {"M": 2000, "degree": 2}}
+        assert run_experiment(ExperimentConfig.from_dict(config), tmp_path / "out") == 0
+        assert len(calls) == 1
+
     def test_separation_violation_exits_2_and_names_node(self, tmp_path, capsys):
         cfg = ExperimentConfig.from_dict({
             "kind": "drbsde",

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from drbsde_lab.bsde import _driver_update, _reflect
 from drbsde_lab.drbsde import DynkinGame, solve_drbsde
-from drbsde_lab.generator import registry_generator
+from drbsde_lab.generator import Generator, registry_generator
 from drbsde_lab.lattice import AdaptedProcess, TerminalPayoff, build_lattice
 from drbsde_lab.mc import (
+    CONDITION_WARN,
     McProblem,
+    McResult,
     RegressionBasis,
     SingularRegressionError,
     _project,
@@ -73,13 +76,13 @@ class TestRegression:
     def test_polynomial_design_shape(self):
         basis = RegressionBasis("polynomial", 3)
         states = np.random.default_rng(0).normal(size=(100, 1))
-        design, _ = basis.design(states)
+        design = basis.design(states)
         assert design.shape == (100, 4)
 
     def test_indicator_bins(self):
         basis = RegressionBasis("indicator-bins", bins=6)
         states = np.random.default_rng(0).normal(size=(500, 1))
-        design, edges = basis.design(states)
+        design = basis.design(states)
         assert design.shape[1] <= 6
         np.testing.assert_allclose(design.sum(axis=1), 1.0)
 
@@ -204,6 +207,148 @@ class TestSolve:
         step = 4 if spoiled == "terminal" else 3
         with pytest.raises(ValueError, match=rf"{what} is not finite on path 17 at step {step}"):
             mc_terminal(paths, prob)
+
+
+def reference_solve_mc(paths, problem, g, basis=RegressionBasis(), scheme="explicit",
+                       penalty=None, batches=50, bootstrap_samples=500):
+    """The backward pass replayed once for the full bundle and once per
+    bootstrap batch, each rebuilding its design and obstacles at every step:
+    the oracle for ``solve_mc``'s one shared loop."""
+    M, N, d = paths.M, paths.N, paths.d
+    dt = paths.dt
+    term_all = mc_terminal(paths, problem)
+    max_cond = 1.0
+    flat_lower = 0.0
+    flat_upper = 0.0
+    penalized = None if penalty is None else penalty[0]
+
+    def clamp(y, t, states, record):
+        nonlocal flat_lower, flat_upper
+        low, up = (None if fn is None else np.asarray(fn(t, states), dtype=float)
+                   for fn in (problem.lower, problem.upper))
+        out, dk, dj = _reflect(y, low, up, dt, penalty)
+        if record and low is not None and penalized != "lower":
+            flat_lower = max(flat_lower, float(np.max(np.abs((out - low) * dk))))
+        if record and up is not None and penalized != "upper":
+            flat_upper = max(flat_upper, float(np.max(np.abs((up - out) * dj))))
+        return out
+
+    def driver_step(expectation, zhat, k, states):
+        svar = states[:, 0] if d == 1 else states
+
+        def driver(y):
+            return np.asarray(g.fn(dt * k, svar, y, zhat), dtype=float)
+
+        return _driver_update(driver, expectation, dt, g.lam_plus, scheme, k)
+
+    def backward(idx, record=False):
+        nonlocal max_cond
+        v = term_all[idx]
+        for k in range(N - 1, 0, -1):
+            states_k = paths.states[idx, k, :]
+            db = paths.increments[idx, k, :]
+            design = basis.design(states_k)
+            targets = np.column_stack([v] + [v * db[:, j] / dt for j in range(d)])
+            fitted, cond = _project(design, targets)
+            if record:
+                max_cond = max(max_cond, cond)
+            expectation = fitted[:, 0]
+            zhat = fitted[:, 1] if d == 1 else fitted[:, 1:]
+            y = driver_step(expectation, zhat, k, states_k)
+            v = clamp(y, dt * k, states_k, record)
+        e0 = float(v.mean())
+        z0 = v @ paths.increments[idx, 0, :] / (dt * idx.size)
+        y0 = driver_step(
+            np.array([e0]),
+            np.atleast_1d(float(z0[0])) if d == 1 else z0[None, :],
+            0,
+            paths.states[idx[:1], 0, :],
+        )
+        return float(clamp(y0, 0.0, paths.states[idx[:1], 0, :], record)[0])
+
+    y0 = backward(np.arange(M), record=True)
+    n_batches = max(2, min(batches, M // 100))
+    size = M // n_batches
+    batch_vals = np.array(
+        [backward(np.arange(b * size, (b + 1) * size)) for b in range(n_batches)]
+    )
+    rng = np.random.default_rng(paths.seed ^ 0x5EED_B00F)
+    resampled = rng.integers(0, n_batches, size=(bootstrap_samples, n_batches))
+    stderr = float(batch_vals[resampled].mean(axis=1).std(ddof=1))
+    return McResult(y0, stderr, max_cond, max_cond > CONDITION_WARN, flat_lower, flat_upper,
+                    paths.seed, basis, scheme, bootstrap_samples)
+
+
+def _d2_driver():
+    # a d = 2 driver reads (M, 2) states and z: the backend's contract above d = 1
+    def fn(t, state, y, z):
+        return -0.4 * y + 0.2 * np.tanh(z[:, 0] - z[:, 1]) + 0.1 * np.sin(state[:, 0] * state[:, 1])
+
+    return Generator(fn, kappa=0.2, lam=0.4, name="d2-custom")
+
+
+_TANH = McProblem(
+    terminal=lambda s: np.tanh(s[:, 0]),
+    lower=lambda t, s: np.tanh(s[:, 0]) - 0.3,
+    upper=lambda t, s: np.tanh(s[:, 0]) + 0.3,
+)
+_PUT = McProblem(
+    terminal=lambda s: np.maximum(0.3 - s[:, 0], 0.0),
+    lower=lambda t, s: np.maximum(0.3 - s[:, 0], 0.0),
+)
+_CALL = McProblem(
+    terminal=lambda s: np.minimum(s[:, 0] - 0.2, 0.0),
+    upper=lambda t, s: np.minimum(s[:, 0] - 0.2, 0.0),
+)
+_D2 = McProblem(
+    terminal=lambda s: np.tanh(s[:, 0] + s[:, 1]),
+    lower=lambda t, s: np.tanh(s[:, 0] + s[:, 1]) - 0.25,
+    upper=lambda t, s: np.tanh(s[:, 0] + s[:, 1]) + 0.25,
+)
+
+
+class TestSharedSweep:
+    """``solve_mc`` equals the per-batch replay bit for bit."""
+
+    @pytest.mark.parametrize("d,M,problem,spec,kwargs", [
+        (1, 5000, _TANH, "linear:-0.5,0.3", {}),
+        (1, 5000, _TANH, "linear:-0.5,0.3", {"scheme": "implicit"}),
+        (1, 20_050, _PUT, "linear:-0.5,0", {"penalty": ("lower", 4096.0)}),
+        (1, 5030, _CALL, "linear:-0.5,0.2", {"penalty": ("upper", 512.0),
+                                              "scheme": "implicit"}),
+        (1, 5000, _TANH, "linear:-0.5,0.3",
+         {"basis": RegressionBasis("indicator-bins", bins=8)}),
+        (1, 5030, _CALL, "linear:-0.5,0.2",
+         {"basis": RegressionBasis("indicator-bins", bins=6), "scheme": "implicit",
+          "penalty": ("upper", 512.0)}),
+        (2, 6010, _D2, None, {"basis": RegressionBasis("polynomial", 2)}),
+        (2, 6010, _D2, None, {"basis": RegressionBasis("polynomial", 2),
+                              "scheme": "implicit", "batches": 7}),
+    ], ids=["explicit", "implicit", "lower-penalty-uneven", "upper-penalty-implicit-uneven",
+            "indicator-bins", "indicator-bins-implicit-upper-penalty", "d2-custom-driver",
+            "d2-implicit-7-batches"])
+    def test_equals_per_batch_replay(self, d, M, problem, spec, kwargs):
+        paths = simulate_paths(d, 1.0, 8, M, 17)
+        g = _d2_driver() if spec is None else registry_generator(spec)
+        got = solve_mc(paths, problem, g, **kwargs)
+        assert got == reference_solve_mc(paths, problem, g, **kwargs)
+        assert np.isfinite(got.y0) and got.stderr > 0
+
+    def test_batch_failure_names_the_bundle_row(self):
+        # the driver fails on path 4321 only where it sees the batch rows
+        # (5000 of 5030 paths); that path is row 21 of batch 43
+        from drbsde_lab.bsde import FixedPointError
+
+        paths = simulate_paths(1, 1.0, 4, 5030, 0)
+        marked = paths.states[4321, 3, 0]
+
+        def fn(t, state, y, z):
+            return np.where((state == marked) & (state.size < 5030), np.nan, -0.5 * y)
+
+        g = Generator(fn, kappa=0.1, lam=0.5, name="nan-on-one-batch-path")
+        with pytest.raises(FixedPointError) as caught:
+            solve_mc(paths, McProblem(terminal=lambda s: s[:, 0]), g, scheme="implicit")
+        assert (caught.value.step, caught.value.node) == (3, 4321)
 
 
 class TestSerialization:
