@@ -9,7 +9,7 @@ next-step slice into children, giving the exact conditional expectation
 * implicit scheme:  ``y`` solves ``y = E + dt * g(t, state, y, Z)`` by a
   damped fixed point (damping ``1/(1 + dt*lam_plus)``, cap 100 iterations,
   tolerance 1e-12 relative to ``1 + |E|``, else :class:`FixedPointError`,
-  raised at once when a residual turns NaN, which never recovers); the
+  raised at once when a residual turns inf or NaN, which never recovers); the
   driver is only one-sidedly monotone in ``y``, so the undamped iteration
   may diverge.  Every element converges on its own: its value is a
   function of its own node and children alone.
@@ -104,8 +104,8 @@ def _driver_update(driver, expectation, dt: float, lam_plus: float, scheme: str,
     stops at its first residual ``<= 1e-15 * (1 + |E_i|)`` and keeps that
     iteration's target, so its value depends only on its own ``E_i`` and
     driver inputs, never on what else is in the batch.  Raises
-    :class:`FixedPointError` (naming step ``k``) at the first NaN residual,
-    or when the cap leaves an element above ``1e-12 * (1 + |E_i|)``.
+    :class:`FixedPointError` (naming step ``k``) at the first non-finite
+    residual, or when the cap leaves an element above ``1e-12 * (1 + |E_i|)``.
     ``stats["max_iterations"]`` collects the largest iteration count per
     row, rows being all axes but the last.
     """
@@ -126,8 +126,9 @@ def _driver_update(driver, expectation, dt: float, lam_plus: float, scheme: str,
         target = expectation + dt * driver(y)
         gap = abs(target - y)
         live = gap > fine
-        # NaN iterates stay NaN: no later iteration can converge
-        diverged = np.count_nonzero(np.isnan(gap)) > frontier
+        # an inf residual gives an inf or NaN iterate, and NaN stays NaN:
+        # no later iteration can converge
+        diverged = np.count_nonzero(~np.isfinite(gap)) > frontier
         if diverged or not live.any() or it == IMPLICIT_CAP:
             break
         if stats is not None:
@@ -146,9 +147,10 @@ def _driver_update(driver, expectation, dt: float, lam_plus: float, scheme: str,
         failed = (gap > fine * (IMPLICIT_TOL / 1e-15)) | (np.isnan(gap) ^ np.isnan(expectation))
         if failed.any():
             # name the first NaN residual, if any, else the largest failing one
+            # (an inf residual is the largest)
             at = np.unravel_index(np.argmax(np.where(failed, gap, 0.0)), gap.shape)
             residual, node = float(gap[at]), int(at[-1])
-            how = (f"diverged at iteration {it}" if math.isnan(residual)
+            how = (f"diverged at iteration {it}" if not math.isfinite(residual)
                    else f"did not converge within {IMPLICIT_CAP} iterations")
             raise FixedPointError(f"implicit step {k} {how} at node {node} "
                                   f"(residual {residual:.3g})", k, residual, node)

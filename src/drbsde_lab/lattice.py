@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -484,19 +485,93 @@ def _write_rows(fh, keys, columns) -> None:
     fh.write("\r\n".join(map(",".join, zip(*keys, *cells))) + "\r\n")
 
 
+# items below which a second process costs more than it saves
+SPLIT_MIN = 1 << 14
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 where it cannot fork or cannot tell."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _in_two(n: int, work) -> bool:
+    """Run ``work(lo, hi)`` over ``[0, n)``; return whether it was split.
+
+    With at least ``SPLIT_MIN`` items and two usable CPUs, a forked child
+    runs the upper half ``[n // 2, n)`` while the caller runs the lower
+    half, then waits for it; if the child did not exit 0, the caller runs
+    the upper half itself.  ``work`` must own its outputs: the child calls
+    no BLAS, writes no file the caller has open, and leaves only through
+    ``os._exit``, so it never flushes an inherited buffer.  Otherwise, or
+    when ``fork`` fails, ``work(0, n)`` runs here.
+    """
+    if n < SPLIT_MIN or _usable_cpus() < 2:
+        work(0, n)
+        return False
+    mid = n // 2
+    try:
+        pid = os.fork()
+    except OSError:
+        work(0, n)
+        return False
+    if pid == 0:
+        code = 1
+        try:
+            work(mid, n)
+            code = 0
+        finally:
+            os._exit(code)
+    try:
+        work(0, mid)
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        work(mid, n)
+    return True
+
+
 def _write_node_dump(path, header, lattice: Lattice, step_columns) -> None:
     """Stream ``k,node-id,state`` and the value columns ``step_columns(k)``
-    of every node, ``DUMP_CHUNK`` rows at a time."""
-    state_text: dict[int, str] = {}  # few distinct states (2N+1 on the walk)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for k in range(lattice.N + 1):
-            states, cols, n = lattice.states(k), step_columns(k), lattice.n_nodes(k)
-            for start in range(0, n, DUMP_CHUNK):
-                stop = min(start + DUMP_CHUNK, n)
+    of every node, ``DUMP_CHUNK`` rows at a time.
+
+    With two usable CPUs and at least ``SPLIT_MIN`` rows (:func:`_in_two`),
+    a forked child formats the chunks from the boundary nearest half the
+    rows into a tail file beside ``path``, which is then appended by a
+    kernel copy; each chunk's text depends on its own rows alone, so the
+    bytes are those of the serial write."""
+    chunks = [(k, start, min(start + DUMP_CHUNK, n))
+              for k in range(lattice.N + 1) for n in (lattice.n_nodes(k),)
+              for start in range(0, n, DUMP_CHUNK)]
+    firsts = np.cumsum([0] + [stop - start for _, start, stop in chunks])
+    tail = f"{os.fspath(path)}.{os.getpid()}.tail"
+
+    def write(lo, hi):
+        state_text: dict[int, str] = {}  # few distinct states (2N+1 on the walk)
+        with open(tail if lo else path, "w", newline="", encoding="utf-8") as fh:
+            if not lo:
+                fh.write(",".join(header) + "\r\n")
+            # the chunks between the boundaries nearest rows lo and hi
+            a, b = (int(np.argmin(np.abs(firsts - row))) for row in (lo, hi))
+            for k, start, stop in chunks[a:b]:
                 keys = (repeat(str(k)), lattice.node_ids(k, start, stop),
-                        _format_column(states[start:stop], state_text))
-                _write_rows(fh, keys, [None if c is None else c[start:stop] for c in cols])
+                        _format_column(lattice.states(k)[start:stop], state_text))
+                _write_rows(fh, keys, [None if c is None else c[start:stop]
+                                       for c in step_columns(k)])
+
+    try:
+        if _in_two(int(firsts[-1]), write):
+            # a kernel copy, with no user-space buffer; sendfile refuses an
+            # O_APPEND target, so seek to the end instead
+            with open(path, "r+b") as out, open(tail, "rb") as src:
+                out.seek(0, os.SEEK_END)
+                offset = 0
+                while sent := os.sendfile(out.fileno(), src.fileno(), offset, 1 << 30):
+                    offset += sent
+    finally:
+        if os.path.exists(tail):
+            os.remove(tail)
 
 
 def write_process_csv(path, process: AdaptedProcess) -> None:

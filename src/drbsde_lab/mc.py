@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .bsde import _driver_update, _reflect
 from .generator import Generator
-from .lattice import DUMP_CHUNK, _write_rows
+from .lattice import DUMP_CHUNK, _in_two, _write_rows
 
 CONDITION_WARN = 1e8
 
@@ -61,7 +62,14 @@ class PathBundle:
 
 
 def simulate_paths(d: int, T: float, N: int, M: int, seed: int) -> PathBundle:
-    """Simulate ``M`` independent ``d``-dimensional Brownian paths."""
+    """Simulate ``M`` independent ``d``-dimensional Brownian paths.
+
+    Path ``i`` draws its normals from Philox keyed by ``(seed, i)`` alone.
+    With two usable CPUs and at least ``lattice.SPLIT_MIN`` paths
+    (:func:`lattice._in_two`), a forked child draws paths ``[M/2, M)`` into
+    the shared increments buffer, so the bits are those of the serial loop;
+    scaling, cumulative sums and the gate diagnostics then run here, once
+    over the whole bundle."""
     if d < 1 or N < 1:
         raise ValueError("dimension and step count must be positive")
     if T <= 0:
@@ -69,17 +77,24 @@ def simulate_paths(d: int, T: float, N: int, M: int, seed: int) -> PathBundle:
     if M < 100:
         raise ValueError("at least 100 paths are required")
     dt = T / N
-    increments = np.empty((M, N, d))
-    # one generator re-keyed per path: Philox key words (low, high) = (path, seed)
-    bits = np.random.Philox(key=0)
-    gen = np.random.Generator(bits)
-    state = bits.state
-    key = state["state"]["key"]
-    key[1] = int(seed) & ((1 << 64) - 1)
-    for i in range(M):
-        key[0] = i
-        bits.state = state
-        gen.standard_normal(out=increments[i])
+    # shared with a forked child, which draws its rows in place
+    increments = np.frombuffer(mmap.mmap(-1, M * N * d * 8), dtype=float).reshape(M, N, d)
+
+    def draw(lo, hi):
+        # one generator re-keyed per path: Philox key words (low, high) =
+        # (path, seed); the state setter reads plain int lists faster than
+        # the arrays the getter returns
+        bits = np.random.Philox(key=0)
+        normal = np.random.Generator(bits).standard_normal
+        state = bits.state
+        key = [0, int(seed) & ((1 << 64) - 1)]
+        state.update(state={"counter": [0, 0, 0, 0], "key": key}, buffer=[0, 0, 0, 0])
+        for i, row in enumerate(increments[lo:hi], lo):
+            key[0] = i
+            bits.state = state
+            normal(out=row)
+
+    _in_two(M, draw)
     increments *= math.sqrt(dt)
     states = np.zeros((M, N + 1, d))
     np.cumsum(increments, axis=1, out=states[:, 1:, :])
@@ -348,7 +363,7 @@ def solve_mc(
 
     for k in range(N - 1, 0, -1):
         states = np.ascontiguousarray(paths.states[:, k, :])
-        db = paths.increments[:, k, :]
+        db = np.ascontiguousarray(paths.increments[:, k, :])
         design = basis.design(states)
         low, up = rails(dt * k, states)
         fitted, cond = _project(design, targets(v, db))
@@ -358,6 +373,7 @@ def solve_mc(
         del fitted, dk, dj
         # the batches: one regression each, written back in place
         fitted = targets(batch_v, db[:used])
+        del db  # the contiguous copy is not held through the batch pass
         for lo in range(0, used, size):
             rows = slice(lo, lo + size)
             fitted[rows] = _project(basis.design_rows(states, design, rows), fitted[rows])[0]

@@ -118,19 +118,22 @@ class TestSolveBsde:
             solve_bsde(lat, xi, g, "implicit")
 
     def test_overflow_to_nan_is_not_convergence(self):
-        # the iterates overflow to inf, the residual turns NaN; NaN is skipped
-        # only where the expectation itself is NaN (post-frontier nodes)
+        # the iterates overflow and the residual turns inf, then NaN; a
+        # non-finite residual is skipped only where the expectation itself is
+        # NaN (post-frontier nodes), and the first inf one ends the iteration
         lat = build_lattice(1.0, 4)
         xi = TerminalPayoff.from_function(lat, lambda s: s)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FixedPointError, match="residual nan"):
+            with pytest.raises(FixedPointError,
+                               match=r"diverged at iteration 90 .*\(residual inf\)"):
                 solve_bsde(lat, xi, registry_generator("linear:-1e4,0"), "implicit")
 
-    @pytest.mark.parametrize("a,calls", [(-1e4, 93), (-1e300, 4)])
+    @pytest.mark.parametrize("a,calls", [(-1e4, 91), (-1e300, 2)])
     def test_nan_residual_stops_the_fixed_point_at_once(self, a, calls):
-        # y <- E - 2500 y overflows at iteration 90 (residual inf) and turns
-        # NaN two iterations later; with a = -1e300 that happens at once.
-        # The cap would have called the driver 101 times at step 3.
+        # y <- E - 2500 y overflows at iteration 90 (residual inf), which
+        # ends the iteration there, before the residual turns NaN; with
+        # a = -1e300 the residual is inf at the first iteration.  The cap
+        # would have called the driver 101 times at step 3.
         lat = build_lattice(1.0, 4)
         xi = TerminalPayoff.from_function(lat, lambda s: s)
         base = registry_generator(f"linear:{a},0")
@@ -142,10 +145,10 @@ class TestSolveBsde:
 
         g = Generator(fn, kappa=base.kappa, lam=base.lam, name="counted")
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FixedPointError, match="residual nan") as err:
+            with pytest.raises(FixedPointError, match="residual inf") as err:
                 solve_bsde(lat, xi, g, "implicit")
         assert err.value.step == 3
-        assert math.isnan(err.value.residual)
+        assert err.value.residual == math.inf
         assert times == [lat.time(3)] * calls
 
     @pytest.mark.parametrize("slopes,node", [((0, 0, -300, -400), 3),

@@ -8,7 +8,10 @@ that a dedupe by value instead of by bit pattern would get wrong.
 """
 
 import csv
+import hashlib
 import math
+import mmap
+import os
 from unittest import mock
 
 import numpy as np
@@ -214,3 +217,140 @@ def test_node_id_ranges_match_whole_step(mode):
             for stop in edges:
                 if start <= stop:
                     assert lat.node_ids(k, start, stop) == ids[start:stop]
+
+
+# ----------------------------------------------------------------------
+# the two-process split: a forked child writes the tail of big node dumps
+# ----------------------------------------------------------------------
+
+
+def _big_solution(lat) -> Solution:
+    return _solution(lat, *((SPECIAL, noisy, seed) for noisy, seed in
+                            ((True, 7), (True, 8), (False, 9), (True, 10))))
+
+
+BIG = [(FULL_TREE, 15), (RECOMBINING, 300)]
+
+
+def _dump_digests(lat, sol, directory) -> dict:
+    digests = {}
+    for write, obj in ((write_solution_csv, sol), (write_process_csv, sol.Y),
+                       (write_lattice_csv, lat)):
+        path = directory / f"{write.__name__}.csv"
+        write(path, obj)
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert sorted(p.name for p in directory.iterdir()) == sorted(digests)
+    return digests
+
+
+@pytest.mark.parametrize("mode,n", BIG)
+def test_split_node_dumps_have_the_serial_bytes(mode, n, force_split, tmp_path):
+    lat = build_lattice(1.0, n, mode)
+    assert lat.total_nodes >= lattice_module.SPLIT_MIN
+    sol = _big_solution(lat)
+    digests = {}
+    for on in (False, True):
+        forks = force_split(on)
+        (tmp_path / str(on)).mkdir()
+        digests[on] = _dump_digests(lat, sol, tmp_path / str(on))
+        assert len(forks) == (3 if on else 0)
+    assert digests[True] == digests[False]
+
+
+@pytest.mark.parametrize("mode,n", BIG)
+def test_work_failing_in_the_child_is_redone_by_the_parent(mode, n, force_split, monkeypatch,
+                                                           tmp_path):
+    lat = build_lattice(1.0, n, mode)
+    sol = _big_solution(lat)
+    force_split(False)
+    (tmp_path / "serial").mkdir()
+    serial = _dump_digests(lat, sol, tmp_path / "serial")
+
+    forks = force_split(True)
+    parent = os.getpid()
+    real_format = lattice_module._format_column
+
+    def format_in_parent_only(values, memo=None):
+        if os.getpid() != parent:
+            raise KeyboardInterrupt  # a BaseException: the child still exits 1
+        return real_format(values, memo)
+
+    monkeypatch.setattr(lattice_module, "_format_column", format_in_parent_only)
+    (tmp_path / "split").mkdir()
+    assert _dump_digests(lat, sol, tmp_path / "split") == serial
+    assert len(forks) == 3
+
+
+def test_unwritable_target_raises_the_serial_error(force_split, tmp_path):
+    # the child writes its tail file beside a directory target, then the
+    # parent fails to open the target: the tail file must go too
+    lat = build_lattice(1.0, 15, FULL_TREE)
+    (tmp_path / "a-directory").mkdir()
+    targets = (tmp_path / "a-directory", tmp_path / "missing" / "lattice.csv")
+    errors = {}
+    for on in (False, True):
+        forks = force_split(on)
+        for target in targets:
+            with pytest.raises(OSError) as err:
+                write_lattice_csv(target, lat)
+            errors.setdefault(on, []).append((type(err.value), str(err.value)))
+        assert len(forks) == (2 if on else 0)
+    assert errors[True] == errors[False]
+    assert [t for t, _ in errors[True]] == [IsADirectoryError, FileNotFoundError]
+    assert [p.name for p in tmp_path.iterdir()] == ["a-directory"]
+    assert not any((tmp_path / "a-directory").iterdir())
+
+
+def test_small_dumps_never_fork(force_split, tmp_path):
+    # 2**14 - 1 rows, one short of the split
+    lat = build_lattice(1.0, 13, FULL_TREE)
+    assert lat.total_nodes == lattice_module.SPLIT_MIN - 1
+    forks = force_split(True)
+    _dump_digests(lat, _big_solution(lat), tmp_path)
+    assert forks == []
+
+
+def _shared_halves(n, work_in_child):
+    """Run ``_in_two`` on a shared array: each element records ``1`` when the
+    caller wrote it and ``2`` when a child did."""
+    out = np.frombuffer(mmap.mmap(-1, 8 * n), dtype=float)
+    parent = os.getpid()
+
+    def work(lo, hi):
+        if os.getpid() != parent:
+            work_in_child()
+        out[lo:hi] = 1.0 if os.getpid() == parent else 2.0
+
+    return lattice_module._in_two(n, work), out
+
+
+def test_in_two_gives_the_child_the_upper_half(force_split):
+    force_split(True)
+    n = lattice_module.SPLIT_MIN + 1
+    split, out = _shared_halves(n, lambda: None)
+    assert split
+    assert (out[: n // 2] == 1.0).all() and (out[n // 2:] == 2.0).all()
+
+
+@pytest.mark.parametrize("exc", [ValueError, SystemExit, KeyboardInterrupt])
+def test_in_two_redoes_a_failed_child_half(exc, force_split):
+    force_split(True)
+
+    def fail():
+        raise exc
+
+    split, out = _shared_halves(lattice_module.SPLIT_MIN, fail)
+    assert split and (out == 1.0).all()
+
+
+def test_in_two_runs_serially_when_fork_fails(force_split, monkeypatch):
+    force_split(True)
+
+    def no_fork():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    calls = []
+    n = lattice_module.SPLIT_MIN
+    assert not lattice_module._in_two(n, lambda lo, hi: calls.append((lo, hi)))
+    assert calls == [(0, n)]

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from drbsde_lab import lattice as lattice_module
 from drbsde_lab.bsde import _driver_update, _reflect
 from drbsde_lab.drbsde import DynkinGame, solve_drbsde
 from drbsde_lab.generator import Generator, registry_generator
@@ -65,6 +68,46 @@ class TestSimulate:
             simulate_paths(0, 1.0, 8, 100, 0)
         with pytest.raises(ValueError):
             simulate_paths(1, -1.0, 8, 100, 0)
+
+
+class TestTwoProcessDraw:
+    """A forked child draws the upper half of a big bundle in place."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_split_draws_the_serial_bits(self, d, force_split):
+        bundles = {}
+        for on in (False, True):
+            forks = force_split(on)
+            bundles[on] = simulate_paths(d, 1.0, 4, 40_000, 13)
+            assert len(forks) == on
+        serial, split = bundles[False], bundles[True]
+        assert np.array_equal(split.increments, serial.increments)
+        assert np.array_equal(split.states, serial.states)
+        assert split.diagnostics == serial.diagnostics
+
+    def test_draws_failing_in_the_child_are_redone_by_the_parent(self, force_split,
+                                                                 monkeypatch):
+        force_split(False)
+        serial = simulate_paths(1, 1.0, 4, 40_000, 13)
+        forks = force_split(True)
+        parent = os.getpid()
+        real_philox = np.random.Philox
+
+        def philox_in_parent_only(*args, **kwargs):
+            if os.getpid() != parent:
+                raise MemoryError
+            return real_philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", philox_in_parent_only)
+        split = simulate_paths(1, 1.0, 4, 40_000, 13)
+        assert len(forks) == 1
+        assert np.array_equal(split.increments, serial.increments)
+        assert np.array_equal(split.states, serial.states)
+
+    def test_small_bundles_never_fork(self, force_split):
+        forks = force_split(True)
+        simulate_paths(1, 1.0, 4, lattice_module.SPLIT_MIN - 1, 13)
+        assert forks == []
 
 
 class TestRegression:
