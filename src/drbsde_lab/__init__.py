@@ -18,8 +18,6 @@ from .generator import (  # noqa: F401
     Generator,
     check_hypotheses,
     negate_reflect,
-    penalize_lower,
-    penalize_upper,
     registry_generator,
     stop_generator,
 )

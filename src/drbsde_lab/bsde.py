@@ -36,7 +36,6 @@ pair table) keep their own loops and projections over the same step.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -49,8 +48,10 @@ from .lattice import (
     Lattice,
     StoppingRule,
     TerminalPayoff,
+    conditional_expectation,
     conditional_expectation_chain,
     martingale_increment,
+    _write_json,
     _write_node_dump,
 )
 
@@ -170,16 +171,15 @@ def step_candidate(
     Nodes run along the last axis of ``next_values``; leading axes are batch
     axes.  A stopped driver is off at nodes its rule has already passed.
     """
-    down, up = lattice.split_children(next_values)
-    expectation = 0.5 * (down + up)
-    zval = (up - down) / (2.0 * lattice.sqrt_dt)
+    expectation = conditional_expectation(lattice, k, next_values)
+    zval = martingale_increment(lattice, k, next_values)
     t = lattice.time(k)
     states = lattice.states(k)
     if g.stop_rule is None:
         def driver(y):
             return g.fn(t, states, y, zval)
     else:
-        active = g._active(lattice)[k]
+        active = g.step_mask(lattice)[k]
 
         def driver(y):
             return active * g.fn(t, states, y, zval)
@@ -218,13 +218,10 @@ def backward_induction(lattice: Lattice, g: Generator, terminal, scheme: str, pr
 def penalty_step(candidate: np.ndarray, obstacle: np.ndarray, n: float, dt: float,
                  side: str) -> np.ndarray:
     """Closed-form implicit penalty solve at one node slice."""
-    if side == "lower":
-        pushed = (candidate + dt * n * obstacle) / (1.0 + dt * n)
-        return np.where(candidate >= obstacle, candidate, pushed)
-    if side == "upper":
-        pushed = (candidate + dt * n * obstacle) / (1.0 + dt * n)
-        return np.where(candidate <= obstacle, candidate, pushed)
-    raise ValueError(f"unknown obstacle side {side!r}")
+    if side not in ("lower", "upper"):
+        raise ValueError(f"unknown obstacle side {side!r}")
+    keep = candidate >= obstacle if side == "lower" else candidate <= obstacle
+    return np.where(keep, candidate, (candidate + dt * n * obstacle) / (1.0 + dt * n))
 
 
 def _reflect(cand, lower=None, upper=None, dt: float = 0.0, penalty=None):
@@ -675,9 +672,4 @@ def write_solution_csv(path, sol: Solution) -> None:
 
 
 def write_solution_sidecar(path, sol: Solution) -> None:
-    payload = {"kind": sol.kind}
-    for key, val in sorted(sol.meta.items()):
-        payload[key] = val
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, {"kind": sol.kind, **sol.meta})

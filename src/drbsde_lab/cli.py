@@ -61,6 +61,7 @@ from .lattice import (
     AdaptedProcess,
     Lattice,
     TerminalPayoff,
+    _write_json,
     build_lattice,
     write_process_csv,
 )
@@ -132,6 +133,10 @@ class ExperimentConfig:
         kind = raw.get("kind")
         if kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {KINDS}")
+        tolerances = raw.get("tolerances", {})
+        if not (isinstance(tolerances, dict) and set(tolerances) <= set(DEFAULT_TOLERANCES)):
+            raise ConfigError(f"tolerances must be an object with keys among "
+                              f"{sorted(DEFAULT_TOLERANCES)}, got {tolerances!r}")
         return cls(raw)
 
     @property
@@ -153,7 +158,7 @@ class ExperimentConfig:
         with _config_check():
             return build_lattice(
                 float(spec.get("T", 1.0)),
-                int(spec.get("N", 8)),
+                self.integer("N", 8, spec),
                 spec.get("mode", "recombining"),
             )
 
@@ -209,6 +214,15 @@ class ExperimentConfig:
         with _config_check():
             return float(self.raw.get("tolerances", {}).get(key, DEFAULT_TOLERANCES[key]))
 
+    def integer(self, key: str, default: int, spec: dict | None = None) -> int:
+        """Integral number ``key`` of ``spec`` (the top level by default):
+        ``4`` and ``4.0`` pass, ``4.7`` is a config error, not a truncation."""
+        with _config_check():
+            value = (self.raw if spec is None else spec).get(key, default)
+            if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            return int(value)
+
     def choice(self, key: str, default: str, allowed) -> str:
         value = self.raw.get(key, default)
         if value not in allowed:
@@ -221,19 +235,12 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        with _config_check():
-            return int(self.raw.get("seed", 0))
+        return self.integer("seed", 0)
 
     @property
     def schedule(self):
         with _config_check():
             return _check_schedule(self.raw.get("schedule", (1, 4, 16, 64, 256, 1024)))
-
-
-def _write_report(out: Path, payload: dict) -> None:
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _solution_files(out: Path, sol: Solution) -> None:
@@ -260,14 +267,20 @@ def _run_bsde(cfg: ExperimentConfig, out: Path) -> dict:
     return {"passed": terminal_matches, "checks": checks, "y0": sol.root_value}
 
 
-def _run_rbsde(cfg: ExperimentConfig, out: Path) -> dict:
-    lat = cfg.lattice()
+def _one_obstacle(cfg: ExperimentConfig, lat: Lattice):
+    """``(side, obstacle, terminal)`` of a one-obstacle config, checked."""
     side = cfg.choice("side", "lower", ("lower", "upper"))
     obstacle, xi = cfg.obstacle(side, lat), cfg.terminal(lat)
     if obstacle is None:
-        raise ConfigError(f"rbsde config needs a {side!r} obstacle expression")
+        raise ConfigError(f"{cfg.kind} config needs a {side!r} obstacle expression")
     with _config_check():
         _check_reflected_inputs(lat, xi, obstacle, side)
+    return side, obstacle, xi
+
+
+def _run_rbsde(cfg: ExperimentConfig, out: Path) -> dict:
+    lat = cfg.lattice()
+    side, obstacle, xi = _one_obstacle(cfg, lat)
     sol = solve_rbsde(lat, xi, cfg.generator(), obstacle, side, cfg.scheme)
     _solution_files(out, sol)
     write_process_csv(out / "obstacle.csv", obstacle)
@@ -349,12 +362,7 @@ def _run_dynkin_verify(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _run_penalization(cfg: ExperimentConfig, out: Path) -> dict:
     lat = cfg.lattice()
-    side = cfg.choice("side", "lower", ("lower", "upper"))
-    obstacle, xi = cfg.obstacle(side, lat), cfg.terminal(lat)
-    if obstacle is None:
-        raise ConfigError("penalization config needs the obstacle expression")
-    with _config_check():
-        _check_reflected_inputs(lat, xi, obstacle, side)
+    side, obstacle, xi = _one_obstacle(cfg, lat)
     levels, report = penalization_run(
         lat, xi, cfg.generator(), obstacle, side, cfg.schedule, cfg.scheme
     )
@@ -405,8 +413,7 @@ def _run_axioms(cfg: ExperimentConfig, out: Path) -> dict:
     lat = cfg.lattice()
     if lat.mode != "full-tree":
         raise ConfigError("axioms experiments need a full-tree lattice")
-    with _config_check():
-        cases = int(cfg.raw.get("cases", 50))
+    cases = cfg.integer("cases", 50)
     report = verify_evaluation_axioms(
         lat, cfg.generator(), cases=cases, seed=cfg.seed, scheme=cfg.scheme,
         tol=cfg.tolerance("axioms"),
@@ -422,7 +429,7 @@ def _run_hypotheses(cfg: ExperimentConfig, out: Path) -> dict:
     spec = cfg.raw.get("box")
     with _config_check():
         box = tuple(tuple(float(x) for x in pair) for pair in spec) if spec else DEFAULT_BOX
-        samples = int(cfg.raw.get("samples", 2000))
+        samples = cfg.integer("samples", 2000)
         if [len(pair) for pair in box] != [2] * 4 or samples < 1:
             raise ValueError("box needs four (lo, hi) pairs and samples must be >= 1")
         expected_fail = set(cfg.raw.get("expected_failures", []))
@@ -453,8 +460,8 @@ def _run_mc_crosscheck(cfg: ExperimentConfig, out: Path) -> dict:
 
     with _config_check():
         mc_spec = cfg.raw.get("mc", {})
-        m_paths = int(mc_spec.get("M", 100_000))
-        degree = int(mc_spec.get("degree", 3))
+        m_paths = cfg.integer("M", 100_000, mc_spec)
+        degree = cfg.integer("degree", 3, mc_spec)
         paths = simulate_paths(1, lat.T, lat.N, m_paths, cfg.seed)
     term_fn = cfg.expression("terminal", required=True)
     lower_fn = cfg.expression("lower")
@@ -529,17 +536,13 @@ def run_experiment(config: ExperimentConfig, out_dir) -> int:
             error["node"] = exc.node
             error["residual"] = exc.residual if math.isfinite(exc.residual) else None
         payload = {"passed": False, "error": error}
-    report = {"kind": config.kind, **payload}
-    _write_report(out, report)
-    manifest = {
+    _write_json(out / "report.json", {"kind": config.kind, **payload})
+    _write_json(out / "manifest.json", {
         "config_sha256": config.digest(),
         "kind": config.kind,
         "version": __version__,
         "wall_time_s": round(time.time() - started, 6),
-    }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     if status is not None:
         return status
     return 0 if payload["passed"] else 1

@@ -283,8 +283,6 @@ class CrossReport:
     order_violation: float         # increasing above decreasing at shared levels
     flat_off_lower: float
     flat_off_upper: float
-    separation_margin: float
-    penalty_cap: float
     pasted: Solution
     ledger: PastingLedger
 
@@ -331,8 +329,6 @@ def cross_validate(
         order_violation=order,
         flat_off_lower=direct.flat_off_lower(),
         flat_off_upper=direct.flat_off_upper(),
-        separation_margin=game.separation_margin(),
-        penalty_cap=schedule[-1],
         pasted=pasted,
         ledger=ledger,
     )

@@ -57,96 +57,19 @@ class Generator:
         return float(self.h)
 
     def step_mask(self, lattice: Lattice) -> list[np.ndarray]:
-        """Per-node multiplier realizing the attached stopping rule.
+        """Per-node flags realizing the attached stopping rule (all true without one).
 
         The driver stays active at the stopping node itself and vanishes
         strictly after it (the indicator of "current time <= stop time").
         """
-        if self.stop_rule is None:
-            return [np.ones(lattice.n_nodes(k)) for k in range(lattice.N + 1)]
-        return [a.astype(float) for a in self._active(lattice)]
-
-    def _active(self, lattice: Lattice) -> list[np.ndarray]:
-        """Boolean form of :meth:`step_mask` for a stopped driver."""
         rule = self.stop_rule
+        if rule is None:
+            return [np.ones(lattice.n_nodes(k), dtype=bool) for k in range(lattice.N + 1)]
         if not lattice.same_grid(rule.lattice):
             raise ValueError("stopping rule lives on a different lattice")
         if lattice.mode != FULL_TREE and not rule.is_deterministic():
-            raise ValueError(
-                "path-dependent stopping rules need the full-tree backend"
-            )
+            raise ValueError("path-dependent stopping rules need the full-tree backend")
         return rule.not_yet_stopped()
-
-
-def _obstacle_lookup(obstacle: AdaptedProcess):
-    """(t, state) -> obstacle value, resolved through the obstacle's lattice.
-
-    Used only by the generator-level penalty closures
-    :func:`penalize_lower` and :func:`penalize_upper`; solvers read
-    obstacles straight off their node arrays.
-    Obstacles must be state-resolvable: nodes sharing a state share a value.
-    """
-    lat = obstacle.lattice
-    tables = []
-    for k in range(lat.N + 1):
-        st = lat.states(k)
-        order = np.argsort(st, kind="stable")
-        tables.append((st[order], obstacle[k][order]))
-
-    def look(t, state):
-        t_arr, s_arr = np.broadcast_arrays(
-            np.asarray(t, dtype=float), np.asarray(state, dtype=float)
-        )
-        ks = np.clip(np.rint(t_arr / lat.dt).astype(np.int64), 0, lat.N)
-        out = np.empty(s_arr.shape)
-        for k in np.unique(ks):
-            st, vals = tables[k]
-            sel = ks == k
-            idx = np.clip(
-                np.searchsorted(st, s_arr[sel] - 1e-9 * lat.sqrt_dt), 0, st.size - 1
-            )
-            out[sel] = vals[idx]
-        return out if out.ndim else float(out)
-
-    return look
-
-
-def penalize_lower(g: Generator, obstacle: AdaptedProcess, n: float) -> Generator:
-    """Add ``n * (y - L_t)^-``: the driver pushing y up toward the obstacle."""
-    if n < 0:
-        raise ValueError("penalty level must be nonnegative")
-    if g.stop_rule is not None:
-        raise ValueError("penalizing a stopped driver is not supported")
-    if n == 0:
-        return g
-    look = _obstacle_lookup(obstacle)
-    base = g.fn
-
-    def fn(t, state, y, z):
-        return base(t, state, y, z) + n * np.maximum(look(t, state) - y, 0.0)
-
-    return replace(
-        g, fn=fn, lam=g.lam_plus + n, name=f"{g.name}+pen_low({n:g})"
-    )
-
-
-def penalize_upper(g: Generator, obstacle: AdaptedProcess, n: float) -> Generator:
-    """Subtract ``n * (y - U_t)^+``: the driver pushing y down toward the obstacle."""
-    if n < 0:
-        raise ValueError("penalty level must be nonnegative")
-    if g.stop_rule is not None:
-        raise ValueError("penalizing a stopped driver is not supported")
-    if n == 0:
-        return g
-    look = _obstacle_lookup(obstacle)
-    base = g.fn
-
-    def fn(t, state, y, z):
-        return base(t, state, y, z) - n * np.maximum(y - look(t, state), 0.0)
-
-    return replace(
-        g, fn=fn, lam=g.lam_plus + n, name=f"{g.name}+pen_up({n:g})"
-    )
 
 
 def negate_reflect(g: Generator) -> Generator:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -267,7 +268,10 @@ class TerminalPayoff:
 
 
 def conditional_expectation(lattice: Lattice, k: int, next_values: np.ndarray) -> np.ndarray:
-    """Step-``k`` conditional expectation of step-``k+1`` values (child average)."""
+    """Step-``k`` conditional expectation of step-``k+1`` values (child average).
+
+    Nodes run along the last axis; leading axes are batch axes.
+    """
     _check_next(lattice, k, next_values)
     down, up = lattice.split_children(np.asarray(next_values, dtype=float))
     return 0.5 * (down + up)
@@ -284,9 +288,9 @@ def _check_next(lattice: Lattice, k: int, next_values) -> None:
     lattice._check_step(k)
     if k == lattice.N:
         raise ValueError("no successors past the horizon")
-    if np.shape(next_values) != (lattice.n_nodes(k + 1),):
+    if np.shape(next_values)[-1:] != (lattice.n_nodes(k + 1),):
         raise ValueError(
-            f"expected {lattice.n_nodes(k + 1)} values at step {k + 1}, "
+            f"expected {lattice.n_nodes(k + 1)} values at step {k + 1} on the last axis, "
             f"got shape {np.shape(next_values)}"
         )
 
@@ -572,6 +576,13 @@ def _write_node_dump(path, header, lattice: Lattice, step_columns) -> None:
     finally:
         if os.path.exists(tail):
             os.remove(tail)
+
+
+def _write_json(path, payload: dict) -> None:
+    """The one JSON writer: sorted keys, two-space indent, a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_process_csv(path, process: AdaptedProcess) -> None:

@@ -16,7 +16,6 @@ of how many other paths are simulated.
 
 from __future__ import annotations
 
-import json
 import math
 import mmap
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ import numpy as np
 
 from .bsde import _driver_update, _reflect
 from .generator import Generator
-from .lattice import DUMP_CHUNK, _in_two, _write_rows
+from .lattice import DUMP_CHUNK, _in_two, _write_json, _write_rows
 
 CONDITION_WARN = 1e8
 
@@ -246,7 +245,7 @@ def write_bundle_csv(path, bundle: PathBundle) -> None:
 
 def write_mc_sidecar(path, result: "McResult") -> None:
     """Estimate sidecar: seed, basis spec and diagnostics."""
-    payload = {
+    _write_json(path, {
         "y0": result.y0,
         "stderr": result.stderr,
         "seed": result.seed,
@@ -259,10 +258,7 @@ def write_mc_sidecar(path, result: "McResult") -> None:
         "flat_off_lower": result.flat_off_lower,
         "flat_off_upper": result.flat_off_upper,
         "bootstrap_samples": result.bootstrap_samples,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _finite(values, what: str, k: int) -> np.ndarray:

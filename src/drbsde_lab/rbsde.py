@@ -32,6 +32,8 @@ from .lattice import AdaptedProcess, Lattice, StoppingRule, TerminalPayoff
 
 
 def _check_reflected_inputs(lattice, xi, obstacle, side):
+    if side not in ("lower", "upper"):
+        raise ValueError(f"unknown obstacle side {side!r}")
     if not lattice.same_grid(xi.lattice) or not lattice.same_grid(obstacle.lattice):
         raise ValueError("terminal data and obstacle must live on the lattice")
     lower = side == "lower"
@@ -57,8 +59,6 @@ def solve_rbsde(
     ``bsde._reflected_sweep``), and its meta says so.
     """
     _check_reflected_inputs(lattice, xi, obstacle, side)
-    if side not in ("lower", "upper"):
-        raise ValueError(f"unknown obstacle side {side!r}")
     sol, = _reflected_sweep(lattice, g, xi.values, scheme, **{side: obstacle}, meta=(
         {"route": "sign-flip of lower solve"} if side == "upper" else None))
     return sol

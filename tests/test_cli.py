@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from drbsde_lab.cli import (
+    DEFAULT_TOLERANCES,
     ConfigError,
     ExperimentConfig,
     main,
@@ -383,6 +384,42 @@ class TestRunKinds:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
 
+    @pytest.mark.parametrize("config", [
+        {"kind": "bsde", "lattice": {"T": 1.0, "N": 4.7}, "terminal": "state"},
+        {"kind": "bsde", "lattice": {"T": 1.0, "N": math.inf}, "terminal": "state"},
+        {"kind": "axioms", "lattice": {"T": 1.0, "N": 2, "mode": "full-tree"},
+         "cases": 2.9},
+        {**GAME_CONFIG, "seed": 1.5},
+        {"kind": "hypotheses", "samples": 20.5},
+        {**GAME_CONFIG, "kind": "mc-crosscheck", "mc": {"M": 400.5}},
+        {**GAME_CONFIG, "kind": "mc-crosscheck", "mc": {"M": 400, "degree": 2.5}},
+    ], ids=["N", "N-inf", "cases", "seed", "samples", "M", "degree"])
+    def test_fractional_integer_fields_exit_2(self, tmp_path, capsys, config):
+        # a truncating int() would run N=4, two cases, seed 1, ...
+        path = write_config(tmp_path, "frac.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "must be an integer" in err
+        assert not (tmp_path / "out" / "solution.csv").exists()
+
+    def test_integral_float_fields_run(self, tmp_path):
+        config = {"kind": "bsde", "lattice": {"T": 1.0, "N": 4.0}, "terminal": "state"}
+        path = write_config(tmp_path, "whole.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "solution.csv").read_text().splitlines()
+        assert len(rows) == 1 + 15
+
+    def test_unknown_tolerance_key_exits_2_naming_the_known_keys(self, tmp_path, capsys):
+        drbsde = {**GAME_CONFIG, "kind": "drbsde"}
+        path = write_config(tmp_path, "known.json", {**drbsde, "tolerances": {"flat_off": -1}})
+        assert main(["run", str(path), "--out", str(tmp_path / "known")]) == 1
+        path = write_config(tmp_path, "typo.json", {**drbsde, "tolerances": {"flat-off": -1}})
+        assert main(["run", str(path), "--out", str(tmp_path / "typo")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'flat-off'" in err
+        assert all(repr(key) in err for key in DEFAULT_TOLERANCES)
+
+
 class TestDynkinVerify:
     def test_one_solve_serves_the_oracle_and_the_saddle(self, tmp_path, monkeypatch):
         from drbsde_lab import cli, dynkin
@@ -486,7 +523,8 @@ DROP = object()
 # per field, values that are absent, of the wrong type or out of range
 SPOILERS = {
     "lattice": [DROP, "x", {"T": 0.0, "N": 2}, {"N": 0}, {"N": "x"}, {"N": [2]},
-                {"N": 5, "mode": "full-tree"}, {"N": 2, "mode": "walk"}, {"T": None}],
+                {"N": 5, "mode": "full-tree"}, {"N": 2, "mode": "walk"}, {"T": None},
+                {"N": 2.5}],
     "scheme": ["Implicit", 1, None],
     "generator": ["cubic:1", "linear:1", "linear:-50,0", "driver-file:absent.npz", 5,
                   {"name": "zero"}, {"name": "linear:0.5,0.3", "kappa": -1.0},
@@ -496,13 +534,13 @@ SPOILERS = {
     "upper": [DROP, "state - 1", "state", "1e300 * 1e300"],
     "side": ["both", None],
     "schedule": [[], [4, 1], ["a"], 5, [0.5]],
-    "cases": ["x", -1, None],
+    "cases": ["x", -1, None, 2.5],
     "samples": [0, -1, "x"],
     "box": [[[0, 1]], [[0, 1, 2], [-1, 1], [-1, 1], [-1, 1]], "x",
             [[0, 1], [-1, 1], [-1, 1], [-1, 1]]],
     "expected_failures": [5, ["H1"]],
-    "mc": [{"M": 50}, {"degree": -1}, {"M": "x"}, [], {"M": 400, "degree": 0}],
-    "seed": ["x", None],
+    "mc": [{"M": 50}, {"degree": -1}, {"M": "x"}, [], {"M": 400, "degree": 0}, {"M": 400.5}],
+    "seed": ["x", None, 1.5],
     "tolerances": [{"value_gap": "x"}, "x", {"value_gap": 0.0}],
 }
 

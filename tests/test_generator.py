@@ -10,8 +10,6 @@ from drbsde_lab.generator import (
     check_hypotheses,
     load_driver_file,
     negate_reflect,
-    penalize_lower,
-    penalize_upper,
     registry_generator,
     stop_generator,
 )
@@ -21,11 +19,6 @@ from drbsde_lab.lattice import (
     StoppingRule,
     build_lattice,
 )
-
-
-@pytest.fixture
-def lat():
-    return build_lattice(1.0, 4)
 
 
 @pytest.fixture
@@ -40,59 +33,6 @@ def sample_args(rng, m=200):
         rng.uniform(-3, 3, m),
         rng.uniform(-3, 3, m),
     )
-
-
-class TestPenalize:
-    def test_zero_level_is_identity(self, lat, zero):
-        L = AdaptedProcess.constant(lat, 1.0)
-        assert penalize_lower(zero, L, 0.0) is zero
-        assert penalize_upper(zero, L, 0.0) is zero
-
-    def test_lower_pushes_up_below_obstacle(self, lat, zero):
-        L = AdaptedProcess.constant(lat, 1.0)
-        g2 = penalize_lower(zero, L, 2.0)
-        assert g2.fn(0.5, 0.0, 0.0, 0.0) == pytest.approx(2.0)
-        assert g2.fn(0.5, 0.0, 3.0, 0.0) == pytest.approx(0.0)
-
-    def test_upper_pushes_down_above_obstacle(self, lat, zero):
-        U = AdaptedProcess.constant(lat, 1.0)
-        g2 = penalize_upper(zero, U, 2.0)
-        assert g2.fn(0.5, 0.0, 3.0, 0.0) == pytest.approx(-4.0)
-        assert g2.fn(0.5, 0.0, 0.0, 0.0) == pytest.approx(0.0)
-
-    def test_negative_level_rejected(self, lat, zero):
-        L = AdaptedProcess.constant(lat, 0.0)
-        with pytest.raises(ValueError):
-            penalize_lower(zero, L, -1.0)
-        with pytest.raises(ValueError):
-            penalize_upper(zero, L, -1.0)
-
-    def test_monotone_in_level_and_ordered_against_base(self, lat):
-        g = registry_generator("linear:-0.5,0.4")
-        L = AdaptedProcess.from_function(lat, lambda t, s: 0.3 - 0.2 * t + 0.1 * s)
-        rng = np.random.default_rng(0)
-        t, s, y, z = sample_args(rng)
-        t = np.round(t * lat.N) / lat.N  # land on grid times
-        base = g.fn(t, s, y, z)
-        prev = base
-        for n in (0.5, 1.0, 4.0, 16.0):
-            cur = penalize_lower(g, L, n).fn(t, s, y, z)
-            assert np.all(cur >= base - 1e-15)
-            assert np.all(cur >= prev - 1e-15)
-            prev = cur
-        prev = base
-        for n in (0.5, 1.0, 4.0, 16.0):
-            cur = penalize_upper(g, L, n).fn(t, s, y, z)
-            assert np.all(cur <= base + 1e-15)
-            assert np.all(cur <= prev + 1e-15)
-            prev = cur
-
-    def test_monotonicity_constant_bookkeeping(self, lat, zero):
-        L = AdaptedProcess.constant(lat, 0.0)
-        g2 = penalize_lower(zero, L, 8.0)
-        assert g2.lam == pytest.approx(zero.lam_plus + 8.0)
-        g3 = penalize_upper(registry_generator("linear:-2,0"), L, 8.0)
-        assert g3.lam == pytest.approx(8.0)  # lam+ of -2 is 0
 
 
 class TestNegateReflect:

@@ -101,6 +101,24 @@ class TestConditionalExpectation:
             conditional_expectation(lat, 1, np.zeros(5))
 
 
+@pytest.mark.parametrize("mode", [RECOMBINING, FULL_TREE])
+@pytest.mark.parametrize("op", [conditional_expectation, martingale_increment])
+def test_batch_rows_equal_their_one_row_calls(mode, op):
+    lat = build_lattice(1.0, 5, mode)
+    rng = np.random.default_rng(11)
+    for k in range(5):
+        rows = rng.normal(size=(3, lat.n_nodes(k + 1)))
+        got = op(lat, k, rows)
+        want = np.stack([op(lat, k, row) for row in rows])
+        assert got.shape == want.shape == (3, lat.n_nodes(k))
+        assert got.tobytes() == want.tobytes()
+    # nodes must run along the last axis, whatever leads
+    for bad in (np.zeros((lat.n_nodes(3), 3)), np.zeros((3, lat.n_nodes(3) + 1)),
+                np.float64(0.0)):
+        with pytest.raises(ValueError, match="last axis"):
+            op(lat, 2, bad)
+
+
 class TestMartingaleIncrement:
     @pytest.mark.parametrize("mode", [RECOMBINING, FULL_TREE])
     def test_constant_gives_zero(self, mode):

@@ -138,6 +138,19 @@ class TestSolveRbsde:
                 assert np.all(sol.Y[k] <= U[k])
 
 
+    def test_unknown_side_is_named_before_the_terminal_order(self):
+        # read as "upper", the lower obstacle state - 1 would break the
+        # terminal order; the side itself is the error to report
+        lat = build_lattice(1.0, 3)
+        xi = TerminalPayoff.from_function(lat, lambda s: s)
+        low = AdaptedProcess.from_function(lat, lambda t, s: s - 1.0)
+        g = registry_generator("zero")
+        with pytest.raises(ValueError, match="unknown obstacle side 'sideways'"):
+            solve_rbsde(lat, xi, g, low, side="sideways")
+        with pytest.raises(ValueError, match="unknown obstacle side 'sideways'"):
+            penalization_run(lat, xi, g, low, side="sideways")
+
+
 class TestReflectedComparison:
     def test_ordered_inputs_give_ordered_values(self):
         # terminal data, obstacle and driver all ordered: the reflected
