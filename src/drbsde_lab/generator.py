@@ -186,17 +186,20 @@ def check_hypotheses(
             results[name] = CheckResult(True, worst)
 
     gv = g.fn
+    # five distinct driver evaluations, each made once: g(y, z) serves
+    # H1, H2, H3 and H5, and g(y, 0) serves H4 and H5
+    g_yz = gv(t, state, y, z)
     # H1: Lipschitz in z
-    m1 = np.abs(gv(t, state, y, z) - gv(t, state, y, zp)) - g.kappa * np.abs(z - zp)
+    m1 = np.abs(g_yz - gv(t, state, y, zp)) - g.kappa * np.abs(z - zp)
     record("H1", m1, lambda i: tup(i, use_yp=False))
 
     # H2: one-sided monotonicity in y
-    m2 = np.sign(y - yp) * (gv(t, state, y, z) - gv(t, state, yp, z)) - g.lam * np.abs(y - yp)
+    m2 = np.sign(y - yp) * (g_yz - gv(t, state, yp, z)) - g.lam * np.abs(y - yp)
     record("H2", m2, lambda i: tup(i, use_zp=False))
 
     # H3 surrogate: finite differences in y stay bounded
     delta = 1e-6 * (1.0 + np.abs(y))
-    fd = np.abs(gv(t, state, y + delta, z) - gv(t, state, y, z)) / delta
+    fd = np.abs(gv(t, state, y + delta, z) - g_yz) / delta
     fd_worst = float(np.max(fd))
     ok3 = bool(np.all(np.isfinite(fd)) and fd_worst <= H3_FD_CAP)
     results["H3"] = CheckResult(
@@ -204,14 +207,13 @@ def check_hypotheses(
     )
 
     # H4: growth of g(., y, 0)
-    m4 = np.abs(gv(t, state, y, np.zeros(m))) - hvals - g.kappa * np.abs(y)
+    g_y0 = gv(t, state, y, np.zeros(m))
+    m4 = np.abs(g_y0) - hvals - g.kappa * np.abs(y)
     record("H4", m4, lambda i: tup(i, use_yp=False, use_zp=False))
 
     # H5: z-increment growth of order alpha
-    m5 = (
-        np.abs(gv(t, state, y, z) - gv(t, state, y, np.zeros(m)))
-        - g.kappa * (hvals + np.abs(y) + np.abs(z)) ** g.alpha
-    )
+    m5 = np.abs(g_yz - g_y0) - g.kappa * (hvals + np.abs(y) + np.abs(z)) ** g.alpha
+    del g_yz, g_y0
     record("H5", m5, lambda i: tup(i, use_yp=False, use_zp=False))
 
     return HypothesisReport(g.name, m, results)

@@ -21,6 +21,7 @@ import csv
 import hashlib
 import json
 import math
+import mmap
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -376,6 +377,11 @@ class StoppingRule:
 
     def is_deterministic(self) -> bool:
         """True when each step is uniformly stop or continue."""
+        return self._deterministic
+
+    @cached_property
+    def _deterministic(self) -> bool:
+        # cached: every backward step of a stopped driver asks (step_mask)
         return all(f.all() or not f.any() for f in self.flags)
 
     def union(self, other: "StoppingRule") -> "StoppingRule":
@@ -500,6 +506,19 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _other_cpus() -> set:
+    """The usable CPUs other than the one this process last ran on (field
+    39 of ``/proc/self/stat``), or all of them where that cannot be read."""
+    cpus = os.sched_getaffinity(0)
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            # the fields after the parenthesised command name start at field 3
+            here = int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return cpus
+    return cpus - {here} or cpus
+
+
 def _in_two(n: int, work) -> bool:
     """Run ``work(lo, hi)`` over ``[0, n)``; return whether it was split.
 
@@ -534,6 +553,77 @@ def _in_two(n: int, work) -> bool:
     if os.waitstatus_to_exitcode(status) != 0:
         work(mid, n)
     return True
+
+
+def _ahead(steps, build, shape):
+    """Yield ``build(k)`` for each ``k`` in ``steps``, in order.
+
+    With a fixed ``shape`` of at least ``SPLIT_MIN`` rows, at least two
+    steps and two usable CPUs, a forked child calls ``build(k)`` up to two
+    steps ahead and writes each result into one of two slots of a shared
+    anonymous mmap; the caller gets a read-only view of the slot, valid
+    until it asks for the next item.  One-byte tokens on two pipes say
+    "slot ready" (child to caller) and "slot free" (caller to child).  The
+    child runs on the usable CPUs other than the caller's at the fork: left
+    to the scheduler, it is often woken on the caller's CPU and queued
+    behind it.  It keeps :func:`_in_two`'s contract: ``build`` must own its
+    outputs, and the child calls no BLAS, writes no file, and leaves only
+    through ``os._exit``.  If the child dies (end of file on "ready", or a
+    broken pipe on "free"), the caller builds the remaining steps itself.
+    Otherwise, when ``shape`` is ``None`` (a width that depends on the
+    data), or when ``fork`` fails, every ``build(k)`` runs here.  Close the
+    generator (``contextlib.closing``): its ``finally`` then closes the
+    pipes and reaps the child even when the caller's loop raises.
+    """
+    steps = list(steps)
+    if shape is None or shape[0] < SPLIT_MIN or len(steps) < 2 or _usable_cpus() < 2:
+        yield from map(build, steps)
+        return
+    slots = np.frombuffer(mmap.mmap(-1, 2 * math.prod(shape) * 8), dtype=float)
+    slots = slots.reshape(2, *shape)
+    others = _other_cpus()
+    ready_r, ready_w = os.pipe()
+    free_r, free_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (ready_r, ready_w, free_r, free_w):
+            os.close(fd)
+        yield from map(build, steps)
+        return
+    if pid == 0:
+        code = 1
+        try:
+            os.close(ready_r)
+            os.close(free_w)
+            os.sched_setaffinity(0, others)
+            for i, k in enumerate(steps):
+                # slot i % 2 last held step i - 2: wait until it is free
+                if i >= 2 and not os.read(free_r, 1):
+                    break
+                slots[i % 2] = build(k)
+                os.write(ready_w, b"r")
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(ready_w)
+    os.close(free_r)
+    slots.flags.writeable = False  # here only: the child has its own array
+    alive = True
+    try:
+        for i, k in enumerate(steps):
+            alive = alive and os.read(ready_r, 1) == b"r"
+            yield slots[i % 2] if alive else build(k)
+            # the child waits for this token only to build step i + 2
+            if alive and i + 2 < len(steps):
+                try:
+                    os.write(free_w, b"f")
+                except BrokenPipeError:
+                    alive = False
+    finally:
+        os.close(ready_r)
+        os.close(free_w)
+        os.waitpid(pid, 0)
 
 
 def _write_node_dump(path, header, lattice: Lattice, step_columns) -> None:

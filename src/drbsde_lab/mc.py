@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import mmap
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .bsde import _driver_update, _reflect
 from .generator import Generator
-from .lattice import DUMP_CHUNK, _in_two, _write_json, _write_rows
+from .lattice import DUMP_CHUNK, _ahead, _in_two, _write_json, _write_rows
 
 CONDITION_WARN = 1e8
 
@@ -313,6 +314,16 @@ def solve_mc(
     call on all batch rows gives each batch the bits of its own solve, and a
     :class:`FixedPointError` names the path by its index in the bundle.
 
+    A polynomial design depends on the states alone and has one column per
+    power, so :func:`lattice._ahead` takes it off the loop: with at least
+    ``lattice.SPLIT_MIN`` paths and two usable CPUs, a forked child builds
+    each step's design up to two steps ahead into a shared buffer, which the
+    loop only reads.  The child calls no BLAS, writes no file and leaves only
+    through ``os._exit``; if it dies, this process builds the remaining
+    designs, with the same bits.  Indicator bins, whose width depends on the
+    data, and smaller bundles build each design here.  No child outlives the
+    call, whether it returns or raises.
+
     The driver is ``g.fn(t, state, y, z)`` with ``state`` and ``z`` of shape
     ``(M,)`` at d = 1 and ``(M, d)`` at d > 1.  Bad terminal or obstacle data
     raises :class:`PathDataError`.
@@ -357,24 +368,33 @@ def solve_mc(
         if up is not None and penalized != "upper":
             flat_upper = max(flat_upper, float(np.max(np.abs((up - out) * dj))))
 
-    for k in range(N - 1, 0, -1):
-        states = np.ascontiguousarray(paths.states[:, k, :])
-        db = np.ascontiguousarray(paths.increments[:, k, :])
-        design = basis.design(states)
-        low, up = rails(dt * k, states)
-        fitted, cond = _project(design, targets(v, db))
-        max_cond = max(max_cond, cond)
-        v, dk, dj = advance(fitted, k, states, low, up)
-        book(v, low, up, dk, dj)
-        del fitted, dk, dj
-        # the batches: one regression each, written back in place
-        fitted = targets(batch_v, db[:used])
-        del db  # the contiguous copy is not held through the batch pass
-        for lo in range(0, used, size):
-            rows = slice(lo, lo + size)
-            fitted[rows] = _project(basis.design_rows(states, design, rows), fitted[rows])[0]
-        batch_v = advance(fitted, k, states[:used], *(None if r is None else r[:used]
-                                                       for r in (low, up)))[0]
+    def build(k):
+        return basis.design(np.ascontiguousarray(paths.states[:, k, :]))
+
+    # a design depends on the states alone, so a child can build it ahead
+    # when its width is known: one column per polynomial power
+    shape = ((M, 1 + len(_total_degree_powers(d, basis.degree)))
+             if basis.family == "polynomial" else None)
+    steps = range(N - 1, 0, -1)
+    with closing(_ahead(steps, build, shape)) as designs:
+        for k, design in zip(steps, designs):
+            states = np.ascontiguousarray(paths.states[:, k, :])
+            db = np.ascontiguousarray(paths.increments[:, k, :])
+            low, up = rails(dt * k, states)
+            fitted, cond = _project(design, targets(v, db))
+            max_cond = max(max_cond, cond)
+            v, dk, dj = advance(fitted, k, states, low, up)
+            book(v, low, up, dk, dj)
+            del fitted, dk, dj
+            # the batches: one regression each, written back in place
+            fitted = targets(batch_v, db[:used])
+            del db  # the contiguous copy is not held through the batch pass
+            for lo in range(0, used, size):
+                rows = slice(lo, lo + size)
+                fitted[rows] = _project(basis.design_rows(states, design, rows),
+                                        fitted[rows])[0]
+            batch_v = advance(fitted, k, states[:used], *(None if r is None else r[:used]
+                                                           for r in (low, up)))[0]
 
     # root: every path shares the state, plain averages are exact
     origin = paths.states[:1, 0, :]

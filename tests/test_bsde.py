@@ -429,6 +429,35 @@ class TestStoppedDriverSolve:
             values["strategy-value"] = strategy_value(lat, game, horizon, horizon)
         assert values == dict.fromkeys(values, 0.75)
 
+    def test_stop_check_scans_the_rule_once_per_solve(self, monkeypatch):
+        # every backward step asks whether the rule is deterministic; the
+        # rule answers from its cache after the first scan of its flags
+        lat = build_lattice(1.0, 60)
+        xi = TerminalPayoff.from_function(lat, np.tanh)
+        cached = StoppingRule.__dict__["_deterministic"]
+        scan = cached.func
+        scans = []
+
+        def counting_scan(rule):
+            scans.append(1)
+            return scan(rule)
+
+        def solve():
+            g = stop_generator(registry_generator("linear:-0.5,0.3"),
+                               StoppingRule.at_step(lat, 30))
+            return solve_bsde(lat, xi, g, "implicit")
+
+        monkeypatch.setattr(cached, "func", counting_scan)
+        once = solve()
+        assert len(scans) == 1
+        # the scan at every step, as it ran before it was cached
+        monkeypatch.setattr(StoppingRule, "is_deterministic", counting_scan)
+        every_step = solve()
+        assert len(scans) == 1 + lat.N
+        for part in ("Y", "Z", "dK", "dJ"):
+            for a, b in zip(getattr(once, part).values, getattr(every_step, part).values):
+                assert a.tobytes() == b.tobytes()
+
 
 class TestSerialization:
     def test_solution_csv_and_sidecar(self, tmp_path):

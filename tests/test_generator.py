@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,6 +193,19 @@ class TestCheckHypotheses:
         a = check_hypotheses(g, 1000, seed=9)
         b = check_hypotheses(g, 1000, seed=9)
         assert a.results["H5"].worst == b.results["H5"].worst
+
+    def test_each_distinct_driver_evaluation_is_made_once(self):
+        # g(y, z), g(y, z'), g(y', z), g(y + delta, z) and g(y, 0)
+        base = registry_generator("linear:-0.5,0.3")
+        calls = []
+
+        def counting(t, s, y, z):
+            calls.append(1)
+            return base.fn(t, s, y, z)
+
+        report = check_hypotheses(replace(base, fn=counting), 500, seed=3)
+        assert len(calls) == 5
+        assert report == check_hypotheses(base, 500, seed=3)
 
     def test_sample_count_validated(self, zero):
         with pytest.raises(ValueError):

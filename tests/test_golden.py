@@ -319,6 +319,12 @@ TABULATED = {
          "report.json": "6a4234d4b3642a97ab9125789fc8defb0c83873106178b04c46851e0c52da9b5",
          "solution.csv": "2c0d519746a7c94a5f4aff1b44c3197e4087f9457c7ced2c54764f5501e375b2"},
     ),
+    # recorded before check_hypotheses made each distinct driver evaluation once
+    "hypotheses": (
+        dict(CONFIGS["hypotheses"], scheme="explicit"),
+        {"status": 0,
+         "report.json": "8513ff297ead6434d984352d7035de9d743f92431c69b104dbf59550ced39c16"},
+    ),
 }
 
 

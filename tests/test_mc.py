@@ -394,6 +394,101 @@ class TestSharedSweep:
         assert (caught.value.step, caught.value.node) == (3, 4321)
 
 
+_SPLIT_M = lattice_module.SPLIT_MIN + 3_634  # 20,018 paths: 50 batches of 400, 18 left over
+
+
+def _bits(result):
+    """Every ``McResult`` field, floats by their bytes (so -0.0 and NaN count)."""
+    return {name: np.float64(value).tobytes() if isinstance(value, float) else value
+            for name, value in vars(result).items()}
+
+
+class TestDesignAhead:
+    """A forked child builds each step's polynomial design one step ahead."""
+
+    @pytest.mark.parametrize("d,problem,spec,kwargs", [
+        (1, _TANH, "linear:-0.5,0.3", {"basis": RegressionBasis("polynomial", 3)}),
+        (2, _D2, None, {"basis": RegressionBasis("polynomial", 2), "scheme": "implicit"}),
+        (1, _PUT, "linear:-0.5,0", {"penalty": ("lower", 4096.0)}),
+    ], ids=["d1-degree3", "d2-degree2-implicit", "lower-penalty"])
+    def test_split_gives_the_serial_result(self, d, problem, spec, kwargs, force_split,
+                                           monkeypatch):
+        force_split(False)
+        paths = simulate_paths(d, 1.0, 8, _SPLIT_M, 23)
+        g = _d2_driver() if spec is None else registry_generator(spec)
+        serial = solve_mc(paths, problem, g, **kwargs)
+        forks = force_split(True)
+        real_design = RegressionBasis.design
+        built = []
+
+        def counting_design(basis, states):
+            built.append(1)  # in the child, its own copy of the list grows
+            return real_design(basis, states)
+
+        monkeypatch.setattr(RegressionBasis, "design", counting_design)
+        split = solve_mc(paths, problem, g, **kwargs)
+        assert len(forks) == 1
+        assert built == []  # the child built every design
+        assert _bits(split) == _bits(serial)
+
+    def test_only_the_polynomial_basis_forks(self, force_split):
+        forks = force_split(True)
+        paths = simulate_paths(1, 1.0, 8, _SPLIT_M, 23)
+        assert len(forks) == 1
+        solve_mc(paths, _TANH, registry_generator("zero"),
+                 RegressionBasis("indicator-bins", bins=8))
+        assert len(forks) == 1
+        solve_mc(paths, _TANH, registry_generator("zero"), RegressionBasis("polynomial", 3))
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("fail_from", [0, 3])
+    def test_designs_failing_in_the_child_are_redone_by_the_parent(
+            self, fail_from, force_split, monkeypatch):
+        force_split(False)
+        paths = simulate_paths(1, 1.0, 8, _SPLIT_M, 23)
+        g = registry_generator("linear:-0.5,0.3")
+        serial = solve_mc(paths, _TANH, g)
+        forks = force_split(True)
+        parent = os.getpid()
+        real_design = RegressionBasis.design
+        built = []
+
+        def design_in_parent_only(basis, states):
+            # the child builds ``fail_from`` designs, then dies on the next
+            built.append(1)
+            if os.getpid() != parent and len(built) > fail_from:
+                raise MemoryError
+            return real_design(basis, states)
+
+        monkeypatch.setattr(RegressionBasis, "design", design_in_parent_only)
+        split = solve_mc(paths, _TANH, g)
+        assert len(forks) == 1
+        # the child's calls are counted in its own copy of ``built``
+        assert len(built) == paths.N - 1 - fail_from
+        assert _bits(split) == _bits(serial)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_child_is_left_after_a_failing_solve(self, force_split):
+        from drbsde_lab.bsde import FixedPointError
+
+        force_split(False)
+        paths = simulate_paths(1, 1.0, 8, _SPLIT_M, 23)
+        forks = force_split(True)
+
+        def fn(t, state, y, z):
+            # no fixed point at step 4, midway down the backward loop
+            return -0.5 * y + (np.nan if t == 0.5 else 0.0)
+
+        g = Generator(fn, kappa=0.5, lam=-0.5, name="nan-at-step-4")
+        with pytest.raises(FixedPointError) as caught:
+            solve_mc(paths, McProblem(terminal=lambda s: s[:, 0]), g, scheme="implicit")
+        assert caught.value.step == 4
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestSerialization:
     def test_bundle_csv(self, tmp_path):
         paths = simulate_paths(2, 1.0, 3, 100, 5)
