@@ -29,7 +29,8 @@ import numpy as np
 
 from .bsde import g_evaluate, step_candidate
 from .drbsde import DynkinGame, solve_drbsde
-from .lattice import DUMP_CHUNK, FULL_TREE, Lattice, StoppingRule, _write_rows
+from .lattice import (DUMP_CHUNK, FULL_TREE, Lattice, StoppingRule, _float_cells, _text,
+                      _write_rows)
 from .rbsde import first_hitting
 
 ORACLE_MAX_N = 4
@@ -330,12 +331,13 @@ def write_pair_table_csv(path, table: np.ndarray) -> None:
     """Dump a pair-value table (``GameReport.table``) row-major,
     ``DUMP_CHUNK`` rows per write."""
     flat = table.ravel()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("tau_index,gamma_index,value\r\n")
+    pool = _text(b"%d", range(max(table.shape)))
+    with open(path, "wb") as fh:
+        fh.write(b"tau_index,gamma_index,value\r\n")
         for start in range(0, flat.size, DUMP_CHUNK):
             chunk = flat[start:start + DUMP_CHUNK]
             rows, cols = np.divmod(np.arange(start, start + chunk.size), table.shape[1])
-            _write_rows(fh, (map(str, rows.tolist()), map(str, cols.tolist())), [chunk])
+            _write_rows(fh, [pool[rows], pool[cols], _float_cells(chunk)])
 
 
 def verify_saddle(

@@ -25,7 +25,6 @@ import mmap
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -35,8 +34,6 @@ FULL_TREE = "full-tree"
 # 2**25 - 1 nodes; beyond this the full tree stops being an "exact oracle"
 # and starts being a memory problem.
 FULL_TREE_MAX_N = 24
-
-_F17 = "{:.17g}".format
 
 
 class Lattice:
@@ -102,20 +99,24 @@ class Lattice:
 
     def node_ids(self, k: int, start: int = 0, stop: int | None = None):
         """Serialization ids of the step-``k`` nodes ``start..stop-1``:
-        up-count ``j`` (recombining) or the bit word (full tree)."""
+        up-count ``j`` (recombining) or the bit word (full tree), decoded
+        from the bytes the dump writers write."""
         if stop is None:
             stop = self.n_nodes(k)
+        i = np.arange(start, stop)
+        ids = self._id_cells(np.full(i.size, k), i, _text(b"%d", range(self.N + 1)))
+        return ids.astype(str).tolist()
+
+    def _id_cells(self, k: np.ndarray, i: np.ndarray, pool: np.ndarray) -> np.ndarray:
+        """Ids of the nodes ``i`` of the steps ``k`` as an ``S`` array: on
+        the walk ``pool[i]``, where ``pool[j]`` is ``str(j)``; on the full
+        tree the bit word's ASCII digits, msb first (the root's is empty)."""
         if self.mode == RECOMBINING:
-            return list(map(str, range(start, stop)))
-        if k == 0:
-            return [""] * (stop - start)
-        # 2**low consecutive words differ only in their last low bits
-        low = min(k, 8)
-        tails = [format(q, f"0{low}b") for q in range(1 << low)]
-        heads = [format(h, f"0{k - low}b") if k > low else ""
-                 for h in range(start >> low, (stop + (1 << low) - 1) >> low)]
-        skip = start & ((1 << low) - 1)
-        return [h + t for h in heads for t in tails][skip:skip + stop - start]
+            return pool[i]
+        width = max(int(k.max(initial=0)), 1)
+        shift = k[:, None] - 1 - np.arange(width)  # the bit behind each digit
+        digits = np.where(shift >= 0, 48 + ((i[:, None] >> np.maximum(shift, 0)) & 1), 0)
+        return digits.astype(np.uint8).view(f"S{width}")[:, 0]
 
     def split_children(self, next_values: np.ndarray):
         """Split step-``k+1`` values into (down, up) children per step-``k`` node.
@@ -469,30 +470,43 @@ class StoppingRule:
 
 PROCESS_HEADER = ["k", "node-id", "state", "value"]
 
-# rows formatted and written at a time; bounds the text held in memory
+# rows assembled and written at a time; bounds the bytes held in memory
 DUMP_CHUNK = 4096
 
 
-def _format_column(values: np.ndarray, memo: dict | None = None) -> list[str]:
-    """``{:.17g}`` of each value; each distinct bit pattern (never value:
-    ``-0.0``, ``0.0`` and NaN payloads differ) is formatted once or read
-    from ``memo``."""
+def _text(fmt: bytes, values) -> np.ndarray:
+    """``fmt % v`` of each value as an ``S`` array, in one formatting call;
+    ``b"%.17g"`` gives the bytes of ``"{:.17g}".format``."""
+    values = tuple(values)
+    return np.array(((fmt + b"\0") * len(values) % values).split(b"\0")[:-1], dtype="S")
+
+
+def _float_cells(values: np.ndarray, memo: dict | None = None) -> np.ndarray:
+    """``{:.17g}`` of each value as an ``S`` array; each distinct bit
+    pattern (never value: ``-0.0``, ``0.0`` and NaN payloads differ) is
+    formatted once or read from ``memo``."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    floats = bits.view(np.float64).tolist()
     if memo is None:
-        text = list(map(_F17, floats))
-    else:
-        text = [memo.get(b) or memo.setdefault(b, _F17(x))
-                for b, x in zip(bits.tolist(), floats)]
-    return list(map(text.__getitem__, inverse.tolist()))
+        return _text(b"%.17g", bits.view(np.float64).tolist())[inverse]
+    keys = bits.tolist()
+    new = np.array([b for b in keys if b not in memo], dtype=np.int64)
+    memo.update(zip(new.tolist(), _text(b"%.17g", new.view(np.float64).tolist())))
+    return np.array([memo[b] for b in keys], dtype="S")[inverse]
 
 
-def _write_rows(fh, keys, columns) -> None:
-    """One ``fh.write`` of ``csv.writer``'s bytes (``\\r\\n`` line ends, no
-    field to quote): the key text columns, then the float columns (``None``
-    is an empty field)."""
-    cells = [repeat("") if c is None else _format_column(c) for c in columns]
-    fh.write("\r\n".join(map(",".join, zip(*keys, *cells))) + "\r\n")
+def _write_rows(fh, cells) -> None:
+    """Write ``csv.writer``'s bytes (``\\r\\n`` line ends, no field to
+    quote) for rows given by columns of NUL-padded cells, each an ``S``
+    array.  The rows are one byte matrix with the separators at fixed
+    offsets; no cell holds a NUL byte, so dropping the NULs leaves the text."""
+    mats = [c.view(np.uint8).reshape(len(c), -1) for c in cells]
+    ends = np.cumsum([m.shape[1] + 1 for m in mats])  # one past each field's separator
+    buf = np.zeros((len(cells[0]), ends[-1] + 1), np.uint8)
+    for m, end in zip(mats, ends):
+        buf[:, end - 1 - m.shape[1]:end - 1] = m
+    buf[:, ends - 1] = ord(",")
+    buf[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    fh.write(buf[buf != 0])
 
 
 # items below which a second process costs more than it saves
@@ -525,15 +539,17 @@ def _in_two(n: int, work) -> bool:
     With at least ``SPLIT_MIN`` items and two usable CPUs, a forked child
     runs the upper half ``[n // 2, n)`` while the caller runs the lower
     half, then waits for it; if the child did not exit 0, the caller runs
-    the upper half itself.  ``work`` must own its outputs: the child calls
-    no BLAS, writes no file the caller has open, and leaves only through
-    ``os._exit``, so it never flushes an inherited buffer.  Otherwise, or
-    when ``fork`` fails, ``work(0, n)`` runs here.
+    the upper half itself.  The child runs on the usable CPUs other than
+    the caller's at the fork, as in :func:`_ahead`.  ``work`` must own its
+    outputs: the child calls no BLAS, writes no file the caller has open,
+    and leaves only through ``os._exit``, so it never flushes an inherited
+    buffer.  Otherwise, or when ``fork`` fails, ``work(0, n)`` runs here.
     """
     if n < SPLIT_MIN or _usable_cpus() < 2:
         work(0, n)
         return False
     mid = n // 2
+    others = _other_cpus()
     try:
         pid = os.fork()
     except OSError:
@@ -542,6 +558,7 @@ def _in_two(n: int, work) -> bool:
     if pid == 0:
         code = 1
         try:
+            os.sched_setaffinity(0, others)
             work(mid, n)
             code = 0
         finally:
@@ -628,31 +645,44 @@ def _ahead(steps, build, shape):
 
 def _write_node_dump(path, header, lattice: Lattice, step_columns) -> None:
     """Stream ``k,node-id,state`` and the value columns ``step_columns(k)``
-    of every node, ``DUMP_CHUNK`` rows at a time.
+    (``None``: empty fields) of every node, in chunks of ``DUMP_CHUNK`` rows
+    of the flattened node order, which span steps.  Each chunk is assembled
+    as one byte matrix (:func:`_write_rows`): its bytes are those of a
+    ``csv.writer`` loop over its rows.
 
     With two usable CPUs and at least ``SPLIT_MIN`` rows (:func:`_in_two`),
-    a forked child formats the chunks from the boundary nearest half the
+    a forked child writes the chunks from the boundary nearest half the
     rows into a tail file beside ``path``, which is then appended by a
-    kernel copy; each chunk's text depends on its own rows alone, so the
+    kernel copy; each chunk's bytes depend on its own rows alone, so the
     bytes are those of the serial write."""
-    chunks = [(k, start, min(start + DUMP_CHUNK, n))
-              for k in range(lattice.N + 1) for n in (lattice.n_nodes(k),)
-              for start in range(0, n, DUMP_CHUNK)]
-    firsts = np.cumsum([0] + [stop - start for _, start, stop in chunks])
+    firsts = np.cumsum([0] + [lattice.n_nodes(k) for k in range(lattice.N + 1)])
+    bounds = np.append(np.arange(0, firsts[-1], DUMP_CHUNK), firsts[-1])
+    pool = _text(b"%d", range(lattice.N + 1))  # every k, and the walk's ids
     tail = f"{os.fspath(path)}.{os.getpid()}.tail"
 
     def write(lo, hi):
-        state_text: dict[int, str] = {}  # few distinct states (2N+1 on the walk)
-        with open(tail if lo else path, "w", newline="", encoding="utf-8") as fh:
+        state_text: dict[int, bytes] = {}  # few distinct states (2N+1 on the walk)
+        with open(tail if lo else path, "wb") as fh:
             if not lo:
-                fh.write(",".join(header) + "\r\n")
+                fh.write((",".join(header) + "\r\n").encode())
             # the chunks between the boundaries nearest rows lo and hi
-            a, b = (int(np.argmin(np.abs(firsts - row))) for row in (lo, hi))
-            for k, start, stop in chunks[a:b]:
-                keys = (repeat(str(k)), lattice.node_ids(k, start, stop),
-                        _format_column(lattice.states(k)[start:stop], state_text))
-                _write_rows(fh, keys, [None if c is None else c[start:stop]
-                                       for c in step_columns(k)])
+            a, b = (int(np.argmin(np.abs(bounds - row))) for row in (lo, hi))
+            for start, stop in zip(bounds[a:b], bounds[a + 1:b + 1]):
+                rows = np.arange(start, stop)
+                k = np.searchsorted(firsts, rows, side="right") - 1
+                steps = range(k[0], k[-1] + 1)
+                spans = [slice(max(start - firsts[s], 0), min(stop, firsts[s + 1]) - firsts[s])
+                         for s in steps]
+                states = np.concatenate([lattice.states(s)[sl] for s, sl in zip(steps, spans)])
+                cells = [pool[k], lattice._id_cells(k, rows - firsts[k], pool),
+                         _float_cells(states, state_text)]
+                for pieces in zip(*map(step_columns, steps)):
+                    # a None piece gives its step's rows empty cells
+                    text = _float_cells(np.concatenate(
+                        [c[sl] for c, sl in zip(pieces, spans) if c is not None] or [np.empty(0)]))
+                    cells.append(np.zeros(rows.size, text.dtype))
+                    cells[-1][np.array([c is not None for c in pieces])[k - k[0]]] = text
+                _write_rows(fh, cells)
 
     try:
         if _in_two(int(firsts[-1]), write):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bsde import _driver_update, _reflect
 from .generator import Generator
-from .lattice import DUMP_CHUNK, _ahead, _in_two, _write_json, _write_rows
+from .lattice import DUMP_CHUNK, _ahead, _float_cells, _in_two, _text, _write_json, _write_rows
 
 CONDITION_WARN = 1e8
 
@@ -233,15 +233,19 @@ class McResult:
 
 def write_bundle_csv(path, bundle: PathBundle) -> None:
     """Path dump: one row per (path, step, coordinate)."""
-    step_keys = [f",{k},{j}" for k in range(bundle.N) for j in range(bundle.d)]
-    per_chunk = max(1, DUMP_CHUNK // len(step_keys))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("path,k,coord,dB,state\r\n")
+    per_path = bundle.N * bundle.d
+    pool = _text(b"%d", range(max(bundle.N, bundle.d)))
+    steps = pool[np.repeat(np.arange(bundle.N), bundle.d)]
+    coords = pool[np.tile(np.arange(bundle.d), bundle.N)]
+    per_chunk = max(1, DUMP_CHUNK // per_path)
+    with open(path, "wb") as fh:
+        fh.write(b"path,k,coord,dB,state\r\n")
         for lo in range(0, bundle.M, per_chunk):
             hi = min(lo + per_chunk, bundle.M)
-            keys = [f"{i}{s}" for i in range(lo, hi) for s in step_keys]
-            values = [bundle.increments[lo:hi].reshape(-1), bundle.states[lo:hi, 1:].reshape(-1)]
-            _write_rows(fh, (keys,), values)
+            _write_rows(fh, [np.repeat(_text(b"%d", range(lo, hi)), per_path),
+                             np.tile(steps, hi - lo), np.tile(coords, hi - lo),
+                             _float_cells(bundle.increments[lo:hi].reshape(-1)),
+                             _float_cells(bundle.states[lo:hi, 1:].reshape(-1))])
 
 
 def write_mc_sidecar(path, result: "McResult") -> None:

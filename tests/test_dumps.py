@@ -3,8 +3,8 @@
 The reference writers below are the per-node ``csv.writer`` loops the
 package used before dumps were streamed in chunks with each distinct float
 formatted once.  The streaming writers must reproduce their bytes exactly,
-for steps shorter than, equal to and longer than a chunk, and for values
-that a dedupe by value instead of by bit pattern would get wrong.
+for chunks that hold part of a step, a whole step or several steps, and for
+values that a dedupe by value instead of by bit pattern would get wrong.
 """
 
 import csv
@@ -141,9 +141,19 @@ def _process(lat, fill) -> AdaptedProcess:
     ))
 
 
-# (mode, N, chunk): every lattice has steps shorter than, equal to and
-# longer than its chunk
-LAYOUTS = [(RECOMBINING, 9, 5), (FULL_TREE, 5, 4)]
+# (mode, N, chunk); chunks run over the flattened node order, so they span
+# steps.  The recombining N=9 steps start at rows 0, 1, 3, 6, 10, 15, 21,
+# 28, 36, 45 (55 rows), the full-tree N=5 steps at 0, 1, 3, 7, 15, 31 (63).
+LAYOUTS = [
+    # a chunk as long as some step
+    (RECOMBINING, 9, 5), (FULL_TREE, 5, 4),
+    # the last chunk holds whole steps and the horizon, blank and filled Z
+    (RECOMBINING, 9, 28), (FULL_TREE, 5, 64),
+    # boundaries inside steps, the horizon's included
+    (RECOMBINING, 9, 7), (FULL_TREE, 5, 10),
+    # one row per chunk
+    (RECOMBINING, 9, 1), (FULL_TREE, 5, 1),
+]
 
 
 def _layout_id(layout):
@@ -174,14 +184,12 @@ def assert_node_dumps_match(lat, fill, sol, directory):
 def test_node_dumps_match_reference(layout, fill, y, z, dk, dj, tmp_path_factory):
     mode, n, chunk = layout
     lat = build_lattice(1.0, n, mode)
-    sizes = [lat.n_nodes(k) for k in range(n + 1)]
-    assert sizes[0] < chunk < sizes[-1] and chunk in sizes
     with mock.patch.object(lattice_module, "DUMP_CHUNK", chunk):
         assert_node_dumps_match(lat, fill, _solution(lat, y, z, dk, dj),
                                 tmp_path_factory.mktemp("nodes"))
 
 
-# the package's own chunk: tree steps of 2048, 4096 and 8192 nodes
+# the package's own chunk: 16,383 rows, the boundaries inside steps 12 and 13
 @settings(max_examples=3, deadline=None)
 @given(fill=fills, y=fills, z=fills, dk=fills, dj=fills)
 def test_node_dumps_match_reference_at_package_chunk(fill, y, z, dk, dj, tmp_path_factory):
@@ -268,17 +276,20 @@ def test_work_failing_in_the_child_is_redone_by_the_parent(mode, n, force_split,
 
     forks = force_split(True)
     parent = os.getpid()
-    real_format = lattice_module._format_column
+    real_format = lattice_module._float_cells
+    raised = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)  # seen by the children
 
     def format_in_parent_only(values, memo=None):
         if os.getpid() != parent:
+            raised[0] += 1
             raise KeyboardInterrupt  # a BaseException: the child still exits 1
         return real_format(values, memo)
 
-    monkeypatch.setattr(lattice_module, "_format_column", format_in_parent_only)
+    monkeypatch.setattr(lattice_module, "_float_cells", format_in_parent_only)
     (tmp_path / "split").mkdir()
     assert _dump_digests(lat, sol, tmp_path / "split") == serial
     assert len(forks) == 3
+    assert raised[0] == 3
 
 
 def test_unwritable_target_raises_the_serial_error(force_split, tmp_path):
@@ -324,12 +335,22 @@ def _shared_halves(n, work_in_child):
     return lattice_module._in_two(n, work), out
 
 
-def test_in_two_gives_the_child_the_upper_half(force_split):
+def test_in_two_gives_the_child_the_upper_half(force_split, monkeypatch):
     force_split(True)
+    # the child runs on the CPUs that _other_cpus names at the fork
+    cpu = min(os.sched_getaffinity(0))
+    monkeypatch.setattr(lattice_module, "_other_cpus", lambda: {cpu})
+    child_cpus = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)  # (count, lowest)
+
+    def record():
+        cpus = os.sched_getaffinity(0)
+        child_cpus[:] = len(cpus), min(cpus)
+
     n = lattice_module.SPLIT_MIN + 1
-    split, out = _shared_halves(n, lambda: None)
+    split, out = _shared_halves(n, record)
     assert split
     assert (out[: n // 2] == 1.0).all() and (out[n // 2:] == 2.0).all()
+    assert child_cpus.tolist() == [1, cpu]
 
 
 @pytest.mark.parametrize("exc", [ValueError, SystemExit, KeyboardInterrupt])
