@@ -18,13 +18,14 @@ A stopped driver (see ``generator.stop_generator``) is switched off inside
 :func:`step_candidate` itself, so every solver and oracle gives it the same
 meaning.  :func:`backward_induction` runs "step, then project" from the
 horizon to the root.  Its leading axes are rows: a family of independent
-solves (the levels of a penalty schedule, many evaluations) runs as one
-sweep, each row bitwise equal to its own solve, because no element's fixed
-point looks at any other.
+solves (a penalty schedule with its reflected limit, a direct solve with its
+penalty families, many evaluations) runs as one sweep, each row bitwise
+equal to its own solve, because no element's fixed point looks at any other.
 
 The projection is :func:`_reflect`, the one place a candidate is clamped to
 a lower obstacle L and/or an upper obstacle U, or pushed toward one by the
-closed-form implicit penalty step, and the push booked as dK/dJ.  The plain,
+closed-form implicit penalty step, each row of a sweep at its own level per
+side (the level inf clamps), and the push booked as dK/dJ.  The plain,
 reflected, doubly reflected and penalized solvers run it through
 :func:`_reflected_sweep`; pasting, the evaluation between stopping rules and
 the Monte Carlo backend (which also shares :func:`_driver_update`) call it
@@ -224,31 +225,34 @@ def penalty_step(candidate: np.ndarray, obstacle: np.ndarray, n: float, dt: floa
     return np.where(keep, candidate, (candidate + dt * n * obstacle) / (1.0 + dt * n))
 
 
-def _reflect(cand, lower=None, upper=None, dt: float = 0.0, penalty=None):
+def _reflect(cand, lower=None, upper=None, dt: float = 0.0, levels=(math.inf, math.inf)):
     """The one projection: returns ``(y, dK, dJ)`` for a candidate slice.
 
-    The lower side acts first, then the upper side.  A side named by
-    ``penalty = (side, n)`` takes the implicit penalty step at level ``n``
-    and books nothing; any other given side is clamped and books what it
+    The lower side acts first, then the upper side.  ``levels = (n_lower,
+    n_upper)`` gives each side a penalty level, a scalar or a column with one
+    entry per row.  Where a given side's level is finite, it takes the
+    implicit penalty step at that level and books nothing; where it is inf,
+    the limit of the penalized solutions, it is clamped and books what it
     moved: ``dK = max(L, c) - c``, ``dJ = c - min(U, c)``, ``c`` being the
-    value that side receives.
+    value that side receives.  A side whose rows all clamp, or all penalize,
+    runs that branch alone; only a mixed side picks per row, and no inf level
+    reaches :func:`penalty_step`.
     """
-    pen_side, level = penalty if penalty is not None else (None, None)
     zeros = np.broadcast_to(0.0, np.shape(cand))
-    y, dk, dj = cand, zeros, zeros
-    if lower is not None:
-        if pen_side == "lower":
-            y = penalty_step(y, lower, level, dt, "lower")
-        else:
-            y = np.maximum(lower, y)
-            dk = y - cand
-    if upper is not None:
-        if pen_side == "upper":
-            y = penalty_step(y, upper, level, dt, "upper")
-        else:
-            lifted, y = y, np.minimum(upper, y)
-            dj = lifted - y
-    return y, dk, dj
+    y, moved = cand, [zeros, zeros]
+    for i, (obstacle, side) in enumerate(((lower, "lower"), (upper, "upper"))):
+        if obstacle is None:
+            continue
+        clamp = np.asarray(levels[i]) == math.inf
+        if not clamp.any():
+            y = penalty_step(y, obstacle, levels[i], dt, side)
+            continue
+        c, y = y, np.maximum(obstacle, y) if side == "lower" else np.minimum(obstacle, y)
+        moved[i] = y - c if side == "lower" else c - y
+        if not clamp.all():
+            pushed = penalty_step(c, obstacle, np.where(clamp, 0.0, levels[i]), dt, side)
+            y, moved[i] = np.where(clamp, y, pushed), np.where(clamp, moved[i], 0.0)
+    return y, *moved
 
 
 # ----------------------------------------------------------------------
@@ -333,15 +337,21 @@ def _negate_process(p: AdaptedProcess) -> AdaptedProcess:
     return AdaptedProcess(p.lattice, tuple(-v for v in p.values))
 
 
+CLAMP_ROW = (math.inf, math.inf, {})
+
+
 def _reflected_sweep(lattice: Lattice, g: Generator, terminal, scheme: str, lower=None,
-                     upper=None, penalty=None, meta=None) -> list[Solution]:
+                     upper=None, rows=(CLAMP_ROW,)) -> list[Solution]:
     """Sweep :func:`_reflect` from ``terminal`` to the root, one solution per row.
 
-    ``lower`` and ``upper`` are the obstacle processes.  ``penalty = (side,
-    schedule)`` penalizes that side instead of clamping it, one row per
-    level, each row's meta naming its ``penalty_level``.  The kind and the
-    attached obstacles follow the clamped sides; the meta is the base meta,
-    the iteration stats and ``meta``.
+    ``lower`` and ``upper`` are the obstacle processes.  Each row is
+    ``(n_lower, n_upper, meta)``: the penalty levels of its two sides (inf
+    clamps, see :func:`_reflect`; the level of an absent side is ignored)
+    and its own meta.  The rows run as one sweep, each bitwise equal to its
+    own, so a reflected limit and its penalty levels, or a direct solve and
+    its penalty families, cost one sweep.  A row's kind and attached
+    obstacles follow its clamped sides; its meta is the base meta, its
+    iteration stats and its ``meta``.
 
     An upper side alone runs as the mirror of a lower sweep: negate the
     data, reflect the driver through the origin, sweep against ``-U`` and
@@ -352,33 +362,36 @@ def _reflected_sweep(lattice: Lattice, g: Generator, terminal, scheme: str, lowe
     if lower is None and upper is not None:
         mirrored = _reflected_sweep(
             lattice, negate_reflect(g), -np.asarray(terminal), scheme, _negate_process(upper),
-            penalty=None if penalty is None else ("lower", penalty[1]), meta=meta)
+            rows=[(n, math.inf, meta) for _, n, meta in rows])
         return [replace(
             m, kind="plain" if m.obstacle_lower is None else "reflected-upper",
             Y=_negate_process(m.Y), Z=_negate_process(m.Z), dK=m.dJ, dJ=m.dK,
             meta={**m.meta, "generator": g.name}, obstacle_lower=None,
             obstacle_upper=upper if m.obstacle_lower is not None else None,
         ) for m in mirrored]
-    side, schedule = penalty or (None, (None,))
     terminal = np.asarray(terminal, dtype=float)
-    if penalty is not None:
-        terminal = np.broadcast_to(terminal, (len(schedule), terminal.shape[-1]))
-        penalty = (side, np.asarray(schedule)[:, None])
+    terminal = np.broadcast_to(terminal, (len(rows), terminal.shape[-1]))
+    levels = np.array([row[:2] for row in rows], dtype=float).T[:, :, None]  # per side, a column
 
     def project(k, cand):
         return _reflect(cand, None if lower is None else lower[k],
-                        None if upper is None else upper[k], lattice.dt, penalty)
+                        None if upper is None else upper[k], lattice.dt, levels)
 
-    clamped_lower = lower if side != "lower" else None
-    clamped_upper = upper if side != "upper" else None
-    kind = SOLUTION_KINDS[(clamped_lower is not None) + 2 * (clamped_upper is not None)]
-    return [Solution(
-        kind=kind, Y=Y, Z=Z, dK=dK, dJ=dJ,
-        meta={**_base_meta(lattice, g, scheme), **stats, **(meta or {}),
-              **({} if n is None else {"penalty_level": n})},
-        obstacle_lower=clamped_lower, obstacle_upper=clamped_upper,
-    ) for n, (Y, Z, dK, dJ, stats) in zip(
-        schedule, backward_induction(lattice, g, terminal, scheme, project), strict=True)]
+    # unbooked sides get zeros, not views keeping a mixed side's rows alive
+    zero = np.broadcast_to(0.0, lattice.n_nodes(lattice.N))
+    zeros = AdaptedProcess(lattice, tuple(zero[:lattice.n_nodes(k)] for k in range(lattice.N + 1)))
+    out = []
+    for (n_lower, n_upper, meta), (Y, Z, dK, dJ, stats) in zip(
+            rows, backward_induction(lattice, g, terminal, scheme, project), strict=True):
+        clamped_lower = lower if n_lower == math.inf else None
+        clamped_upper = upper if n_upper == math.inf else None
+        out.append(Solution(
+            kind=SOLUTION_KINDS[(clamped_lower is not None) + 2 * (clamped_upper is not None)],
+            Y=Y, Z=Z, dK=zeros if clamped_lower is None else dK,
+            dJ=zeros if clamped_upper is None else dJ,
+            meta={**_base_meta(lattice, g, scheme), **stats, **meta},
+            obstacle_lower=clamped_lower, obstacle_upper=clamped_upper))
+    return out
 
 
 def solve_bsde(
@@ -432,11 +445,14 @@ def g_evaluate(
         return []
     nus, taus, pays = ([a] * rows if not isinstance(a, list) else a for a in given)
     pays = [_as_payoff_process(p, lattice) for p in pays]
+    checked = set()  # rule pairs by identity: a pair given on several rows is checked once
     for nu_r, tau_r, pay_r in zip(nus, taus, pays, strict=True):
-        if not (lattice.same_grid(nu_r.lattice) and lattice.same_grid(tau_r.lattice)):
-            raise ValueError("stopping rules live on a different lattice")
-        if not nu_r.pathwise_le(tau_r):
-            raise ValueError("start rule must stop no later than the collection rule")
+        if (id(nu_r), id(tau_r)) not in checked:
+            if not (lattice.same_grid(nu_r.lattice) and lattice.same_grid(tau_r.lattice)):
+                raise ValueError("stopping rules live on a different lattice")
+            if not nu_r.pathwise_le(tau_r):
+                raise ValueError("start rule must stop no later than the collection rule")
+            checked.add((id(nu_r), id(tau_r)))
         reach = tau_r.not_yet_stopped()
         for k in range(lattice.N + 1):
             if np.any(~np.isfinite(pay_r[k][tau_r.flags[k] & reach[k]])):

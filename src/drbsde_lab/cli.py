@@ -50,6 +50,7 @@ from .drbsde import (
 )
 from .dynkin import (
     _check_oracle_tree,
+    enumerate_stopping_rules,
     game_value_oracle,
     verify_saddle,
     write_game_report,
@@ -338,8 +339,9 @@ def _run_dynkin_verify(cfg: ExperimentConfig, out: Path) -> dict:
     with _config_check():
         _check_oracle_tree(lat)
     sol = solve_drbsde(lat, game, cfg.scheme)
-    oracle = game_value_oracle(lat, game, cfg.scheme, tol, solution=sol)
-    saddle = verify_saddle(lat, game, sol, cfg.scheme, tol, cfg.seed)
+    rules, _ = enumerate_stopping_rules(lat)  # one solve and one enumeration serve both
+    oracle = game_value_oracle(lat, game, cfg.scheme, tol, solution=sol, rules=rules)
+    saddle = verify_saddle(lat, game, sol, cfg.scheme, tol, cfg.seed, rules=rules)
     write_game_report(out / "game_report.txt", oracle)
     if cfg.raw.get("write_pair_table", False):
         write_pair_table_csv(out / "pair_table.csv", oracle.table)

@@ -18,19 +18,22 @@ Routes cross-validated against the direct backward induction:
   and Snell checks read.
 
 Every route projects with ``bsde._reflect``: the direct solve and both
-penalty schemes through ``bsde._reflected_sweep``, pasting directly, with
-each node's inactive rail given as -inf or +inf.
+penalty schemes through ``bsde._reflected_sweep``, as rows of one sweep when
+they are cross-validated, pasting directly, with each node's inactive rail
+given as -inf or +inf.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .bsde import Solution, _base_meta, _reflect, _reflected_sweep, backward_induction
+from .bsde import (CLAMP_ROW, Solution, _base_meta, _reflect, _reflected_sweep,
+                   backward_induction)
 from .generator import Generator
 from .lattice import (
     FULL_TREE,
@@ -130,26 +133,36 @@ def double_penalization(
     scheme: str = "explicit",
 ):
     """Run one penalization scheme along ``schedule`` against the direct solve."""
-    return _penalty_family(
-        lattice, game, schedule, direction, scheme, solve_drbsde(lattice, game, scheme)
-    )
+    _, (family,) = _penalty_sweep(lattice, game, schedule, (direction,), scheme)
+    return family
 
 
-def _penalty_family(lattice, game, schedule, direction, scheme, direct: Solution):
-    """Penalty levels of one scheme and their convergence toward ``direct``.
+def _penalty_sweep(lattice, game, schedule, directions, scheme):
+    """The direct solve and the penalty schemes of ``directions``, as one sweep.
 
-    Only the penalized side is reported; the reflected side is exact by
-    construction.
+    Returns ``(direct, families)``, one ``(levels, report)`` per direction,
+    each report measuring its levels against the direct row.  Only the
+    penalized side is reported; the reflected side is exact by construction.
     """
-    if direction not in ("increasing", "decreasing"):
-        raise ValueError(f"unknown direction {direction!r}")
+    if not lattice.same_grid(game.lattice):
+        raise ValueError("game lives on a different lattice")
+    if set(directions) - {"increasing", "decreasing"}:
+        raise ValueError(f"unknown direction in {directions!r}")
     schedule = _check_schedule(schedule)
     # increasing: keep the upper reflection, push up with the lower penalty;
     # decreasing: keep the lower reflection, push down with the upper penalty
-    side, obstacle = ("lower", game.L) if direction == "increasing" else ("upper", game.U)
-    levels = _reflected_sweep(lattice, game.g, game.xi.values, scheme, game.L, game.U,
-                              penalty=(side, schedule), meta={"direction": direction})
-    return levels, _penalization_report(levels, direct, obstacle, side, schedule)
+    rows = [CLAMP_ROW]
+    for d in directions:
+        rows += [((n, math.inf) if d == "increasing" else (math.inf, n))
+                 + ({"direction": d, "penalty_level": n},) for n in schedule]
+    direct, *levels = _reflected_sweep(lattice, game.g, game.xi.values, scheme, game.L,
+                                       game.U, rows=rows)
+    families = []
+    for i, d in enumerate(directions):
+        family = levels[i * len(schedule):(i + 1) * len(schedule)]
+        side, obstacle = ("lower", game.L) if d == "increasing" else ("upper", game.U)
+        families.append((family, _penalization_report(family, direct, obstacle, side, schedule)))
+    return direct, families
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +207,7 @@ def pasting_construct(
     game: DynkinGame,
     scheme: str = "explicit",
     eps_hit: Optional[float] = None,
+    direct: Optional[Solution] = None,
 ):
     """Rebuild the solution from alternating one-obstacle segments.
 
@@ -205,13 +219,14 @@ def pasting_construct(
     (its segment's side only), with terminal data flowing backward out of
     the continuation already built -- so agreement with the direct solve
     certifies that the solution really is an alternation of one-obstacle
-    solutions between its own contact times.
+    solutions between its own contact times.  ``direct`` is the direct solve
+    (:func:`solve_drbsde`), solved here when ``None``.
     """
     if lattice.mode != FULL_TREE:
         raise ValueError("pasting tracks path-dependent segments: full tree only")
     if not lattice.same_grid(game.lattice):
         raise ValueError("game lives on a different lattice")
-    direct = solve_drbsde(lattice, game, scheme)
+    direct = solve_drbsde(lattice, game, scheme) if direct is None else direct
     eps = default_eps_hit(direct) if eps_hit is None else float(eps_hit)
 
     margin = game.separation_margin()
@@ -295,18 +310,14 @@ def cross_validate(
 ) -> CrossReport:
     """Drive every route to the solution and report their disagreements.
 
-    The direct route is solved once, inside the pasting construction, and
-    that solve is the reference for both penalty families.  The report
-    carries the pasted solution and its ledger.
+    The direct route and both penalty families are solved as one sweep,
+    each row bitwise equal to its own solve.  The direct row is the
+    reference for both families, and the pasting construction reads its
+    contacts off it.  The report carries the pasted solution and its ledger.
     """
-    pasted, ledger = pasting_construct(lattice, game, scheme)
-    direct = ledger.direct
-    inc_levels, inc_report = _penalty_family(
-        lattice, game, schedule, "increasing", scheme, direct
-    )
-    dec_levels, dec_report = _penalty_family(
-        lattice, game, schedule, "decreasing", scheme, direct
-    )
+    direct, ((inc_levels, inc_report), (dec_levels, dec_report)) = _penalty_sweep(
+        lattice, game, schedule, ("increasing", "decreasing"), scheme)
+    pasted, ledger = pasting_construct(lattice, game, scheme, direct=direct)
 
     def sup_gap(a: Solution, b: Solution) -> float:
         return max(

@@ -156,24 +156,29 @@ def _subtree_classes(flags: list[np.ndarray], n: int):
     return cls[:, 0], layout
 
 
+def _rule_classes(rules, n: int):
+    """:func:`_subtree_classes` of a list of rules."""
+    return _subtree_classes([np.stack([r.flags[k] for r in rules]) for k in range(n)], n)
+
+
 def _pair_table_block(
     tree: Lattice,
     game: DynkinGame,
-    tau_flags: list[np.ndarray],
-    gamma_flags: list[np.ndarray],
+    tau_classes,
+    gamma_classes,
     scheme: str,
 ):
     """Root game values for a block of rule pairs, one backward sweep.
 
-    ``tau_flags[k]`` has shape ``(a, w_k)`` and ``gamma_flags[k]`` shape
-    ``(b, w_k)``; the result has shape ``(a, b)``.  The pair stops at the
-    first node either rule flags; the upper rail wins ties.  This oracle
-    keeps its own loop over the shared batched step, on each step's
-    distinct pairs of subtree classes per node (see the module docstring).
+    ``tau_classes`` and ``gamma_classes`` are the :func:`_subtree_classes`
+    of ``a`` and ``b`` rules, so a side shared by many blocks is classed
+    once; the result has shape ``(a, b)``.  The pair stops at the first
+    node either rule flags; the upper rail wins ties.  This oracle keeps its
+    own loop over the shared batched step, on each step's distinct pairs of
+    subtree classes per node (see the module docstring).
     """
     n = tree.N
-    tau_root, tau_layout = _subtree_classes(tau_flags, n)
-    gamma_root, gamma_layout = _subtree_classes(gamma_flags, n)
+    (tau_root, tau_layout), (gamma_root, gamma_layout) = tau_classes, gamma_classes
     v = game.xi.values[None, None, :]
     for k in range(n - 1, -1, -1):
         (stop_t, kids_t), (stop_g, kids_g) = tau_layout[k], gamma_layout[k]
@@ -198,12 +203,7 @@ def strategy_value(
     if not tree.same_grid(game.lattice):
         raise ValueError("game lives on a different lattice")
     val = _pair_table_block(
-        tree,
-        game,
-        [f[None, :] for f in tau.flags],
-        [f[None, :] for f in gamma.flags],
-        scheme,
-    )
+        tree, game, _rule_classes([tau], tree.N), _rule_classes([gamma], tree.N), scheme)
     return float(val[0, 0])
 
 
@@ -251,24 +251,18 @@ class GameReport:
 
 
 def pair_value_table(
-    tree: Lattice, game: DynkinGame, scheme: str = "explicit", block: int = 64
+    tree: Lattice, game: DynkinGame, scheme: str = "explicit", block: int = 64, rules=None
 ) -> np.ndarray:
-    """Root values of every rule pair, rows indexed by the first player."""
+    """Root values of every rule pair, rows indexed by the first player;
+    ``rules`` is :func:`enumerate_stopping_rules`' list (enumerated if None)."""
     _check_oracle_tree(tree)
-    rules, count = enumerate_stopping_rules(tree)
-    stacked = [
-        np.stack([r.flags[k] for r in rules]) for k in range(tree.N + 1)
-    ]
+    rules = enumerate_stopping_rules(tree)[0] if rules is None else rules
+    count = len(rules)
+    every = _rule_classes(rules, tree.N)
     table = np.empty((count, count))
     for lo in range(0, count, block):
-        hi = min(lo + block, count)
-        table[lo:hi] = _pair_table_block(
-            tree,
-            game,
-            [f[lo:hi] for f in stacked],
-            stacked,
-            scheme,
-        )
+        table[lo:lo + block] = _pair_table_block(
+            tree, game, _rule_classes(rules[lo:lo + block], tree.N), every, scheme)
     return table
 
 
@@ -279,11 +273,12 @@ def game_value_oracle(
     tol: float = 1e-10,
     block: int = 64,
     solution=None,
+    rules=None,
 ) -> GameReport:
     """Brute-force the full pair table and compare both iterated optima
     against the backward solve (``solution``, solved here when ``None``);
-    the report keeps the table."""
-    table = pair_value_table(tree, game, scheme, block)
+    the report keeps the table.  ``rules`` as in :func:`pair_value_table`."""
+    table = pair_value_table(tree, game, scheme, block, rules)
     count = table.shape[0]
     row_min = table.min(axis=1)
     col_max = table.max(axis=0)
@@ -347,32 +342,28 @@ def verify_saddle(
     scheme: str = "explicit",
     tol: float = 1e-10,
     seed: int = 0,
+    rules=None,
 ) -> GameReport:
     """Check that the two first contact rules beat every unilateral deviation.
 
     With the opponent pinned at her contact rule, every enumerated deviation
     of the other player lands on the wrong side of the backward value; the
     contact pair itself attains it, and evaluating the solution stopped at
-    the capped rules sandwiches it from both sides.
-    """
+    the capped rules sandwiches it from both sides.  ``rules`` as in
+    :func:`pair_value_table`."""
     _check_oracle_tree(tree)
     if solution is None:
         solution = solve_drbsde(tree, game, scheme)
     y0 = solution.root_value
-    rules, count = enumerate_stopping_rules(tree)
-    stacked = [
-        np.stack([r.flags[k] for r in rules]) for k in range(tree.N + 1)
-    ]
+    rules = enumerate_stopping_rules(tree)[0] if rules is None else rules
+    count = len(rules)
+    every = _rule_classes(rules, tree.N)
     tau_star = first_hitting(solution, None, "lower").canonicalize()
     gamma_star = first_hitting(solution, None, "upper").canonicalize()
 
     # every tau against gamma*; tau* against every gamma
-    col = _pair_table_block(
-        tree, game, stacked, [f[None, :] for f in gamma_star.flags], scheme
-    )[:, 0]
-    row = _pair_table_block(
-        tree, game, [f[None, :] for f in tau_star.flags], stacked, scheme
-    )[0, :]
+    col = _pair_table_block(tree, game, every, _rule_classes([gamma_star], tree.N), scheme)[:, 0]
+    row = _pair_table_block(tree, game, _rule_classes([tau_star], tree.N), every, scheme)[0, :]
     violation = max(float(np.max(col - y0)), float(np.max(y0 - row)))
     equality_gap = abs(strategy_value(tree, game, tau_star, gamma_star, scheme) - y0)
 

@@ -412,8 +412,12 @@ class StoppingRule:
 
     def canonicalize(self) -> "StoppingRule":
         """Clear interior flags that no path can reach first."""
-        reach = self.not_yet_stopped()
-        flags = [f & r for f, r in zip(self.flags, reach)]
+        return self._canonical
+
+    @cached_property
+    def _canonical(self) -> "StoppingRule":
+        # cached: rule_values canonicalizes the same rule once per table read
+        flags = [f & r for f, r in zip(self.flags, self._reach)]
         flags[-1] = np.ones(self.lattice.n_nodes(self.lattice.N), dtype=bool)
         return StoppingRule(self.lattice, tuple(flags))
 

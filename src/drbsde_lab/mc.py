@@ -346,6 +346,7 @@ def solve_mc(
     flat_lower = 0.0
     flat_upper = 0.0
     penalized = None if penalty is None else penalty[0]
+    levels = tuple(penalty[1] if side == penalized else math.inf for side in ("lower", "upper"))
 
     def rails(t, states):
         return tuple(None if fn is None else np.asarray(fn(t, states), dtype=float)
@@ -363,7 +364,7 @@ def solve_mc(
             return np.asarray(g.fn(dt * k, svar, y, zhat), dtype=float)
 
         cand = _driver_update(driver, fitted[:, 0], dt, g.lam_plus, scheme, k)
-        return _reflect(cand, low, up, dt, penalty)
+        return _reflect(cand, low, up, dt, levels)
 
     def book(out, low, up, dk, dj):
         nonlocal flat_lower, flat_upper

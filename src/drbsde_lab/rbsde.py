@@ -21,12 +21,14 @@ convergence structure the reports assert.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .bsde import Solution, _reflected_sweep, g_evaluate, random_rule, step_candidate
+from .bsde import (CLAMP_ROW, Solution, _reflected_sweep, g_evaluate, random_rule,
+                   step_candidate)
 from .generator import Generator
 from .lattice import AdaptedProcess, Lattice, StoppingRule, TerminalPayoff
 
@@ -45,6 +47,11 @@ def _check_reflected_inputs(lattice, xi, obstacle, side):
                          f"(k={lattice.N}, id={lattice.node_ids(lattice.N, i, i + 1)[0]})")
 
 
+# the sweep row of the reflected solve; an upper one runs as a mirror and says so
+REFLECTED_ROW = {"lower": CLAMP_ROW,
+                 "upper": (math.inf, math.inf, {"route": "sign-flip of lower solve"})}
+
+
 def solve_rbsde(
     lattice: Lattice,
     xi: TerminalPayoff,
@@ -59,8 +66,8 @@ def solve_rbsde(
     ``bsde._reflected_sweep``), and its meta says so.
     """
     _check_reflected_inputs(lattice, xi, obstacle, side)
-    sol, = _reflected_sweep(lattice, g, xi.values, scheme, **{side: obstacle}, meta=(
-        {"route": "sign-flip of lower solve"} if side == "upper" else None))
+    sol, = _reflected_sweep(lattice, g, xi.values, scheme, **{side: obstacle},
+                            rows=[REFLECTED_ROW[side]])
     return sol
 
 
@@ -102,6 +109,8 @@ def _check_schedule(schedule) -> tuple[float, ...]:
     schedule = tuple(float(n) for n in schedule)
     if not schedule:
         raise ValueError("penalty schedule must be nonempty")
+    if not all(0.0 <= n < math.inf for n in schedule):  # NaN fails too
+        raise ValueError(f"penalty levels must be finite and nonnegative, got {schedule}")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("penalty schedule must be strictly increasing")
     return schedule
@@ -169,13 +178,16 @@ def penalization_run(
     Levels approach the reflected solution from below (lower obstacle) or
     above (upper); the report counts node-wise monotonicity violations
     between consecutive levels and the sup-norm gap to the reflected solve.
+    The reflected solve is the level inf, the limit of the schedule, and
+    runs as the last row of the schedule's one sweep, bitwise equal to
+    :func:`solve_rbsde`.
     """
     schedule = _check_schedule(schedule)
     _check_reflected_inputs(lattice, xi, obstacle, side)
-
-    reflected = solve_rbsde(lattice, xi, g, obstacle, side, scheme)
-    levels = _reflected_sweep(lattice, g, xi.values, scheme, **{side: obstacle},
-                              penalty=(side, schedule))
+    # one obstacle: a row's level for the absent side is ignored
+    *levels, reflected = _reflected_sweep(
+        lattice, g, xi.values, scheme, **{side: obstacle},
+        rows=[(n, n, {"penalty_level": n}) for n in schedule] + [REFLECTED_ROW[side]])
     return levels, _penalization_report(levels, reflected, obstacle, side, schedule)
 
 

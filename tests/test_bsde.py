@@ -269,6 +269,20 @@ class TestGEvaluate:
         with pytest.raises(ValueError, match="no later"):
             g_evaluate(tree, late, early, pay, registry_generator("zero"))
 
+    def test_order_violation_on_several_rows_rejected(self):
+        # a rule pair is checked once however many rows carry it; a
+        # violating pair is refused on any row, even after valid pairs that
+        # share its start rule or its collection rule
+        tree = build_lattice(1.0, 3, FULL_TREE)
+        early = StoppingRule.at_step(tree, 1)
+        late = StoppingRule.at_step(tree, 2)
+        pays = [AdaptedProcess.constant(tree, c) for c in (1.0, 2.0, 3.0)]
+        g = registry_generator("zero")
+        for nus, taus in ((late, early), ([early, late, late], [late, late, early]),
+                          ([early, early, late], [late, early, early])):
+            with pytest.raises(ValueError, match="no later"):
+                g_evaluate(tree, nus, taus, pays, g)
+
     def test_payoff_must_cover_stop_nodes(self):
         tree = build_lattice(1.0, 3, FULL_TREE)
         rule = StoppingRule.at_step(tree, 1)

@@ -315,7 +315,15 @@ class TestRunKinds:
         ({"kind": "bsde", "lattice": {"T": 1.0, "N": 4}, "scheme": "implicit",
           "generator": "linear:-1e4,0", "terminal": "state"}, "FixedPointError",
          {"step": 3, "node": 0, "residual": None}),
-    ], ids=["implicit-stall", "singular-regression", "implicit-nan"])
+        # merged sweeps: the reflected limit with its levels, and the direct
+        # solve with both penalty families
+        ({"kind": "penalization", "lattice": {"T": 1.0, "N": 4}, "scheme": "implicit",
+          "generator": "linear:-50,0", "terminal": "state", "lower": "state - 1"},
+         "FixedPointError", {"step": 3, "node": 0, "residual": float}),
+        ({**GAME_CONFIG, "kind": "pasting", "scheme": "implicit", "generator": "linear:-50,0"},
+         "FixedPointError", {"step": 2, "node": 3, "residual": float}),
+    ], ids=["implicit-stall", "singular-regression", "implicit-nan",
+            "implicit-stall-penalization", "implicit-stall-pasting"])
     @np.errstate(over="ignore", invalid="ignore")
     def test_solver_failure_exits_3_with_report(self, tmp_path, capsys, config, error,
                                                 fields):
@@ -372,13 +380,22 @@ class TestRunKinds:
         ({"kind": "penalization", "lattice": {"T": 1.0, "N": 3}, "side": "lower",
           "terminal": "state", "lower": "state - 1", "schedule": [4, 1]},
          "strictly increasing"),
+        # the level inf is the clamp inside a sweep, never a user's level
+        *[({**config, "schedule": schedule}, "finite and nonnegative") for config in (
+            {"kind": "penalization", "lattice": {"T": 1.0, "N": 3}, "side": "lower",
+             "terminal": "state", "lower": "state - 1"},
+            {**GAME_CONFIG, "kind": "pasting", "lattice": {"T": 1.0, "N": 3, "mode": "full-tree"}},
+        ) for schedule in ([1, 4, math.inf], [-150, 4], [math.nan])],
         ({**GAME_CONFIG, "lattice": {"T": 1.0, "N": 5, "mode": "full-tree"}},
          "enumeration size guard"),
         ({**GAME_CONFIG, "kind": "pasting", "lattice": {"T": 1.0, "N": 3}},
          "full-tree lattice"),
         ({"kind": "bsde", "lattice": {"T": 1.0, "N": 3}, "terminal": "state",
           "scheme": "Implicit"}, "scheme must be one of"),
-    ], ids=["terminal-order", "schedule", "oracle-cap", "full-tree-only", "scheme"])
+    ], ids=["terminal-order", "schedule",
+            *(f"schedule-{kind}-{bad}" for kind in ("penalization", "pasting")
+              for bad in ("inf", "negative", "nan")),
+            "oracle-cap", "full-tree-only", "scheme"])
     def test_config_reachable_solver_checks_exit_2(self, tmp_path, capsys, config, message):
         assert run_experiment(ExperimentConfig.from_dict(config), tmp_path / "out") == 2
         err = capsys.readouterr().err
@@ -436,6 +453,22 @@ class TestDynkinVerify:
         cfg = ExperimentConfig.from_dict(dict(GAME_CONFIG, scheme="implicit"))
         assert run_experiment(cfg, tmp_path) == 0
         assert calls == ["implicit"]
+
+    def test_one_enumeration_serves_the_oracle_and_the_saddle(self, tmp_path, monkeypatch):
+        from drbsde_lab import cli, dynkin
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].N)
+            return enumerate_rules(*args, **kwargs)
+
+        enumerate_rules = dynkin.enumerate_stopping_rules
+        monkeypatch.setattr(cli, "enumerate_stopping_rules", counted)
+        monkeypatch.setattr(dynkin, "enumerate_stopping_rules", counted)
+        cfg = ExperimentConfig.from_dict(GAME_CONFIG)
+        assert run_experiment(cfg, tmp_path) == 0
+        assert calls == [GAME_CONFIG["lattice"]["N"]]
 
     def test_pair_table_is_the_oracle_table(self, tmp_path, monkeypatch):
         from drbsde_lab import dynkin
@@ -533,7 +566,7 @@ SPOILERS = {
     "lower": [DROP, "state + 1", "state", "x"],
     "upper": [DROP, "state - 1", "state", "1e300 * 1e300"],
     "side": ["both", None],
-    "schedule": [[], [4, 1], ["a"], 5, [0.5]],
+    "schedule": [[], [4, 1], ["a"], 5, [0.5], [1, 4, math.inf], [-150, 4], [math.nan]],
     "cases": ["x", -1, None, 2.5],
     "samples": [0, -1, "x"],
     "box": [[[0, 1]], [[0, 1, 2], [-1, 1], [-1, 1], [-1, 1]], "x",

@@ -404,3 +404,44 @@ class TestBatchedLevels:
             assert level.meta == alone.meta and level.meta["penalty_level"] == n
             for name in ("Y", "Z", "dK", "dJ"):
                 assert same_bits(getattr(level, name), getattr(alone, name))
+
+    @pytest.mark.parametrize("driver", ["linear", "stopped", "tanh-sin"])
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_cross_validation_rows_equal_separate_runs(self, scheme, driver, monkeypatch):
+        # cross_validate sweeps the direct solve and both penalty families as
+        # one sweep, then pastes; the direct row keeps the bits of
+        # solve_drbsde, and each family those of its own double_penalization
+        from test_bsde import batch_driver, same_bits
+
+        from drbsde_lab import bsde, drbsde
+        from drbsde_lab.drbsde import _penalty_sweep
+
+        tree = build_lattice(1.0, 6, FULL_TREE)
+        game = make_game(tree, seed=4, driver=batch_driver(driver, tree))
+        schedule = (1.0, 16.0, 256.0, 4096.0)
+        directions = ("increasing", "decreasing")
+        direct, families = _penalty_sweep(tree, game, schedule, directions, scheme)
+        alone = solve_drbsde(tree, game, scheme)
+        assert direct.meta == alone.meta and direct.kind == alone.kind == "doubly-reflected"
+        for name in ("Y", "Z", "dK", "dJ"):
+            assert same_bits(getattr(direct, name), getattr(alone, name))
+        for direction, (levels, report) in zip(directions, families, strict=True):
+            want_levels, want_report = double_penalization(tree, game, schedule, direction,
+                                                           scheme)
+            assert report == want_report
+            for level, want in zip(levels, want_levels, strict=True):
+                assert level.meta == want.meta and level.kind == want.kind
+                for name in ("Y", "Z", "dK", "dJ"):
+                    assert same_bits(getattr(level, name), getattr(want, name))
+        def counted(lattice, g, terminal, *args):
+            sweeps.append(np.shape(terminal)[:-1])
+            return induction(lattice, g, terminal, *args)
+
+        induction, sweeps = bsde.backward_induction, []
+        monkeypatch.setattr(bsde, "backward_induction", counted)
+        monkeypatch.setattr(drbsde, "backward_induction", counted)
+        cross = cross_validate(tree, game, scheme, schedule)
+        assert sweeps == [(1 + 2 * len(schedule),), ()]
+        assert same_bits(cross.ledger.direct.Y, alone.Y)
+        assert cross.gap_direct_increasing == families[0][1].final_gap
+        assert cross.gap_direct_decreasing == families[1][1].final_gap

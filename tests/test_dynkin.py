@@ -409,7 +409,8 @@ class TestPairTableClasses:
                 tau, gamma = (stacked, star) if side == "upper" else (star, stacked)
         got_steps, want_steps = {}, {}
         with mock.patch.object(dynkin, "step_candidate", step_spy(got_steps)):
-            got = dynkin._pair_table_block(tree, game, tau, gamma, scheme)
+            got = dynkin._pair_table_block(tree, game, dynkin._subtree_classes(tau, n),
+                                           dynkin._subtree_classes(gamma, n), scheme)
         with mock.patch.dict(globals(), step_candidate=step_spy(want_steps)):
             want = reference_pair_table_block(tree, game, tau, gamma, scheme)
         assert got.shape == want.shape == (tau[0].shape[0], gamma[0].shape[0])

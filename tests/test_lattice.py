@@ -250,6 +250,23 @@ class TestStoppingRule:
             again = canon.canonicalize()
             assert canon == again
 
+    def test_canonicalize_is_computed_once(self):
+        # the canonical rule is cached on the rule, and its flags are those
+        # of a fresh computation: each flag kept where no ancestor stops
+        lat = build_lattice(1.0, 4, FULL_TREE)
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            flags = [rng.random(lat.n_nodes(k)) < 0.4 for k in range(4)]
+            flags.append(np.ones(16, bool))
+            rule = StoppingRule(lat, tuple(flags))
+            canon = rule.canonicalize()
+            assert canon is rule.canonicalize()
+            fresh = StoppingRule(lat, tuple(flags))
+            reach = fresh.not_yet_stopped()
+            for k in range(4):
+                np.testing.assert_array_equal(canon.flags[k], flags[k] & reach[k])
+            assert canon.flags[4].all()
+
     def test_canonicalize_clears_shadowed_flags(self):
         lat = build_lattice(1.0, 2, FULL_TREE)
         # root flagged: everything below is shadowed

@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -264,12 +265,13 @@ def reference_solve_mc(paths, problem, g, basis=RegressionBasis(), scheme="expli
     flat_lower = 0.0
     flat_upper = 0.0
     penalized = None if penalty is None else penalty[0]
+    levels = tuple(penalty[1] if side == penalized else math.inf for side in ("lower", "upper"))
 
     def clamp(y, t, states, record):
         nonlocal flat_lower, flat_upper
         low, up = (None if fn is None else np.asarray(fn(t, states), dtype=float)
                    for fn in (problem.lower, problem.upper))
-        out, dk, dj = _reflect(y, low, up, dt, penalty)
+        out, dk, dj = _reflect(y, low, up, dt, levels)
         if record and low is not None and penalized != "lower":
             flat_lower = max(flat_lower, float(np.max(np.abs((out - low) * dk))))
         if record and up is not None and penalized != "upper":

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from drbsde_lab import bsde, rbsde
 from drbsde_lab.bsde import penalty_step, solve_bsde, step_candidate
 from drbsde_lab.generator import Generator, registry_generator
 from drbsde_lab.lattice import (
@@ -295,6 +296,11 @@ class TestPenalizationRun:
             penalization_run(self.lat, self.xi, g, self.L, "lower", [])
         with pytest.raises(ValueError):
             penalization_run(self.lat, self.xi, g, self.L, "lower", [4, 1])
+        # the level inf is the clamp inside a sweep: a user's inf, a NaN or a
+        # negative level is refused, while 0 stays a plain solve
+        for bad in ([1, 4, np.inf], [-150, 4], [np.nan]):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                penalization_run(self.lat, self.xi, g, self.L, "lower", bad)
 
     def test_csv_columns(self, tmp_path):
         g = registry_generator("zero")
@@ -405,9 +411,10 @@ class TestBatchedLevels:
     @pytest.mark.parametrize("driver", ["linear", "stopped", "tanh-sin"])
     @pytest.mark.parametrize("side", ["lower", "upper"])
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
-    def test_levels_equal_separate_runs(self, scheme, side, driver):
-        # the schedule runs as one sweep, a row per level; each level keeps
-        # the bits and the metadata of its own one-level run
+    def test_levels_equal_separate_runs(self, scheme, side, driver, monkeypatch):
+        # the schedule runs as one sweep, a row per level and the reflected
+        # limit as the last row; each level keeps the bits and the metadata
+        # of its own one-level run, and the limit those of solve_rbsde
         from test_bsde import batch_driver, same_bits
 
         lat = build_lattice(1.0, 24)
@@ -417,7 +424,27 @@ class TestBatchedLevels:
         obstacle = AdaptedProcess.from_function(
             lat, lambda t, s: np.tanh(s) + sign * (0.2 * np.cos(3 * s) - 0.25))
         schedule = (1.0, 16.0, 256.0, 4096.0)
+        references = []
+
+        def spy(levels, reference, *args):
+            references.append(reference)
+            return report(levels, reference, *args)
+
+        def counted(lattice, g, terminal, *args):
+            sweeps.append(np.shape(terminal))
+            return induction(lattice, g, terminal, *args)
+
+        report, induction, sweeps = rbsde._penalization_report, bsde.backward_induction, []
+        monkeypatch.setattr(rbsde, "_penalization_report", spy)
+        monkeypatch.setattr(bsde, "backward_induction", counted)
         levels, _ = penalization_run(lat, xi, g, obstacle, side, schedule, scheme)
+        assert sweeps == [(len(schedule) + 1, lat.n_nodes(lat.N))]  # one sweep, limit included
+        limit, = references  # the reflected limit the levels are measured against
+        reflected = solve_rbsde(lat, xi, g, obstacle, side, scheme)
+        assert limit.meta == reflected.meta
+        assert limit.kind == reflected.kind == f"reflected-{side}"
+        for name in ("Y", "Z", "dK", "dJ"):
+            assert same_bits(getattr(limit, name), getattr(reflected, name))
         for n, level in zip(schedule, levels):
             (alone,), _ = penalization_run(lat, xi, g, obstacle, side, (n,), scheme)
             assert level.meta == alone.meta and level.meta["penalty_level"] == n

@@ -5,8 +5,12 @@ for themselves: the one-obstacle clamp and penalty, the two-obstacle clamp,
 both penalty directions of the two-obstacle schemes, the pasting step and
 the Monte Carlo clamp with its flat-off products.  The kernel must give the
 same bits (compared as int64) on separated rails, candidates sitting on a
-rail, signed zeros and penalty levels given as a ``(levels, 1)`` column.
+rail, signed zeros and penalty levels given as a ``(levels, 1)`` column.  A
+side whose rows mix clamping (level inf) and penalty rows must give each row
+the bits of that row's own projection.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -134,10 +138,10 @@ def test_kernel_equals_every_replaced_projection(case):
     cand, L, U, n, dt, lower_mode = case
     same_bits(_reflect(cand), plain_ref(cand))
     same_bits(_reflect(cand, L), lower_clamp_ref(cand, L))
-    same_bits(_reflect(cand, L, dt=dt, penalty=("lower", n)), lower_penalty_ref(cand, L, n, dt))
+    same_bits(_reflect(cand, L, dt=dt, levels=(n, math.inf)), lower_penalty_ref(cand, L, n, dt))
     same_bits(_reflect(cand, L, U), two_sided_clamp_ref(cand, L, U))
-    same_bits(_reflect(cand, L, U, dt, ("lower", n)), increasing_ref(cand, L, U, n, dt))
-    same_bits(_reflect(cand, L, U, dt, ("upper", n)), decreasing_ref(cand, L, U, n, dt))
+    same_bits(_reflect(cand, L, U, dt, (n, math.inf)), increasing_ref(cand, L, U, n, dt))
+    same_bits(_reflect(cand, L, U, dt, (math.inf, n)), decreasing_ref(cand, L, U, n, dt))
     # pasting passes each node's inactive side as -inf / +inf
     for row in cand:
         same_bits(_reflect(row, np.where(lower_mode, L, -np.inf),
@@ -153,12 +157,33 @@ def test_kernel_equals_the_monte_carlo_clamp(case, sides, penalized):
     low = None if sides == "upper" else L
     up = None if sides == "lower" else U
     penalty = None if penalized is None else (penalized, float(n[0, 0]))
+    levels = tuple(float(n[0, 0]) if side == penalized else math.inf
+                   for side in ("lower", "upper"))
     for row in cand:
         want, want_lower, want_upper = mc_clamp_ref(row, low, up, dt, penalty)
-        out, dk, dj = _reflect(row, low, up, dt, penalty)
+        out, dk, dj = _reflect(row, low, up, dt, levels)
         same_bits((out,), (want,))
         # solve_mc books the flat-off products from the kernel's output
         if low is not None and penalized != "lower":
             assert float(np.max(np.abs((out - low) * dk))) == want_lower
         if up is not None and penalized != "upper":
             assert float(np.max(np.abs((up - out) * dj))) == want_upper
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cases(), data=st.data())
+def test_mixed_side_equals_each_row_alone(case, data):
+    # per side, each row clamps (level inf) or penalizes at its own level; a
+    # side mixing both gives every row the bits of its own one-row call, and
+    # no inf level reaches the penalty step, so no NaN is made there
+    cand, L, U, n, dt, _ = case
+    rows = len(cand)
+    clamps = [np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+              for _ in range(2)]
+    levels = tuple(np.where(clamp, np.inf, n[:, 0])[:, None] for clamp in clamps)
+    for low, up in ((L, None), (None, U), (L, U)):
+        with np.errstate(invalid="raise"):
+            got = _reflect(cand, low, up, dt, levels)
+        for r in range(rows):
+            want = _reflect(cand[r], low, up, dt, (levels[0][r, 0], levels[1][r, 0]))
+            same_bits([np.broadcast_to(v, cand.shape)[r] for v in got], want)
