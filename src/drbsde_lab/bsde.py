@@ -196,10 +196,13 @@ def backward_induction(lattice: Lattice, g: Generator, terminal, scheme: str, pr
     independent solves swept together (a 1-D ``terminal`` is one row).
     ``project(k, candidate)`` turns the step-``k`` candidate into
     ``(y, dK_k, dJ_k)``: the value and the compensator increments the
-    projection books there.  Returns one ``(Y, Z, dK, dJ, stats)`` per row:
-    four adapted processes viewing the row (terminal slices ``terminal``,
-    zero, zero, zero) and its implicit-iteration stats.  Every element
-    converges on its own, so a row's bits do not depend on its companions.
+    projection books there.  Returns the per-step stacks ``(Y, Z, dK, dJ,
+    stats)``: four lists of ``N + 1`` arrays shaped like ``terminal`` (the
+    last entries ``terminal``, zero, zero, zero) and the implicit-iteration
+    counts, arrays over the rows; :func:`_row_process` and
+    :func:`_row_stats` take one row's, so a caller wraps only the stacks it
+    keeps.  Every element converges on its own, so a row's bits do not
+    depend on its companions.
     """
     n = lattice.N
     last = np.asarray(terminal, dtype=float)
@@ -210,10 +213,17 @@ def backward_induction(lattice: Lattice, g: Generator, terminal, scheme: str, pr
     for k in range(n - 1, -1, -1):
         cand, zvals[k] = step_candidate(lattice, g, k, yvals[k + 1], scheme, stats)
         yvals[k], dk[k], dj[k] = project(k, cand)
-    return [(*(AdaptedProcess(lattice, tuple(v[r] for v in vals))
-               for vals in (yvals, zvals, dk, dj)),
-             {key: int(v[r]) for key, v in stats.items()})
-            for r in np.ndindex(last.shape[:-1])]
+    return yvals, zvals, dk, dj, stats
+
+
+def _row_process(lattice: Lattice, stack, row=()) -> AdaptedProcess:
+    """Row ``row`` (an index into the leading axes) of a per-step stack."""
+    return AdaptedProcess(lattice, tuple(v[row] for v in stack))
+
+
+def _row_stats(stats: dict, row=()) -> dict:
+    """Row ``row``'s implicit-iteration counts."""
+    return {key: int(v[row]) for key, v in stats.items()}
 
 
 def penalty_step(candidate: np.ndarray, obstacle: np.ndarray, n: float, dt: float,
@@ -380,16 +390,17 @@ def _reflected_sweep(lattice: Lattice, g: Generator, terminal, scheme: str, lowe
     # unbooked sides get zeros, not views keeping a mixed side's rows alive
     zero = np.broadcast_to(0.0, lattice.n_nodes(lattice.N))
     zeros = AdaptedProcess(lattice, tuple(zero[:lattice.n_nodes(k)] for k in range(lattice.N + 1)))
+    *stacks, stats = backward_induction(lattice, g, terminal, scheme, project)
     out = []
-    for (n_lower, n_upper, meta), (Y, Z, dK, dJ, stats) in zip(
-            rows, backward_induction(lattice, g, terminal, scheme, project), strict=True):
+    for r, (n_lower, n_upper, meta) in enumerate(rows):
+        Y, Z, dK, dJ = (_row_process(lattice, stack, r) for stack in stacks)
         clamped_lower = lower if n_lower == math.inf else None
         clamped_upper = upper if n_upper == math.inf else None
         out.append(Solution(
             kind=SOLUTION_KINDS[(clamped_lower is not None) + 2 * (clamped_upper is not None)],
             Y=Y, Z=Z, dK=zeros if clamped_lower is None else dK,
             dJ=zeros if clamped_upper is None else dJ,
-            meta={**_base_meta(lattice, g, scheme), **stats, **meta},
+            meta={**_base_meta(lattice, g, scheme), **_row_stats(stats, r), **meta},
             obstacle_lower=clamped_lower, obstacle_upper=clamped_upper))
     return out
 
@@ -463,7 +474,8 @@ def g_evaluate(
         return _reflect(np.where(flagged, np.stack([p[k] for p in pays]), cand))
 
     terminal = np.stack([p[lattice.N] for p in pays])
-    tables = [row[0] for row in backward_induction(lattice, g, terminal, scheme, collect)]
+    yvals = backward_induction(lattice, g, terminal, scheme, collect)[0]
+    tables = [_row_process(lattice, yvals, r) for r in range(rows)]
     return tables if any(isinstance(a, list) for a in given) else tables[0]
 
 

@@ -32,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bsde import (CLAMP_ROW, Solution, _base_meta, _reflect, _reflected_sweep,
-                   backward_induction)
+from .bsde import (CLAMP_ROW, Solution, _base_meta, _reflect, _reflected_sweep, _row_process,
+                   _row_stats, backward_induction)
 from .generator import Generator
 from .lattice import (
     FULL_TREE,
@@ -260,12 +260,11 @@ def pasting_construct(
         return _reflect(cand, np.where(lower_mode, game.L[k], -np.inf),
                         np.where(lower_mode, np.inf, game.U[k]))
 
-    (Y, Z, dK, dJ, stats), = backward_induction(
-        lattice, game.g, game.xi.values, scheme, one_sided
-    )
+    *stacks, stats = backward_induction(lattice, game.g, game.xi.values, scheme, one_sided)
+    Y, Z, dK, dJ = (_row_process(lattice, stack) for stack in stacks)
     pasted = Solution(
         kind="doubly-reflected", Y=Y, Z=Z, dK=dK, dJ=dJ,
-        meta={**_base_meta(lattice, game.g, scheme), **stats, "route": "pasting",
+        meta={**_base_meta(lattice, game.g, scheme), **_row_stats(stats), "route": "pasting",
               "eps_hit": eps},
         obstacle_lower=game.L, obstacle_upper=game.U,
     )

@@ -23,6 +23,7 @@ import json
 import math
 import mmap
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -576,32 +577,39 @@ def _in_two(n: int, work) -> bool:
     return True
 
 
-def _ahead(steps, build, shape):
-    """Yield ``build(k)`` for each ``k`` in ``steps``, in order.
+@contextmanager
+def _ahead(steps, build, shapes):
+    """Context manager giving an iterator over ``build(k)`` for each ``k`` in
+    ``steps``, in order.
 
-    With a fixed ``shape`` of at least ``SPLIT_MIN`` rows, at least two
-    steps and two usable CPUs, a forked child calls ``build(k)`` up to two
-    steps ahead and writes each result into one of two slots of a shared
-    anonymous mmap; the caller gets a read-only view of the slot, valid
-    until it asks for the next item.  One-byte tokens on two pipes say
-    "slot ready" (child to caller) and "slot free" (caller to child).  The
-    child runs on the usable CPUs other than the caller's at the fork: left
-    to the scheduler, it is often woken on the caller's CPU and queued
-    behind it.  It keeps :func:`_in_two`'s contract: ``build`` must own its
-    outputs, and the child calls no BLAS, writes no file, and leaves only
-    through ``os._exit``.  If the child dies (end of file on "ready", or a
-    broken pipe on "free"), the caller builds the remaining steps itself.
-    Otherwise, when ``shape`` is ``None`` (a width that depends on the
-    data), or when ``fork`` fails, every ``build(k)`` runs here.  Close the
-    generator (``contextlib.closing``): its ``finally`` then closes the
-    pipes and reaps the child even when the caller's loop raises.
+    ``build(k)`` returns a tuple of arrays of the fixed ``shapes``.  With
+    ``shapes`` whose first has at least ``SPLIT_MIN`` rows, at least two
+    steps and two usable CPUs, a child forked on entering the context calls
+    ``build(k)`` up to two steps ahead and writes each result into one of
+    two slots of a shared anonymous mmap, one contiguous block per array,
+    so it works while the caller still runs code ahead of its loop.  The
+    caller gets read-only views of the slot's blocks, valid until it asks
+    for the next item.  One-byte tokens on two pipes say "slot ready"
+    (child to caller) and "slot free" (caller to child).  The child runs on
+    the usable CPUs other than the caller's at the fork: left to the
+    scheduler, it is often woken on the caller's CPU and queued behind it.
+    It keeps :func:`_in_two`'s contract: ``build`` must own its outputs, and
+    the child calls no BLAS, writes no file, and leaves only through
+    ``os._exit``.  If the child dies (end of file on "ready", or a broken
+    pipe on "free"), the caller builds the remaining steps itself.
+    Otherwise, when ``shapes`` is ``None`` (widths that depend on the
+    data), or when ``fork`` fails, every ``build(k)`` runs here.  Leaving
+    the context closes the pipes and reaps the child, also when the caller
+    raises, before its loop or in it.
     """
     steps = list(steps)
-    if shape is None or shape[0] < SPLIT_MIN or len(steps) < 2 or _usable_cpus() < 2:
-        yield from map(build, steps)
+    if shapes is None or shapes[0][0] < SPLIT_MIN or len(steps) < 2 or _usable_cpus() < 2:
+        yield map(build, steps)
         return
-    slots = np.frombuffer(mmap.mmap(-1, 2 * math.prod(shape) * 8), dtype=float)
-    slots = slots.reshape(2, *shape)
+    bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+    slots = np.frombuffer(mmap.mmap(-1, 2 * int(bounds[-1]) * 8), dtype=float).reshape(2, -1)
+    blocks = [tuple(slot[a:b].reshape(shape) for a, b, shape in zip(bounds, bounds[1:], shapes))
+              for slot in slots]
     others = _other_cpus()
     ready_r, ready_w = os.pipe()
     free_r, free_w = os.pipe()
@@ -610,7 +618,9 @@ def _ahead(steps, build, shape):
     except OSError:
         for fd in (ready_r, ready_w, free_r, free_w):
             os.close(fd)
-        yield from map(build, steps)
+        pid = None
+    if pid is None:
+        yield map(build, steps)
         return
     if pid == 0:
         code = 1
@@ -622,25 +632,32 @@ def _ahead(steps, build, shape):
                 # slot i % 2 last held step i - 2: wait until it is free
                 if i >= 2 and not os.read(free_r, 1):
                     break
-                slots[i % 2] = build(k)
+                for block, part in zip(blocks[i % 2], build(k), strict=True):
+                    block[...] = part
                 os.write(ready_w, b"r")
             code = 0
         finally:
             os._exit(code)
     os.close(ready_w)
     os.close(free_r)
-    slots.flags.writeable = False  # here only: the child has its own array
-    alive = True
-    try:
+    for slot in blocks:  # here only: the child has its own arrays
+        for block in slot:
+            block.flags.writeable = False
+
+    def items():
+        alive = True
         for i, k in enumerate(steps):
             alive = alive and os.read(ready_r, 1) == b"r"
-            yield slots[i % 2] if alive else build(k)
+            yield blocks[i % 2] if alive else build(k)
             # the child waits for this token only to build step i + 2
             if alive and i + 2 < len(steps):
                 try:
                     os.write(free_w, b"f")
                 except BrokenPipeError:
                     alive = False
+
+    try:
+        yield items()
     finally:
         os.close(ready_r)
         os.close(free_w)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import mmap
-from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -39,9 +38,17 @@ class PathDataError(ValueError):
     """Terminal or obstacle data on the paths fails a :func:`mc_terminal` check."""
 
 
+# paths per chunk of a running sum: a chunk's increments stay in cache
+STATE_CHUNK = 4096
+
+
 @dataclass(frozen=True)
 class PathBundle:
-    """Simulated Brownian increments and the state paths they drive."""
+    """Simulated Brownian increments; the state paths are their running sums.
+
+    Only the increments are kept, ``M * N * d * 8`` bytes.  :meth:`state`
+    rebuilds one step's states, with the bits of ``np.cumsum`` over the
+    steps from a zero start; :attr:`states` builds the whole array."""
 
     d: int
     T: float
@@ -49,7 +56,6 @@ class PathBundle:
     M: int
     seed: int
     increments: np.ndarray  # (M, N, d)
-    states: np.ndarray      # (M, N + 1, d), cumulative sums from zero
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -60,6 +66,42 @@ class PathBundle:
     def gate_ok(self) -> bool:
         return self.diagnostics.get("gate_ok", False)
 
+    def state(self, k: int, mark=(0, None)) -> np.ndarray:
+        """The states at step ``k``, shape ``(M, d)`` (:meth:`states_at`)."""
+        return self.states_at([k], mark)[0]
+
+    def states_at(self, steps, mark=(0, None)) -> list:
+        """The states at each of the increasing ``steps``, one ``(M, d)``
+        array each: zeros at step 0, else ``np.cumsum``'s left-to-right
+        running sum of each path's increments before the step, which starts
+        from the first increment itself (a -0.0 stays -0.0).  One pass over
+        chunks of ``STATE_CHUNK`` paths carries the sum from step to step
+        while the chunk's increments are in cache.  ``mark = (j, states at
+        step j)``, ``j`` at most the first step, resumes the sum there, with
+        the same bits."""
+        j, start = mark
+        outs = [np.zeros((self.M, self.d)) if k == 0 else np.empty((self.M, self.d))
+                for k in steps]
+        for lo in range(0, self.M, STATE_CHUNK):
+            inc = self.increments[lo:lo + STATE_CHUNK]
+            run, at = (inc[:, 0], 1) if j == 0 else (start[lo:lo + STATE_CHUNK], j)
+            for k, out in zip(steps, outs):
+                if k:
+                    rows = out[lo:lo + STATE_CHUNK]
+                    rows[...] = run
+                    for i in range(at, k):
+                        rows += inc[:, i]
+                    run, at = rows, k
+        return outs
+
+    @property
+    def states(self) -> np.ndarray:
+        """Every step's states, shape ``(M, N + 1, d)``, built on each read:
+        no solver or writer reads it."""
+        states = np.zeros((self.M, self.N + 1, self.d))
+        np.cumsum(self.increments, axis=1, out=states[:, 1:, :])
+        return states
+
 
 def simulate_paths(d: int, T: float, N: int, M: int, seed: int) -> PathBundle:
     """Simulate ``M`` independent ``d``-dimensional Brownian paths.
@@ -68,8 +110,9 @@ def simulate_paths(d: int, T: float, N: int, M: int, seed: int) -> PathBundle:
     With two usable CPUs and at least ``lattice.SPLIT_MIN`` paths
     (:func:`lattice._in_two`), a forked child draws paths ``[M/2, M)`` into
     the shared increments buffer, so the bits are those of the serial loop;
-    scaling, cumulative sums and the gate diagnostics then run here, once
-    over the whole bundle."""
+    scaling and the gate diagnostics then run here, once over the whole
+    bundle.  No states are stored: :meth:`PathBundle.state` rebuilds a
+    step's states from the increments."""
     if d < 1 or N < 1:
         raise ValueError("dimension and step count must be positive")
     if T <= 0:
@@ -96,8 +139,6 @@ def simulate_paths(d: int, T: float, N: int, M: int, seed: int) -> PathBundle:
 
     _in_two(M, draw)
     increments *= math.sqrt(dt)
-    states = np.zeros((M, N + 1, d))
-    np.cumsum(increments, axis=1, out=states[:, 1:, :])
 
     flat = increments.reshape(-1, d)
     mean = flat.mean(axis=0)
@@ -118,8 +159,7 @@ def simulate_paths(d: int, T: float, N: int, M: int, seed: int) -> PathBundle:
         diagnostics["cross_gate_ok"] = bool(
             np.max(np.abs(off)) <= 3.0 * dt / math.sqrt(M)
         )
-    return PathBundle(d, float(T), int(N), int(M), int(seed), increments, states,
-                      diagnostics)
+    return PathBundle(d, float(T), int(N), int(M), int(seed), increments, diagnostics)
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +272,8 @@ class McResult:
 
 
 def write_bundle_csv(path, bundle: PathBundle) -> None:
-    """Path dump: one row per (path, step, coordinate)."""
+    """Path dump: one row per (path, step, coordinate), the states rebuilt
+    per chunk of paths."""
     per_path = bundle.N * bundle.d
     pool = _text(b"%d", range(max(bundle.N, bundle.d)))
     steps = pool[np.repeat(np.arange(bundle.N), bundle.d)]
@@ -242,10 +283,13 @@ def write_bundle_csv(path, bundle: PathBundle) -> None:
         fh.write(b"path,k,coord,dB,state\r\n")
         for lo in range(0, bundle.M, per_chunk):
             hi = min(lo + per_chunk, bundle.M)
+            inc = bundle.increments[lo:hi]
             _write_rows(fh, [np.repeat(_text(b"%d", range(lo, hi)), per_path),
                              np.tile(steps, hi - lo), np.tile(coords, hi - lo),
-                             _float_cells(bundle.increments[lo:hi].reshape(-1)),
-                             _float_cells(bundle.states[lo:hi, 1:].reshape(-1))])
+                             _float_cells(inc.reshape(-1)),
+                             # the chunk's states, steps 1 .. N: the bits of
+                             # PathBundle.state
+                             _float_cells(np.cumsum(inc, axis=1).reshape(-1))])
 
 
 def write_mc_sidecar(path, result: "McResult") -> None:
@@ -274,11 +318,42 @@ def _finite(values, what: str, k: int) -> np.ndarray:
     return values
 
 
+def _states_up(paths: PathBundle):
+    """``(k, states at step k)`` for ``k = 0 .. N - 1``, in order, built
+    ``ceil(sqrt(N))`` steps at a time by one :meth:`PathBundle.states_at`
+    pass resumed from the last step of the block before."""
+    every, mark = math.isqrt(paths.N - 1) + 1, (0, None)
+    for lo in range(0, paths.N, every):
+        steps = range(lo, min(lo + every, paths.N))
+        block = list(zip(steps, paths.states_at(steps, mark)))
+        yield from block
+        mark = block[-1]
+
+
+def _states_down(paths: PathBundle):
+    """``at(k)``: the states at step ``k`` (:meth:`PathBundle.state`), for
+    ``k`` taken in any order.  The first call keeps the running sum at every
+    ``ceil(sqrt(N))``-th step, and each call resumes from the last mark at
+    or below ``k``: about ``sqrt(N)`` arrays of ``(M, d)`` floats kept, and
+    fewer than ``sqrt(N)`` steps added per call."""
+    every = math.isqrt(paths.N - 1) + 1
+    marks = [(0, None)]
+
+    def at(k):
+        if len(marks) == 1:
+            steps = range(every, paths.N, every)
+            marks.extend(zip(steps, paths.states_at(steps)))
+        return paths.state(k, marks[min(k // every, len(marks) - 1)])
+
+    return at
+
+
 def mc_terminal(paths: PathBundle, problem: McProblem) -> np.ndarray:
     """Terminal data per path, checked for shape, for the obstacle order the
     lattice solvers also require, and for finite terminal and obstacle
-    values at every path step, one step at a time (:class:`PathDataError`)."""
-    ends = paths.states[:, paths.N, :]
+    values at every path step, one step at a time (:class:`PathDataError`).
+    Each obstacle's check walks the steps forward (:func:`_states_up`)."""
+    ends = paths.state(paths.N)
     term = np.asarray(problem.terminal(ends), dtype=float)
     if term.shape != (paths.M,):
         raise PathDataError("terminal function must return one value per path")
@@ -286,8 +361,8 @@ def mc_terminal(paths: PathBundle, problem: McProblem) -> np.ndarray:
     for side, fn in (("lower", problem.lower), ("upper", problem.upper)):
         if fn is None:
             continue
-        for k in range(paths.N):
-            _finite(fn(paths.dt * k, paths.states[:, k, :]), f"{side} obstacle", k)
+        for k, states in _states_up(paths):
+            _finite(fn(paths.dt * k, states), f"{side} obstacle", k)
         rail = _finite(fn(paths.T, ends), f"{side} obstacle", paths.N)
         if np.any(rail > term + 1e-12 if side == "lower" else term > rail + 1e-12):
             raise PathDataError(f"terminal data {'below' if side == 'lower' else 'above'} "
@@ -318,15 +393,17 @@ def solve_mc(
     call on all batch rows gives each batch the bits of its own solve, and a
     :class:`FixedPointError` names the path by its index in the bundle.
 
-    A polynomial design depends on the states alone and has one column per
-    power, so :func:`lattice._ahead` takes it off the loop: with at least
-    ``lattice.SPLIT_MIN`` paths and two usable CPUs, a forked child builds
-    each step's design up to two steps ahead into a shared buffer, which the
-    loop only reads.  The child calls no BLAS, writes no file and leaves only
-    through ``os._exit``; if it dies, this process builds the remaining
-    designs, with the same bits.  Indicator bins, whose width depends on the
-    data, and smaller bundles build each design here.  No child outlives the
-    call, whether it returns or raises.
+    Each step's states are rebuilt from the increments (:func:`_states_down`),
+    and a polynomial design depends on them alone and has one column per
+    power, so :func:`lattice._ahead` takes both off the loop: with at least
+    ``lattice.SPLIT_MIN`` paths and two usable CPUs, a child forked before
+    :func:`mc_terminal`'s scan builds each step's states and design up to
+    two steps ahead into a shared buffer, which the loop only reads.  The
+    child calls no BLAS, writes no file and leaves only through
+    ``os._exit``; if it dies, this process builds the remaining steps, with
+    the same bits.  Indicator bins, whose width depends on the data, and
+    smaller bundles build each step here.  No child outlives the call,
+    whether it returns or raises, the scan's :class:`PathDataError` included.
 
     The driver is ``g.fn(t, state, y, z)`` with ``state`` and ``z`` of shape
     ``(M,)`` at d = 1 and ``(M, d)`` at d > 1.  Bad terminal or obstacle data
@@ -336,12 +413,6 @@ def solve_mc(
         raise ValueError("stopped drivers follow lattice nodes: no path backend")
     M, N, d = paths.M, paths.N, paths.d
     dt = paths.dt
-    v = mc_terminal(paths, problem)
-    n_batches = max(2, min(batches, M // 100))
-    size = M // n_batches
-    used = n_batches * size
-    batch_v = v[:used]
-
     max_cond = 1.0
     flat_lower = 0.0
     flat_upper = 0.0
@@ -373,17 +444,25 @@ def solve_mc(
         if up is not None and penalized != "upper":
             flat_upper = max(flat_upper, float(np.max(np.abs((up - out) * dj))))
 
-    def build(k):
-        return basis.design(np.ascontiguousarray(paths.states[:, k, :]))
+    state_at = _states_down(paths)
 
-    # a design depends on the states alone, so a child can build it ahead
-    # when its width is known: one column per polynomial power
-    shape = ((M, 1 + len(_total_degree_powers(d, basis.degree)))
-             if basis.family == "polynomial" else None)
+    def build(k):
+        states = state_at(k)
+        return states, basis.design(states)
+
+    # states and design depend on the increments alone, so a child can
+    # build them ahead when the design's width is known: one column per
+    # polynomial power
+    shapes = (((M, d), (M, 1 + len(_total_degree_powers(d, basis.degree))))
+              if basis.family == "polynomial" else None)
     steps = range(N - 1, 0, -1)
-    with closing(_ahead(steps, build, shape)) as designs:
-        for k, design in zip(steps, designs):
-            states = np.ascontiguousarray(paths.states[:, k, :])
+    with _ahead(steps, build, shapes) as built:
+        v = mc_terminal(paths, problem)  # the child builds the first steps meanwhile
+        n_batches = max(2, min(batches, M // 100))
+        size = M // n_batches
+        used = n_batches * size
+        batch_v = v[:used]
+        for k, (states, design) in zip(steps, built):
             db = np.ascontiguousarray(paths.increments[:, k, :])
             low, up = rails(dt * k, states)
             fitted, cond = _project(design, targets(v, db))
@@ -402,7 +481,7 @@ def solve_mc(
                                                            for r in (low, up)))[0]
 
     # root: every path shares the state, plain averages are exact
-    origin = paths.states[:1, 0, :]
+    origin = np.zeros((1, d))
     low, up = rails(0.0, origin)
     inc = np.ascontiguousarray(paths.increments[:, 0, :])
 

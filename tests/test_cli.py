@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -304,6 +305,9 @@ class TestRunKinds:
         assert run_experiment(ExperimentConfig.from_dict(config), tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: lower obstacle is not finite on path ")
+        # with two CPUs the design child forks before the scan; none is left
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("config,error,fields", [
         ({"kind": "bsde", "lattice": {"T": 1.0, "N": 4}, "scheme": "implicit",

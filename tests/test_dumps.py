@@ -199,16 +199,16 @@ def test_node_dumps_match_reference_at_package_chunk(fill, y, z, dk, dj, tmp_pat
                             tmp_path_factory.mktemp("tree"))
 
 
-# rows per path are N*d = 6: one chunk holds two paths, exactly one, or less
+# rows per path are N*d = 6: one chunk holds two paths, exactly one, or less;
+# the states are the increments' running sums, so inf - inf makes NaN quietly
 @pytest.mark.parametrize("chunk", [13, 6, 4])
 @settings(max_examples=15, deadline=None)
-@given(dB=fills, state=fills)
-def test_bundle_dump_matches_reference(chunk, dB, state, tmp_path_factory):
+@given(dB=fills)
+def test_bundle_dump_matches_reference(chunk, dB, tmp_path_factory):
     m, n, d = 5, 3, 2
-    states = np.zeros((m, n + 1, d))
-    states[:, 1:] = _values(state, m * n * d).reshape(m, n, d)
-    bundle = PathBundle(d, 1.0, n, m, 0, _values(dB, m * n * d).reshape(m, n, d), states)
-    with mock.patch.object(mc_module, "DUMP_CHUNK", chunk):
+    bundle = PathBundle(d, 1.0, n, m, 0, _values(dB, m * n * d).reshape(m, n, d))
+    with mock.patch.object(mc_module, "DUMP_CHUNK", chunk), np.errstate(invalid="ignore",
+                                                                        over="ignore"):
         assert_same_bytes(write_bundle_csv, reference_bundle_csv, bundle,
                           tmp_path_factory.mktemp("bundle"))
 

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drbsde_lab.bsde import _reflect, backward_induction
+from drbsde_lab.bsde import _reflect, _row_process, backward_induction
 from drbsde_lab.drbsde import DynkinGame, pasting_construct, solve_drbsde
 from drbsde_lab.dynkin import payoff_R
 from drbsde_lab.generator import registry_generator
@@ -72,8 +72,8 @@ def pasting_reference(lattice, game, scheme, direct, eps):
         return _reflect(cand, np.where(lower_mode, game.L[k], -np.inf),
                         np.where(lower_mode, np.inf, game.U[k]))
 
-    (Y, Z, dK, dJ, _), = backward_induction(lattice, game.g, game.xi.values, scheme,
-                                            one_sided)
+    *stacks, _ = backward_induction(lattice, game.g, game.xi.values, scheme, one_sided)
+    Y, Z, dK, dJ = (_row_process(lattice, stack) for stack in stacks)
 
     boundaries, sides, node_counts = [], [], []
     for depth in range(1, max_depth + 1):

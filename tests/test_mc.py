@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,16 @@ from drbsde_lab.generator import Generator, registry_generator
 from drbsde_lab.lattice import AdaptedProcess, TerminalPayoff, build_lattice
 from drbsde_lab.mc import (
     CONDITION_WARN,
+    STATE_CHUNK,
     McProblem,
     McResult,
+    PathBundle,
+    PathDataError,
     RegressionBasis,
     SingularRegressionError,
     _project,
+    _states_down,
+    _states_up,
     mc_terminal,
     simulate_paths,
     solve_mc,
@@ -69,6 +75,70 @@ class TestSimulate:
             simulate_paths(0, 1.0, 8, 100, 0)
         with pytest.raises(ValueError):
             simulate_paths(1, -1.0, 8, 100, 0)
+
+
+def _cumsum_states(increments):
+    """The states array the bundle once stored: cumulative sums from zero."""
+    M, N, d = increments.shape
+    states = np.zeros((M, N + 1, d))
+    np.cumsum(increments, axis=1, out=states[:, 1:, :])
+    return states
+
+
+class TestStates:
+    """A bundle keeps its increments; each step's states are rebuilt."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_every_step_has_the_cumulative_sum_bits(self, d):
+        # not a whole number of chunks; some paths start at -0.0, one stays there
+        M, N = STATE_CHUNK + 37, 9
+        increments = np.random.default_rng(d).normal(scale=1 / 3, size=(M, N, d))
+        increments[::5, 0, 0] = -0.0
+        increments[M - 1] = -0.0
+        paths = PathBundle(d, 1.0, N, M, 0, increments)
+        want = _cumsum_states(increments)
+        assert np.signbit(want[M - 1, 1:]).all()
+        assert paths.states.tobytes() == want.tobytes()
+        for k in range(N + 1):
+            assert paths.state(k).tobytes() == want[:, k].tobytes()
+            for j in range(1, k + 1):
+                assert paths.state(k, (j, want[:, j])).tobytes() == want[:, k].tobytes()
+        every = paths.states_at(range(N + 1))
+        assert b"".join(a.tobytes() for a in every) == want.transpose(1, 0, 2).tobytes()
+        assert [k for k, _ in _states_up(paths)] == list(range(N))
+        for k, states in _states_up(paths):
+            assert states.tobytes() == want[:, k].tobytes()
+        at = _states_down(paths)
+        for k in [N - 1, 3, N, 0, 1, 4, 8, 5]:
+            assert at(k).tobytes() == want[:, k].tobytes()
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_no_allocation_holds_every_step(self, split, force_split):
+        # the parent never holds M * (N + 1) * d floats at once, in the scan,
+        # in the backward loop or after it
+        forks = force_split(split)
+        M, N = 40_000, 16
+        largest = []
+
+        def held():
+            largest.append(max((t.size for t in tracemalloc.take_snapshot().traces), default=0))
+
+        def lower(t, s):
+            held()
+            return np.tanh(s[:, 0]) - 0.3
+
+        problem = McProblem(terminal=lambda s: np.tanh(s[:, 0]), lower=lower)
+        tracemalloc.start()
+        try:
+            paths = simulate_paths(1, 1.0, N, M, 31)
+            held()
+            solve_mc(paths, problem, registry_generator("linear:-0.5,0.3"))
+            held()
+        finally:
+            tracemalloc.stop()
+        assert len(forks) == 2 * split  # the draws and the design child
+        assert len(largest) > 2 * N
+        assert max(largest) < M * (N + 1) * 8
 
 
 class TestTwoProcessDraw:
@@ -468,6 +538,24 @@ class TestDesignAhead:
         # the child's calls are counted in its own copy of ``built``
         assert len(built) == paths.N - 1 - fail_from
         assert _bits(split) == _bits(serial)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_the_child_forks_before_the_scan_and_is_reaped_when_it_fails(self, force_split):
+        force_split(False)
+        paths = simulate_paths(1, 1.0, 8, _SPLIT_M, 23)
+        marked = paths.state(3)[17, 0]
+        seen = []
+
+        def lower(t, s):
+            seen.append(len(forks))
+            return np.where(s[:, 0] == marked, np.nan, np.tanh(s[:, 0]) - 0.3)
+
+        forks = force_split(True)
+        problem = McProblem(terminal=lambda s: np.tanh(s[:, 0]), lower=lower)
+        with pytest.raises(PathDataError, match="lower obstacle is not finite on path 17 at step 3"):
+            solve_mc(paths, problem, registry_generator("zero"))
+        assert seen == [1] * 4  # the scan ran with the child already forked
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
