@@ -215,13 +215,17 @@ class ExperimentConfig:
         with _config_check():
             return float(self.raw.get("tolerances", {}).get(key, DEFAULT_TOLERANCES[key]))
 
-    def integer(self, key: str, default: int, spec: dict | None = None) -> int:
-        """Integral number ``key`` of ``spec`` (the top level by default):
-        ``4`` and ``4.0`` pass, ``4.7`` is a config error, not a truncation."""
+    def integer(self, key: str, default: int, spec: dict | None = None,
+                low: float = -math.inf) -> int:
+        """Integral number ``key`` of ``spec`` (the top level by default), at
+        least ``low``: ``4`` and ``4.0`` pass, ``4.7`` is a config error, not
+        a truncation."""
         with _config_check():
             value = (self.raw if spec is None else spec).get(key, default)
             if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{key} must be >= {low}, got {value!r}")
             return int(value)
 
     def choice(self, key: str, default: str, allowed) -> str:
@@ -236,7 +240,7 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return self.integer("seed", 0)
+        return self.integer("seed", 0, low=0)
 
     @property
     def schedule(self):
@@ -415,7 +419,7 @@ def _run_axioms(cfg: ExperimentConfig, out: Path) -> dict:
     lat = cfg.lattice()
     if lat.mode != "full-tree":
         raise ConfigError("axioms experiments need a full-tree lattice")
-    cases = cfg.integer("cases", 50)
+    cases = cfg.integer("cases", 50, low=1)
     report = verify_evaluation_axioms(
         lat, cfg.generator(), cases=cases, seed=cfg.seed, scheme=cfg.scheme,
         tol=cfg.tolerance("axioms"),
@@ -431,11 +435,14 @@ def _run_hypotheses(cfg: ExperimentConfig, out: Path) -> dict:
     spec = cfg.raw.get("box")
     with _config_check():
         box = tuple(tuple(float(x) for x in pair) for pair in spec) if spec else DEFAULT_BOX
-        samples = cfg.integer("samples", 2000)
-        if [len(pair) for pair in box] != [2] * 4 or samples < 1:
-            raise ValueError("box needs four (lo, hi) pairs and samples must be >= 1")
-        expected_fail = set(cfg.raw.get("expected_failures", []))
+        samples = cfg.integer("samples", 2000, low=1)
+        if [len(pair) for pair in box] != [2] * 4:
+            raise ValueError("box needs four (lo, hi) pairs")
     report = check_hypotheses(cfg.generator(), samples, box, cfg.seed)
+    expected_fail = cfg.raw.get("expected_failures", [])
+    if not (isinstance(expected_fail, list)
+            and all(isinstance(name, str) and name in report.results for name in expected_fail)):
+        raise ConfigError(f"expected_failures must list names among {sorted(report.results)}")
     checks = {
         name: {
             "passed": r.passed,
@@ -463,7 +470,7 @@ def _run_mc_crosscheck(cfg: ExperimentConfig, out: Path) -> dict:
     with _config_check():
         mc_spec = cfg.raw.get("mc", {})
         m_paths = cfg.integer("M", 100_000, mc_spec)
-        degree = cfg.integer("degree", 3, mc_spec)
+        basis = RegressionBasis(cfg.integer("degree", 3, mc_spec))
         paths = simulate_paths(1, lat.T, lat.N, m_paths, cfg.seed)
     term_fn = cfg.expression("terminal", required=True)
     lower_fn = cfg.expression("lower")
@@ -480,8 +487,7 @@ def _run_mc_crosscheck(cfg: ExperimentConfig, out: Path) -> dict:
         upper=wrap(upper_fn),
     )
     try:
-        result = solve_mc(paths, problem, cfg.generator(),
-                          RegressionBasis("polynomial", degree), cfg.scheme)
+        result = solve_mc(paths, problem, cfg.generator(), basis, cfg.scheme)
     except PathDataError as exc:
         raise ConfigError(str(exc)) from exc
     write_mc_sidecar(out / "mc_estimate.json", result)

@@ -538,36 +538,44 @@ def _other_cpus() -> set:
     return cpus - {here} or cpus
 
 
-def _in_two(n: int, work) -> bool:
-    """Run ``work(lo, hi)`` over ``[0, n)``; return whether it was split.
-
-    With at least ``SPLIT_MIN`` items and two usable CPUs, a forked child
-    runs the upper half ``[n // 2, n)`` while the caller runs the lower
-    half, then waits for it; if the child did not exit 0, the caller runs
-    the upper half itself.  The child runs on the usable CPUs other than
-    the caller's at the fork, as in :func:`_ahead`.  ``work`` must own its
-    outputs: the child calls no BLAS, writes no file the caller has open,
-    and leaves only through ``os._exit``, so it never flushes an inherited
-    buffer.  Otherwise, or when ``fork`` fails, ``work(0, n)`` runs here.
-    """
-    if n < SPLIT_MIN or _usable_cpus() < 2:
-        work(0, n)
-        return False
-    mid = n // 2
+def _fork(child):
+    """Fork a child that runs ``child()``; return its pid for the caller to
+    reap, or ``None`` when ``fork`` fails.  The child runs on the CPUs that
+    :func:`_other_cpus` names (left to the scheduler, it often queues behind
+    the caller) and leaves only through ``os._exit``: 0 when ``child()``
+    returns, 1 when it raises, never flushing an inherited buffer.  ``child``
+    must own its outputs: it calls no BLAS and writes no file the caller has
+    open."""
     others = _other_cpus()
     try:
         pid = os.fork()
     except OSError:
-        work(0, n)
-        return False
+        return None
     if pid == 0:
         code = 1
         try:
             os.sched_setaffinity(0, others)
-            work(mid, n)
+            child()
             code = 0
         finally:
             os._exit(code)
+    return pid
+
+
+def _in_two(n: int, work) -> bool:
+    """Run ``work(lo, hi)`` over ``[0, n)``; return whether it was split.
+
+    With at least ``SPLIT_MIN`` items and two usable CPUs, a child forked by
+    :func:`_fork` runs the upper half ``[n // 2, n)`` while the caller runs
+    the lower half, then waits for it; if the child did not exit 0, the
+    caller runs the upper half itself.  ``work`` keeps :func:`_fork`'s
+    contract.  Otherwise, or when ``fork`` fails, ``work(0, n)`` runs here.
+    """
+    mid = n // 2
+    pid = None if n < SPLIT_MIN or _usable_cpus() < 2 else _fork(lambda: work(mid, n))
+    if pid is None:
+        work(0, n)
+        return False
     try:
         work(0, mid)
     finally:
@@ -584,60 +592,48 @@ def _ahead(steps, build, shapes):
 
     ``build(k)`` returns a tuple of arrays of the fixed ``shapes``.  With
     ``shapes`` whose first has at least ``SPLIT_MIN`` rows, at least two
-    steps and two usable CPUs, a child forked on entering the context calls
-    ``build(k)`` up to two steps ahead and writes each result into one of
-    two slots of a shared anonymous mmap, one contiguous block per array,
-    so it works while the caller still runs code ahead of its loop.  The
-    caller gets read-only views of the slot's blocks, valid until it asks
-    for the next item.  One-byte tokens on two pipes say "slot ready"
-    (child to caller) and "slot free" (caller to child).  The child runs on
-    the usable CPUs other than the caller's at the fork: left to the
-    scheduler, it is often woken on the caller's CPU and queued behind it.
-    It keeps :func:`_in_two`'s contract: ``build`` must own its outputs, and
-    the child calls no BLAS, writes no file, and leaves only through
-    ``os._exit``.  If the child dies (end of file on "ready", or a broken
-    pipe on "free"), the caller builds the remaining steps itself.
-    Otherwise, when ``shapes`` is ``None`` (widths that depend on the
-    data), or when ``fork`` fails, every ``build(k)`` runs here.  Leaving
-    the context closes the pipes and reaps the child, also when the caller
-    raises, before its loop or in it.
+    steps and two usable CPUs, a child forked by :func:`_fork` on entering
+    the context calls ``build(k)`` up to two steps ahead and writes each
+    result into one of two slots of a shared anonymous mmap, one contiguous
+    block per array, so it works while the caller still runs code ahead of
+    its loop.  The caller gets read-only views of the slot's blocks, valid
+    until it asks for the next item.  One-byte tokens on two pipes say
+    "slot ready" (child to caller) and "slot free" (caller to child).
+    ``build`` keeps :func:`_fork`'s contract.  If the child dies (end of
+    file on "ready", or a broken pipe on "free"), the caller builds the
+    remaining steps itself.  Otherwise, or when ``fork`` fails (its pipes
+    are then closed), every ``build(k)`` runs here.  Leaving the context
+    closes the pipes and reaps the child, also when the caller raises,
+    before its loop or in it.
     """
     steps = list(steps)
-    if shapes is None or shapes[0][0] < SPLIT_MIN or len(steps) < 2 or _usable_cpus() < 2:
+    if shapes[0][0] < SPLIT_MIN or len(steps) < 2 or _usable_cpus() < 2:
         yield map(build, steps)
         return
     bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
     slots = np.frombuffer(mmap.mmap(-1, 2 * int(bounds[-1]) * 8), dtype=float).reshape(2, -1)
     blocks = [tuple(slot[a:b].reshape(shape) for a, b, shape in zip(bounds, bounds[1:], shapes))
               for slot in slots]
-    others = _other_cpus()
     ready_r, ready_w = os.pipe()
     free_r, free_w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
+
+    def child():
+        os.close(ready_r)
+        os.close(free_w)
+        for i, k in enumerate(steps):
+            # slot i % 2 last held step i - 2: wait until it is free
+            if i >= 2 and not os.read(free_r, 1):
+                break
+            for block, part in zip(blocks[i % 2], build(k), strict=True):
+                block[...] = part
+            os.write(ready_w, b"r")
+
+    pid = _fork(child)
+    if pid is None:
         for fd in (ready_r, ready_w, free_r, free_w):
             os.close(fd)
-        pid = None
-    if pid is None:
         yield map(build, steps)
         return
-    if pid == 0:
-        code = 1
-        try:
-            os.close(ready_r)
-            os.close(free_w)
-            os.sched_setaffinity(0, others)
-            for i, k in enumerate(steps):
-                # slot i % 2 last held step i - 2: wait until it is free
-                if i >= 2 and not os.read(free_r, 1):
-                    break
-                for block, part in zip(blocks[i % 2], build(k), strict=True):
-                    block[...] = part
-                os.write(ready_w, b"r")
-            code = 0
-        finally:
-            os._exit(code)
     os.close(ready_w)
     os.close(free_r)
     for slot in blocks:  # here only: the child has its own arrays

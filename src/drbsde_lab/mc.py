@@ -1,7 +1,7 @@
 """Monte Carlo backend: simulated Brownian paths and regression projections.
 
 Conditional expectations are cross-sectional least-squares projections on a
-user-chosen basis, in place of the lattice's exact child averages; the
+polynomial basis, in place of the lattice's exact child averages; the
 driver update (explicit, or the damped implicit fixed point) is the
 lattice kernel's own, and so is the reflection and penalty step,
 ``bsde._reflect``, applied after the regression, so obstacle constraints
@@ -169,41 +169,21 @@ def simulate_paths(d: int, T: float, N: int, M: int, seed: int) -> PathBundle:
 
 @dataclass(frozen=True)
 class RegressionBasis:
-    """Cross-sectional basis: total-degree polynomials or indicator bins."""
+    """Cross-sectional basis: the monomials of total degree at most
+    ``degree`` in the state coordinates, the constant first.  Degree 0 is a
+    constant regression; a negative degree is a ``ValueError``."""
 
-    family: str = "polynomial"
     degree: int = 3
-    bins: int = 8
+
+    def __post_init__(self):
+        if self.degree < 0:
+            raise ValueError(f"basis degree must be >= 0, got {self.degree}")
 
     def design(self, states: np.ndarray) -> np.ndarray:
         """Design matrix at one time slice; states has shape (M, d)."""
-        if self.family == "polynomial":
-            return self._poly(states)
-        if self.family == "indicator-bins":
-            if states.shape[1] != 1:
-                raise ValueError("indicator bins support one dimension")
-            x = states[:, 0]
-            edges = np.quantile(x, np.linspace(0.0, 1.0, self.bins + 1)[1:-1])
-            idx = np.searchsorted(edges, x)
-            mat = np.zeros((x.size, self.bins))
-            mat[np.arange(x.size), idx] = 1.0
-            keep = mat.sum(axis=0) > 0
-            return mat[:, keep]
-        raise ValueError(f"unknown basis family {self.family!r}")
-
-    def design_rows(self, states: np.ndarray, design: np.ndarray, rows: slice) -> np.ndarray:
-        """Design of ``states[rows]`` alone, given ``design`` of all ``states``:
-        a row slice of it for the elementwise polynomials, rebuilt for
-        indicator bins, whose quantile edges come from the rows given."""
-        if self.family == "polynomial":
-            return design[rows]
-        return self.design(states[rows])
-
-    def _poly(self, states: np.ndarray) -> np.ndarray:
         m, d = states.shape
         cols = [np.ones(m)]
-        powers = _total_degree_powers(d, self.degree)
-        for p in powers:
+        for p in _total_degree_powers(d, self.degree):
             col = np.ones(m)
             for axis, e in enumerate(p):
                 if e:
@@ -299,9 +279,7 @@ def write_mc_sidecar(path, result: "McResult") -> None:
         "stderr": result.stderr,
         "seed": result.seed,
         "scheme": result.scheme,
-        "basis_family": result.basis.family,
         "basis_degree": result.basis.degree,
-        "basis_bins": result.basis.bins,
         "max_condition": result.max_condition,
         "condition_warning": result.condition_warning,
         "flat_off_lower": result.flat_off_lower,
@@ -394,16 +372,17 @@ def solve_mc(
     :class:`FixedPointError` names the path by its index in the bundle.
 
     Each step's states are rebuilt from the increments (:func:`_states_down`),
-    and a polynomial design depends on them alone and has one column per
-    power, so :func:`lattice._ahead` takes both off the loop: with at least
+    and the design depends on them alone and has one column per power, so
+    :func:`lattice._ahead` takes both off the loop: with at least
     ``lattice.SPLIT_MIN`` paths and two usable CPUs, a child forked before
     :func:`mc_terminal`'s scan builds each step's states and design up to
     two steps ahead into a shared buffer, which the loop only reads.  The
     child calls no BLAS, writes no file and leaves only through
     ``os._exit``; if it dies, this process builds the remaining steps, with
-    the same bits.  Indicator bins, whose width depends on the data, and
-    smaller bundles build each step here.  No child outlives the call,
-    whether it returns or raises, the scan's :class:`PathDataError` included.
+    the same bits; smaller bundles build each step here.  No child outlives
+    the call, whether it returns or raises, the scan's
+    :class:`PathDataError` included.  A batch regresses on its rows of the
+    bundle's design, whose columns are elementwise in the states.
 
     The driver is ``g.fn(t, state, y, z)`` with ``state`` and ``z`` of shape
     ``(M,)`` at d = 1 and ``(M, d)`` at d > 1.  Bad terminal or obstacle data
@@ -451,10 +430,8 @@ def solve_mc(
         return states, basis.design(states)
 
     # states and design depend on the increments alone, so a child can
-    # build them ahead when the design's width is known: one column per
-    # polynomial power
-    shapes = (((M, d), (M, 1 + len(_total_degree_powers(d, basis.degree))))
-              if basis.family == "polynomial" else None)
+    # build them ahead: the design has one column per power
+    shapes = ((M, d), (M, 1 + len(_total_degree_powers(d, basis.degree))))
     steps = range(N - 1, 0, -1)
     with _ahead(steps, build, shapes) as built:
         v = mc_terminal(paths, problem)  # the child builds the first steps meanwhile
@@ -475,8 +452,7 @@ def solve_mc(
             del db  # the contiguous copy is not held through the batch pass
             for lo in range(0, used, size):
                 rows = slice(lo, lo + size)
-                fitted[rows] = _project(basis.design_rows(states, design, rows),
-                                        fitted[rows])[0]
+                fitted[rows] = _project(design[rows], fitted[rows])[0]
             batch_v = advance(fitted, k, states[:used], *(None if r is None else r[:used]
                                                            for r in (low, up)))[0]
 

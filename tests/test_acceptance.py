@@ -326,7 +326,7 @@ def test_criterion_12_mc_cross_check():
             lower=lambda t, s: f(s[:, 0]) - 0.25,
             upper=lambda t, s: f(s[:, 0]) + 0.25,
         )
-        basis = RegressionBasis("polynomial", 3)
+        basis = RegressionBasis(3)
         result = solve_mc(paths, problem, g, basis)
         again = solve_mc(paths, problem, g, basis)
         assert result.y0 == again.y0 and result.stderr == again.stderr

@@ -396,10 +396,22 @@ class TestRunKinds:
          "full-tree lattice"),
         ({"kind": "bsde", "lattice": {"T": 1.0, "N": 3}, "terminal": "state",
           "scheme": "Implicit"}, "scheme must be one of"),
+        # a check over no case computes nothing
+        *[({"kind": "axioms", "lattice": {"T": 1.0, "N": 2, "mode": "full-tree"},
+            "cases": cases}, f"cases must be >= 1, got {cases}") for cases in (0, -1)],
+        # not a list of names among the report's checks
+        *[({"kind": "hypotheses", "samples": 20, "expected_failures": names},
+           "expected_failures must list names among ['H1', 'H2', 'H3', 'H4', 'H5']")
+          for names in ("H5", ["H6"], ["H1", ["H2"]])],
+        # a negative total degree names no basis
+        ({**GAME_CONFIG, "kind": "mc-crosscheck", "lattice": {"T": 1.0, "N": 4},
+          "mc": {"M": 400, "degree": -1}}, "basis degree must be >= 0, got -1"),
     ], ids=["terminal-order", "schedule",
             *(f"schedule-{kind}-{bad}" for kind in ("penalization", "pasting")
               for bad in ("inf", "negative", "nan")),
-            "oracle-cap", "full-tree-only", "scheme"])
+            "oracle-cap", "full-tree-only", "scheme", "cases-0", "cases-negative",
+            "expected-failures-string", "expected-failures-unknown",
+            "expected-failures-nested", "mc-degree-negative"])
     def test_config_reachable_solver_checks_exit_2(self, tmp_path, capsys, config, message):
         assert run_experiment(ExperimentConfig.from_dict(config), tmp_path / "out") == 2
         err = capsys.readouterr().err
@@ -422,6 +434,22 @@ class TestRunKinds:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "must be an integer" in err
         assert not (tmp_path / "out" / "solution.csv").exists()
+
+    @pytest.mark.parametrize("config,override", [
+        ({**GAME_CONFIG, "seed": -1}, []),
+        ({"kind": "axioms", "lattice": {"T": 1.0, "N": 2, "mode": "full-tree"}, "cases": 2,
+          "seed": -1}, []),
+        ({"kind": "hypotheses", "samples": 20, "seed": -1}, []),
+        ({**GAME_CONFIG, "kind": "mc-crosscheck", "lattice": {"T": 1.0, "N": 4},
+          "mc": {"M": 400}, "seed": -1}, []),
+        (GAME_CONFIG, ["--seed", "-1"]),
+    ], ids=["dynkin-verify", "axioms", "hypotheses", "mc-crosscheck", "cli-override"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, config, override):
+        # numpy's generators reject a negative seed: a config error, not exit 4
+        path = write_config(tmp_path, "seed.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), *override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "seed must be >= 0, got -1" in err
 
     def test_integral_float_fields_run(self, tmp_path):
         config = {"kind": "bsde", "lattice": {"T": 1.0, "N": 4.0}, "terminal": "state"}
@@ -577,7 +605,7 @@ SPOILERS = {
             [[0, 1], [-1, 1], [-1, 1], [-1, 1]]],
     "expected_failures": [5, ["H1"]],
     "mc": [{"M": 50}, {"degree": -1}, {"M": "x"}, [], {"M": 400, "degree": 0}, {"M": 400.5}],
-    "seed": ["x", None, 1.5],
+    "seed": ["x", None, 1.5, -1],
     "tolerances": [{"value_gap": "x"}, "x", {"value_gap": 0.0}],
 }
 

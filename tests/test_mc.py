@@ -1,4 +1,5 @@
 import math
+import mmap
 import os
 import tracemalloc
 
@@ -188,17 +189,19 @@ class TestRegression:
             _project(design, np.random.default_rng(0).normal(size=(50, 1)))
 
     def test_polynomial_design_shape(self):
-        basis = RegressionBasis("polynomial", 3)
+        basis = RegressionBasis(3)
         states = np.random.default_rng(0).normal(size=(100, 1))
         design = basis.design(states)
         assert design.shape == (100, 4)
 
-    def test_indicator_bins(self):
-        basis = RegressionBasis("indicator-bins", bins=6)
-        states = np.random.default_rng(0).normal(size=(500, 1))
-        design = basis.design(states)
-        assert design.shape[1] <= 6
-        np.testing.assert_allclose(design.sum(axis=1), 1.0)
+    def test_degree_zero_is_a_constant_regression(self):
+        states = np.random.default_rng(0).normal(size=(100, 2))
+        np.testing.assert_array_equal(RegressionBasis(0).design(states), np.ones((100, 1)))
+
+    @pytest.mark.parametrize("degree", [-1, -2])
+    def test_negative_degree_rejected(self, degree):
+        with pytest.raises(ValueError, match=f"basis degree must be >= 0, got {degree}"):
+            RegressionBasis(degree)
 
 
 class TestSolve:
@@ -259,16 +262,6 @@ class TestSolve:
         clamped = solve_mc(paths, prob, g)
         pen = solve_mc(paths, prob, g, penalty=("lower", 4096.0))
         assert abs(clamped.y0 - pen.y0) <= 2e-3
-
-    def test_indicator_basis_end_to_end(self):
-        paths = simulate_paths(1, 1.0, 8, 5000, 33)
-        res = solve_mc(
-            paths,
-            McProblem(terminal=lambda s: np.tanh(s[:, 0])),
-            registry_generator("zero"),
-            RegressionBasis("indicator-bins", bins=8),
-        )
-        assert np.isfinite(res.y0)
 
     def test_stalled_implicit_step_raises(self):
         # dt * |a| = 12.5: the undamped iteration diverges and must not
@@ -431,17 +424,11 @@ class TestSharedSweep:
         (1, 20_050, _PUT, "linear:-0.5,0", {"penalty": ("lower", 4096.0)}),
         (1, 5030, _CALL, "linear:-0.5,0.2", {"penalty": ("upper", 512.0),
                                               "scheme": "implicit"}),
-        (1, 5000, _TANH, "linear:-0.5,0.3",
-         {"basis": RegressionBasis("indicator-bins", bins=8)}),
-        (1, 5030, _CALL, "linear:-0.5,0.2",
-         {"basis": RegressionBasis("indicator-bins", bins=6), "scheme": "implicit",
-          "penalty": ("upper", 512.0)}),
-        (2, 6010, _D2, None, {"basis": RegressionBasis("polynomial", 2)}),
-        (2, 6010, _D2, None, {"basis": RegressionBasis("polynomial", 2),
+        (2, 6010, _D2, None, {"basis": RegressionBasis(2)}),
+        (2, 6010, _D2, None, {"basis": RegressionBasis(2),
                               "scheme": "implicit", "batches": 7}),
     ], ids=["explicit", "implicit", "lower-penalty-uneven", "upper-penalty-implicit-uneven",
-            "indicator-bins", "indicator-bins-implicit-upper-penalty", "d2-custom-driver",
-            "d2-implicit-7-batches"])
+            "d2-custom-driver", "d2-implicit-7-batches"])
     def test_equals_per_batch_replay(self, d, M, problem, spec, kwargs):
         paths = simulate_paths(d, 1.0, 8, M, 17)
         g = _d2_driver() if spec is None else registry_generator(spec)
@@ -479,8 +466,8 @@ class TestDesignAhead:
     """A forked child builds each step's polynomial design one step ahead."""
 
     @pytest.mark.parametrize("d,problem,spec,kwargs", [
-        (1, _TANH, "linear:-0.5,0.3", {"basis": RegressionBasis("polynomial", 3)}),
-        (2, _D2, None, {"basis": RegressionBasis("polynomial", 2), "scheme": "implicit"}),
+        (1, _TANH, "linear:-0.5,0.3", {"basis": RegressionBasis(3)}),
+        (2, _D2, None, {"basis": RegressionBasis(2), "scheme": "implicit"}),
         (1, _PUT, "linear:-0.5,0", {"penalty": ("lower", 4096.0)}),
     ], ids=["d1-degree3", "d2-degree2-implicit", "lower-penalty"])
     def test_split_gives_the_serial_result(self, d, problem, spec, kwargs, force_split,
@@ -503,15 +490,55 @@ class TestDesignAhead:
         assert built == []  # the child built every design
         assert _bits(split) == _bits(serial)
 
-    def test_only_the_polynomial_basis_forks(self, force_split):
-        forks = force_split(True)
+    def test_the_child_runs_on_the_other_cpus(self, force_split, monkeypatch):
+        force_split(False)
         paths = simulate_paths(1, 1.0, 8, _SPLIT_M, 23)
+        g = registry_generator("linear:-0.5,0.3")
+        serial = solve_mc(paths, _TANH, g)
+        forks = force_split(True)
+        # the child runs on the CPUs that _other_cpus names at the fork
+        cpu = min(os.sched_getaffinity(0))
+        monkeypatch.setattr(lattice_module, "_other_cpus", lambda: {cpu})
+        child_cpus = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)  # (count, lowest)
+        parent = os.getpid()
+        real_design = RegressionBasis.design
+
+        def recording_design(basis, states):
+            if os.getpid() != parent:
+                cpus = os.sched_getaffinity(0)
+                child_cpus[:] = len(cpus), min(cpus)
+            return real_design(basis, states)
+
+        monkeypatch.setattr(RegressionBasis, "design", recording_design)
+        split = solve_mc(paths, _TANH, g)
         assert len(forks) == 1
-        solve_mc(paths, _TANH, registry_generator("zero"),
-                 RegressionBasis("indicator-bins", bins=8))
-        assert len(forks) == 1
-        solve_mc(paths, _TANH, registry_generator("zero"), RegressionBasis("polynomial", 3))
-        assert len(forks) == 2
+        assert child_cpus.tolist() == [1, cpu]
+        assert _bits(split) == _bits(serial)
+
+    def test_serial_result_and_no_open_pipe_when_fork_fails(self, force_split, monkeypatch):
+        force_split(False)
+        paths = simulate_paths(1, 1.0, 8, _SPLIT_M, 23)
+        g = registry_generator("linear:-0.5,0.3")
+        serial = solve_mc(paths, _TANH, g)
+        force_split(True)
+
+        def no_fork():
+            raise OSError("no more processes")
+
+        pipes = []
+        real_pipe = os.pipe
+
+        def counting_pipe():
+            pipes.append(real_pipe())
+            return pipes[-1]
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "pipe", counting_pipe)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        split = solve_mc(paths, _TANH, g)
+        assert len(pipes) == 2  # the split was tried
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        assert _bits(split) == _bits(serial)
 
     @pytest.mark.parametrize("fail_from", [0, 3])
     def test_designs_failing_in_the_child_are_redone_by_the_parent(
@@ -597,6 +624,9 @@ class TestSerialization:
         payload = json.loads((tmp_path / "est.json").read_text())
         assert payload["seed"] == 6
         assert payload["basis_degree"] == 3
+        assert sorted(payload) == sorted([
+            "y0", "stderr", "seed", "scheme", "basis_degree", "max_condition",
+            "condition_warning", "flat_off_lower", "flat_off_upper", "bootstrap_samples"])
 
 
 class TestLatticeCrossCheck:
@@ -617,6 +647,6 @@ class TestLatticeCrossCheck:
             lower=lambda t, s: f(s[:, 0]) - 0.25,
             upper=lambda t, s: f(s[:, 0]) + 0.25,
         )
-        res = solve_mc(paths, prob, g, RegressionBasis("polynomial", 3))
+        res = solve_mc(paths, prob, g, RegressionBasis(3))
         scale = game.scale()
         assert abs(res.y0 - ref) <= 3 * res.stderr + 0.05 * scale
