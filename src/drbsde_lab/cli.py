@@ -438,6 +438,9 @@ def _run_hypotheses(cfg: ExperimentConfig, out: Path) -> dict:
         samples = cfg.integer("samples", 2000, low=1)
         if [len(pair) for pair in box] != [2] * 4:
             raise ValueError("box needs four (lo, hi) pairs")
+        if not all(0.0 <= hi - lo < math.inf for lo, hi in box):  # NaN fails too
+            raise ValueError(f"box needs (lo, hi) pairs with lo <= hi and hi - lo finite, "
+                             f"got {box}")
     report = check_hypotheses(cfg.generator(), samples, box, cfg.seed)
     expected_fail = cfg.raw.get("expected_failures", [])
     if not (isinstance(expected_fail, list)

@@ -14,8 +14,11 @@ terminal data when both wait to the end:
 The exhaustive oracle brute-forces the pair table, so its sup-inf/inf-sup
 values are exact finite maxima, independent of any solver identity.  It
 still enumerates every pair, but a pair's value at a node depends only on
-both rules' flags below it, so each block of 64 rows evaluates each distinct
-pair of subtree classes per node once.  The implicit fixed point converges
+both rules' flags below it, so a block of 64 rows works on the distinct
+pairs of subtree classes per node.  A step's value there depends only on the
+node and its two child values, so each step solves every distinct ``(node,
+down, up)`` triple of child values once, values told apart by their bits,
+and each pair of classes gathers its own.  The implicit fixed point converges
 each element on its own, so a pair's value depends only on the pair: the
 same in any block, in the full broadcast and in :func:`strategy_value`.
 """
@@ -156,9 +159,84 @@ def _subtree_classes(flags: list[np.ndarray], n: int):
     return cls[:, 0], layout
 
 
+def _stacked_flags(rules, n: int) -> list[np.ndarray]:
+    """The rules' flags at steps ``0..n-1``, one ``(len(rules), 2**k)`` array each."""
+    return [np.stack([r.flags[k] for r in rules]) for k in range(n)]
+
+
 def _rule_classes(rules, n: int):
     """:func:`_subtree_classes` of a list of rules."""
-    return _subtree_classes([np.stack([r.flags[k] for r in rules]) for k in range(n)], n)
+    return _subtree_classes(_stacked_flags(rules, n), n)
+
+
+def _ranks(x: np.ndarray):
+    """Each entry's id in its column of ``x`` (2-D): its rank among the
+    column's distinct entries, from one sort along axis 0.  Returns the ids,
+    the sorted columns and their ids."""
+    order, col = np.argsort(x, axis=0), np.arange(x.shape[1])
+    ranked = x[order, col]
+    rank = np.zeros(x.shape, dtype=np.int32 if len(x) <= np.iinfo(np.int32).max else np.int64)
+    np.cumsum(ranked[1:] != ranked[:-1], axis=0, out=rank[1:])
+    ids = np.empty_like(rank)
+    ids[order, col] = rank
+    return ids, ranked, rank
+
+
+def _distinct_children(vals: np.ndarray, ids: np.ndarray, kids_t: np.ndarray,
+                       kids_g: np.ndarray):
+    """Each node's distinct ``(down, up)`` child values over its class pairs.
+
+    The step-``k+1`` value of class pair ``(a, b)`` at node ``c`` is
+    ``vals[ids[a, b, c], c]``; ``kids_t`` ``(a, 2 * nodes)`` and ``kids_g``
+    ``(b, 2 * nodes)`` hold each step-``k`` class's children's classes.
+    Values are told apart by their bits, so ``-0.0``, ``+0.0`` and every NaN
+    stay distinct.  Returns the batch ``(m, 2 * nodes)`` that holds each
+    node's distinct pairs once, ``m`` the most at one node (a node with
+    fewer repeats its last), and each class pair's row in it per node,
+    ``(a, b, nodes)``.
+    """
+    cols = vals.shape[1]
+    nodes, col = cols // 2, np.arange(cols)
+    # per-column value ids from one sort of the small step-(k+1) table
+    vid, ranked, rank = _ranks(vals.view(np.int64))
+    values = np.empty((int(rank[-1].max()) + 1, cols))
+    values[rank, col] = ranked.view(np.float64)
+    # node j's keys (down id, up id) fill a range of its own, nd_j * nu_j long
+    nd, nu = rank[-1, 0::2] + 1, rank[-1, 1::2] + 1
+    span = nd.astype(np.int64) * nu
+    base = np.cumsum(span) - span
+    size = int(base[-1] + span[-1])
+    dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    vid, nu, base = vid.astype(dtype, copy=False), nu.astype(dtype), base.astype(dtype)
+    # every class pair's key at every node: each tau class's ids against
+    # every gamma child class, then each gamma class takes its own
+    node, down, up = np.arange(nodes), col[0::2], col[1::2]
+    cell = vid[ids, col]
+    rows, b1 = (len(kids_t), -1), np.arange(cell.shape[1])[:, None]
+    key = np.take((cell[kids_t[:, None, 0::2], b1, down] * nu + base).reshape(rows),
+                  kids_g[:, 0::2] * nodes + node, axis=1)
+    key += np.take(cell[kids_t[:, None, 1::2], b1, up].reshape(rows),
+                   kids_g[:, 1::2] * nodes + node, axis=1)
+    del cell
+    if size <= key.size:
+        # a dense marker table is no larger than the batch
+        seen = np.zeros(size, dtype=bool)
+        seen[key] = True
+        uniq = np.flatnonzero(seen)
+        at = (np.cumsum(seen, dtype=dtype) - 1)[key]
+    else:
+        at, ranked, rank = _ranks(key.reshape(-1, 1))
+        uniq = np.empty(int(rank[-1, 0]) + 1, dtype=dtype)
+        uniq[rank[:, 0]] = ranked[:, 0]
+        at = at.reshape(key.shape)
+    first = np.searchsorted(uniq, base)
+    counts = np.diff(np.append(first, uniq.size))
+    pick = uniq[first + np.minimum(np.arange(counts.max())[:, None], counts - 1)] - base
+    batch = np.empty((len(pick), cols))
+    batch[:, 0::2] = values[pick // nu, down]
+    batch[:, 1::2] = values[pick % nu, up]
+    at -= first.astype(at.dtype)
+    return batch, at
 
 
 def _pair_table_block(
@@ -174,20 +252,31 @@ def _pair_table_block(
     of ``a`` and ``b`` rules, so a side shared by many blocks is classed
     once; the result has shape ``(a, b)``.  The pair stops at the first
     node either rule flags; the upper rail wins ties.  This oracle keeps its
-    own loop over the shared batched step, on each step's distinct pairs of
-    subtree classes per node (see the module docstring).
+    own loop over the shared batched step.  Each step solves every distinct
+    ``(node, down, up)`` child-value triple of the block's class pairs once
+    (:func:`_distinct_children`); where every node holds one class pair,
+    its children are the batch.  A step's values are a table, the
+    candidates and then the lower and upper rails, with each class pair's
+    row in it per node.
     """
     n = tree.N
     (tau_root, tau_layout), (gamma_root, gamma_layout) = tau_classes, gamma_classes
-    v = game.xi.values[None, None, :]
+    vals, ids = game.xi.values[None, :], np.zeros((1, 1, 1 << n), dtype=np.int32)
     for k in range(n - 1, -1, -1):
         (stop_t, kids_t), (stop_g, kids_g) = tau_layout[k], gamma_layout[k]
-        children = v[kids_t[:, None, :], kids_g[None, :, :], np.arange(2 << k)]
-        cand, _ = step_candidate(tree, game.g, k, children, scheme)
-        stop_t, stop_g = stop_t[:, None, :], stop_g[None, :, :]
-        pay = np.where(stop_g, game.U[k], game.L[k])
-        v = np.where(stop_t | stop_g, pay, cand)
-    return v[tau_root[:, None], gamma_root[None, :], 0]
+        if len(kids_t) * len(kids_g) == 1:
+            # one class per node here means one at every later step too, so
+            # the table is the pair's one row
+            cand, _ = step_candidate(tree, game.g, k, vals, scheme)
+            vals = np.where(stop_t | stop_g, np.where(stop_g, game.U[k], game.L[k]), cand)
+            ids = np.zeros((1, 1, 1 << k), dtype=np.int32)
+            continue
+        batch, at = _distinct_children(vals, ids, kids_t, kids_g)
+        cand, _ = step_candidate(tree, game.g, k, batch, scheme)
+        vals = np.concatenate([cand, game.L[k][None], game.U[k][None]])
+        rail = np.where(stop_g, len(cand) + 1, len(cand)).astype(at.dtype)
+        ids = np.where(stop_t[:, None, :] | stop_g[None, :, :], rail[None, :, :], at)
+    return vals[:, 0][ids[tau_root][:, gamma_root, 0]]
 
 
 def strategy_value(
@@ -257,12 +346,13 @@ def pair_value_table(
     ``rules`` is :func:`enumerate_stopping_rules`' list (enumerated if None)."""
     _check_oracle_tree(tree)
     rules = enumerate_stopping_rules(tree)[0] if rules is None else rules
-    count = len(rules)
-    every = _rule_classes(rules, tree.N)
+    count, n = len(rules), tree.N
+    stacked = _stacked_flags(rules, n)
+    every = _subtree_classes(stacked, n)
     table = np.empty((count, count))
     for lo in range(0, count, block):
         table[lo:lo + block] = _pair_table_block(
-            tree, game, _rule_classes(rules[lo:lo + block], tree.N), every, scheme)
+            tree, game, _subtree_classes([f[lo:lo + block] for f in stacked], n), every, scheme)
     return table
 
 

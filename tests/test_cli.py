@@ -451,6 +451,17 @@ class TestRunKinds:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "seed must be >= 0, got -1" in err
 
+    @pytest.mark.parametrize("pair", [[1, -1], [math.nan, 1], [-1, math.inf], [-1e308, 1e308]],
+                             ids=["reversed", "nan", "inf", "overflowing-span"])
+    def test_bad_box_bounds_exit_2(self, tmp_path, capsys, pair):
+        # numpy's uniform raises ValueError or OverflowError on these: a
+        # config error, not exit 4
+        config = {"kind": "hypotheses", "samples": 20, "box": [[0, 1], pair, [-1, 1], [-1, 1]]}
+        path = write_config(tmp_path, "box.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "lo <= hi" in err
+
     def test_integral_float_fields_run(self, tmp_path):
         config = {"kind": "bsde", "lattice": {"T": 1.0, "N": 4.0}, "terminal": "state"}
         path = write_config(tmp_path, "whole.json", config)
@@ -602,7 +613,8 @@ SPOILERS = {
     "cases": ["x", -1, None, 2.5],
     "samples": [0, -1, "x"],
     "box": [[[0, 1]], [[0, 1, 2], [-1, 1], [-1, 1], [-1, 1]], "x",
-            [[0, 1], [-1, 1], [-1, 1], [-1, 1]]],
+            [[0, 1], [-1, 1], [-1, 1], [-1, 1]], [[1, 0], [-1, 1], [-1, 1], [-1, 1]],
+            [[0, 1], [math.nan, 1], [-1, 1], [-1, 1]], [[0, 1], [-1, 1], [-1, math.inf], [-1, 1]]],
     "expected_failures": [5, ["H1"]],
     "mc": [{"M": 50}, {"degree": -1}, {"M": "x"}, [], {"M": 400, "degree": 0}, {"M": 400.5}],
     "seed": ["x", None, 1.5, -1],

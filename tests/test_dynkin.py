@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drbsde_lab import bsde, dynkin
-from drbsde_lab.bsde import step_candidate
+from drbsde_lab.bsde import random_rule, step_candidate
 from drbsde_lab.drbsde import DynkinGame, solve_drbsde
 from drbsde_lab.dynkin import (
     StoppingRule,
@@ -461,3 +462,168 @@ class TestPairValuesStandAlone:
         assert report.oracle_gap == 0.0
         i, j = report.optimal_pair
         assert table[i, j] == report.y0 == solve_drbsde(tree, game, "implicit").root_value
+
+
+def readme_game(tree):
+    """The README example's game: ``max(state, -0.8)`` between its rails."""
+    f = lambda s: np.maximum(s, -0.8)
+    return DynkinGame(
+        xi=TerminalPayoff.from_function(tree, f),
+        g=registry_generator("linear:-0.5,0.3"),
+        L=AdaptedProcess.from_function(tree, lambda t, s: f(s) - 0.3 - 0.1 * t),
+        U=AdaptedProcess.from_function(tree, lambda t, s: f(s) + 0.25 + 0.1 * t),
+    )
+
+
+def batch_spy(seen):
+    """``step_candidate`` that records each call's step and batch."""
+
+    def spy(lattice, g, k, next_values, scheme, stats=None):
+        seen.append((k, np.array(next_values)))
+        return bsde.step_candidate(lattice, g, k, next_values, scheme, stats)
+
+    return spy
+
+
+def distinct_per_node(lattice, next_values):
+    """Each node's number of distinct ``(down bits, up bits)`` pairs."""
+    down, up = lattice.split_children(next_values)
+    pairs = np.stack([down.view(np.int64), up.view(np.int64)], axis=-1)
+    pairs = pairs.reshape(-1, down.shape[-1], 2)
+    return [len(np.unique(pairs[:, j], axis=0)) for j in range(down.shape[-1])]
+
+
+def classes_pair_table_block(tree, game, tau_classes, gamma_classes, scheme):
+    """The pair-table block as classed first: each step on the ``(A, B,
+    2**(k+1))`` broadcast of every pair of subtree classes per node."""
+    (tau_root, tau_layout), (gamma_root, gamma_layout) = tau_classes, gamma_classes
+    v = game.xi.values[None, None, :]
+    for k in range(tree.N - 1, -1, -1):
+        (stop_t, kids_t), (stop_g, kids_g) = tau_layout[k], gamma_layout[k]
+        children = v[kids_t[:, None, :], kids_g[None, :, :], np.arange(2 << k)]
+        cand, _ = step_candidate(tree, game.g, k, children, scheme)
+        stop_t, stop_g = stop_t[:, None, :], stop_g[None, :, :]
+        v = np.where(stop_t | stop_g, np.where(stop_g, game.U[k], game.L[k]), cand)
+    return v[tau_root[:, None], gamma_root[None, :], 0]
+
+
+class TestDistinctChildValues:
+    """Each step solves every distinct (node, down, up) child-value triple once."""
+
+    def test_root_batch_is_one_row_per_distinct_pair(self):
+        tree = build_lattice(1.0, 4, FULL_TREE)
+        game = readme_game(tree)
+        seen = []
+        with mock.patch.object(dynkin, "step_candidate", batch_spy(seen)):
+            pair_value_table(tree, game, "implicit")
+        roots = [batch for k, batch in seen if k == 0]
+        assert len(roots) == -(-677 // 64)
+        for batch in roots:
+            assert batch.shape[1] == 2
+            assert distinct_per_node(tree, batch) == [len(batch)]
+        # about a tenth of the 677 x 677 pairs
+        assert sum(len(batch) for batch in roots) < 677 * 677 / 4
+
+    @pytest.mark.parametrize("layout", ["block", "saddle-row"])
+    def test_every_batch_is_the_largest_distinct_count_per_node(self, layout):
+        tree = build_lattice(1.0, 4, FULL_TREE)
+        game = readme_game(tree)
+        stacked = stacked_rules(tree)
+        if layout == "block":
+            tau, gamma = [f[64:128] for f in stacked], stacked
+        else:
+            star = first_hitting(solve_drbsde(tree, game, "implicit"), None, "upper")
+            tau, gamma = stacked, [f[None, :] for f in star.canonicalize().flags]
+        got, want = [], []
+        with mock.patch.object(dynkin, "step_candidate", batch_spy(got)):
+            dynkin._pair_table_block(tree, game, dynkin._subtree_classes(tau, 4),
+                                     dynkin._subtree_classes(gamma, 4), "implicit")
+        with mock.patch.dict(globals(), step_candidate=batch_spy(want)):
+            reference_pair_table_block(tree, game, tau, gamma, "implicit")
+        assert [k for k, _ in got] == [k for k, _ in want] == [3, 2, 1, 0]
+        for (k, batch), (_, full) in zip(got, want):
+            # the full broadcast's distinct count per node, and no more rows:
+            # a node with fewer repeats its last triple
+            counts = distinct_per_node(tree, full)
+            assert distinct_per_node(tree, batch) == counts
+            assert batch.shape == (max(counts), 2 << k)
+        assert sum(b.size for _, b in got) < sum(b.size for _, b in want) / 10
+
+    def test_signed_zeros_stay_separate_triples(self):
+        # the lower rail is -0.0 at one step-1 node, where continuing gives
+        # +0.0: a pair that stops there and one that goes on keep two rows
+        tree = build_lattice(1.0, 2, FULL_TREE)
+        lower = (np.array([-1.0]), np.array([-0.0, -1.0]), np.full(4, -1.0))
+        game = DynkinGame(
+            xi=TerminalPayoff(tree, np.zeros(4)),
+            g=registry_generator("zero"),
+            L=AdaptedProcess(tree, lower),
+            U=AdaptedProcess(tree, tuple(np.ones(tree.n_nodes(k)) for k in range(3))),
+        )
+        tau = [np.zeros((2, 1), bool), np.array([[True, False], [False, False]]),
+               np.ones((2, 4), bool)]
+        gamma = [np.zeros((1, 1), bool), np.zeros((1, 2), bool), np.ones((1, 4), bool)]
+        seen = []
+        with mock.patch.object(dynkin, "step_candidate", batch_spy(seen)):
+            got = dynkin._pair_table_block(tree, game, dynkin._subtree_classes(tau, 2),
+                                           dynkin._subtree_classes(gamma, 2), "explicit")
+        root = dict(seen)[0]
+        assert root.shape == (2, 2)
+        assert set(root[:, 0].view(np.int64)) == {0, np.float64(-0.0).view(np.int64)}
+        want = reference_pair_table_block(tree, game, tau, gamma, "explicit")
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_single_pair_steps_on_its_children(self):
+        # strategy_value: one class pair per node, no distinct-value pass
+        tree = build_lattice(1.0, 6, FULL_TREE)
+        game = readme_game(tree)
+        rng = np.random.default_rng(3)
+        tau, gamma = random_rule(tree, rng), random_rule(tree, rng)
+        seen = []
+        with mock.patch.object(dynkin, "step_candidate", batch_spy(seen)), \
+                mock.patch.object(dynkin, "_distinct_children") as distinct:
+            value = strategy_value(tree, game, tau, gamma, "implicit")
+        distinct.assert_not_called()
+        assert [batch.shape for _, batch in seen] == [(1, 2 << k) for k in range(5, -1, -1)]
+        want = reference_pair_table_block(
+            tree, game, [f[None] for f in tau.flags], [f[None] for f in gamma.flags], "implicit")
+        assert np.float64(value).view(np.int64) == want[0, 0].view(np.int64)
+
+    def test_pair_value_table_stacks_the_flags_once(self):
+        tree = build_lattice(1.0, 3, FULL_TREE)
+        game = readme_game(tree)
+        with mock.patch.object(dynkin, "_stacked_flags", wraps=dynkin._stacked_flags) as stack:
+            table = pair_value_table(tree, game, "implicit", block=4)
+        assert stack.call_count == 1
+        want = reference_pair_table_block(tree, game, stacked_rules(tree), stacked_rules(tree),
+                                          "implicit")
+        np.testing.assert_array_equal(table.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_a_family_at_depth(self, scheme):
+        # 128 random-flag rows against one rule at N = 12: bitwise the full
+        # broadcast, and below the memory of the classes' broadcast; some
+        # step's dense (node, down, up) table would be far larger than its
+        # batch, so those steps sort their keys
+        n = 12
+        tree = build_lattice(1.0, n, FULL_TREE)
+        game = separated_game(tree, registry_generator("linear:-0.5,0.3"))
+        rng = np.random.default_rng(12)
+        tau = [rng.random((128, 1 << k)) < 0.5 for k in range(n + 1)]
+        gamma = [f[None] for f in random_rule(tree, rng).flags]
+        classes = dynkin._subtree_classes(tau, n), dynkin._subtree_classes(gamma, n)
+
+        def peak(block):
+            tracemalloc.start()
+            try:
+                return block(tree, game, *classes, scheme), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        value, used = peak(dynkin._pair_table_block)
+        assert used < peak(classes_pair_table_block)[1]
+        with mock.patch.object(dynkin, "_ranks", wraps=dynkin._ranks) as ranks:
+            dynkin._pair_table_block(tree, game, *classes, scheme)
+        assert any(call.args[0].shape[1] == 1 for call in ranks.call_args_list)
+        want = reference_pair_table_block(tree, game, tau, gamma, scheme)
+        np.testing.assert_array_equal(value.view(np.int64), want.view(np.int64))
