@@ -147,16 +147,37 @@ def _subtree_classes(flags: list[np.ndarray], n: int):
     """
     cls, width, layout = np.zeros((flags[0].shape[0], 1 << n), dtype=np.int64), 1, [None] * n
     for k in range(n - 1, -1, -1):
-        base = np.arange(1 << k) * (2 * width * width)  # each node's key range
+        span = 2 * width * width  # each node's key range
+        base = np.arange(1 << k) * span
         key = (flags[k] * width + cls[:, 0::2]) * width + cls[:, 1::2] + base
-        uniq, inv = np.unique(key, return_inverse=True)
-        first = np.searchsorted(uniq, base)
-        counts = np.diff(np.append(first, uniq.size))
-        cls = inv.reshape(key.shape) - first
-        rep = uniq[first + np.minimum(np.arange(counts.max())[:, None], counts - 1)] - base
+        cls, rep = _per_node(key, base, span << k)
         kids = np.stack([rep // width % width, rep % width], axis=-1).reshape(len(rep), -1)
-        layout[k], width = (rep >= width * width, kids), int(counts.max())
+        layout[k], width = (rep >= width * width, kids), len(rep)
     return cls[:, 0], layout
+
+
+def _per_node(key: np.ndarray, base: np.ndarray, size: int):
+    """Number each node's distinct keys: node ``j``'s keys (``key``'s last
+    axis) lie in a range of their own from ``base[j]``, all in ``[0, size)``.
+    The keys are marked in a dense table when it is no larger than ``key``
+    and sorted otherwise, so memory stays O(``key``).
+
+    Returns each key's id among its node's, and each node's distinct keys
+    less its base ``(m, nodes)``, ``m`` the most at one node; a node with
+    fewer repeats its last.
+    """
+    if size <= key.size:
+        seen = np.zeros(size, dtype=bool)
+        seen[key] = True
+        uniq, inv = np.flatnonzero(seen), (np.cumsum(seen, dtype=key.dtype) - 1)[key]
+    else:
+        uniq, inv = np.unique(key, return_inverse=True)
+        inv = inv.reshape(key.shape)
+    first = np.searchsorted(uniq, base)
+    counts = np.diff(np.append(first, uniq.size))
+    rep = uniq[first + np.minimum(np.arange(counts.max())[:, None], counts - 1)] - base
+    inv -= first.astype(inv.dtype)
+    return inv, rep
 
 
 def _stacked_flags(rules, n: int) -> list[np.ndarray]:
@@ -218,25 +239,11 @@ def _distinct_children(vals: np.ndarray, ids: np.ndarray, kids_t: np.ndarray,
     key += np.take(cell[kids_t[:, None, 1::2], b1, up].reshape(rows),
                    kids_g[:, 1::2] * nodes + node, axis=1)
     del cell
-    if size <= key.size:
-        # a dense marker table is no larger than the batch
-        seen = np.zeros(size, dtype=bool)
-        seen[key] = True
-        uniq = np.flatnonzero(seen)
-        at = (np.cumsum(seen, dtype=dtype) - 1)[key]
-    else:
-        at, ranked, rank = _ranks(key.reshape(-1, 1))
-        uniq = np.empty(int(rank[-1, 0]) + 1, dtype=dtype)
-        uniq[rank[:, 0]] = ranked[:, 0]
-        at = at.reshape(key.shape)
-    first = np.searchsorted(uniq, base)
-    counts = np.diff(np.append(first, uniq.size))
-    pick = uniq[first + np.minimum(np.arange(counts.max())[:, None], counts - 1)] - base
+    at, pick = _per_node(key, base, size)
     batch = np.empty((len(pick), cols))
     batch[:, 0::2] = values[pick // nu, down]
     batch[:, 1::2] = values[pick % nu, up]
-    at -= first.astype(at.dtype)
-    return batch, at
+    return batch, at.astype(dtype, copy=False)
 
 
 def _pair_table_block(

@@ -599,12 +599,36 @@ class TestDistinctChildValues:
                                           "implicit")
         np.testing.assert_array_equal(table.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("wide", [False, True], ids=["marked", "sorted"])
+    def test_per_node_numbers_each_nodes_distinct_keys(self, wide):
+        # node j's keys lie in [base[j], base[j] + 3 * scale); a range far
+        # wider than the keys is sorted in memory of the keys' order
+        rng = np.random.default_rng(5)
+        scale = 10**6 if wide else 1
+        base = np.arange(4) * (3 * scale)
+        key = (rng.integers(0, 3, (200, 4)) * scale + base).astype(np.int32)
+        key[:, 3] = base[3]  # one key at the last node: its column repeats
+        tracemalloc.start()
+        try:
+            ids, reps = dynkin._per_node(key, base, 4 * 3 * scale)
+            used = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert used < 64 * key.nbytes
+        uniques = [np.unique(key[:, j]) for j in range(4)]
+        want = np.stack([np.searchsorted(u, key[:, j]) for j, u in enumerate(uniques)], axis=1)
+        np.testing.assert_array_equal(ids, want)
+        assert reps.shape == (3, 4)
+        for j, u in enumerate(uniques):
+            padded = np.concatenate([u, np.repeat(u[-1], 3 - len(u))])
+            np.testing.assert_array_equal(reps[:, j], padded - base[j])
+
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     def test_a_family_at_depth(self, scheme):
         # 128 random-flag rows against one rule at N = 12: bitwise the full
         # broadcast, and below the memory of the classes' broadcast; some
-        # step's dense (node, down, up) table would be far larger than its
-        # batch, so those steps sort their keys
+        # step's dense (node, down, up) table would be larger than its keys,
+        # so those steps sort them
         n = 12
         tree = build_lattice(1.0, n, FULL_TREE)
         game = separated_game(tree, registry_generator("linear:-0.5,0.3"))
@@ -622,8 +646,8 @@ class TestDistinctChildValues:
 
         value, used = peak(dynkin._pair_table_block)
         assert used < peak(classes_pair_table_block)[1]
-        with mock.patch.object(dynkin, "_ranks", wraps=dynkin._ranks) as ranks:
+        with mock.patch.object(dynkin, "_per_node", wraps=dynkin._per_node) as per_node:
             dynkin._pair_table_block(tree, game, *classes, scheme)
-        assert any(call.args[0].shape[1] == 1 for call in ranks.call_args_list)
+        assert any(call.args[2] > call.args[0].size for call in per_node.call_args_list)
         want = reference_pair_table_block(tree, game, tau, gamma, scheme)
         np.testing.assert_array_equal(value.view(np.int64), want.view(np.int64))
