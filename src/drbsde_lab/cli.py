@@ -50,7 +50,6 @@ from .drbsde import (
 )
 from .dynkin import (
     _check_oracle_tree,
-    enumerate_stopping_rules,
     game_value_oracle,
     verify_saddle,
     write_game_report,
@@ -138,6 +137,16 @@ class ExperimentConfig:
         if not (isinstance(tolerances, dict) and set(tolerances) <= set(DEFAULT_TOLERANCES)):
             raise ConfigError(f"tolerances must be an object with keys among "
                               f"{sorted(DEFAULT_TOLERANCES)}, got {tolerances!r}")
+        for key, value in tolerances.items():
+            # NaN or a negative fails every check and inf passes every one
+            if isinstance(value, bool) or not (
+                    isinstance(value, (int, float)) and 0 <= value <= sys.float_info.max):
+                raise ConfigError(f"tolerance {key} must be a finite number >= 0, got {value!r}")
+        if not isinstance(raw.get("out", ""), str):
+            raise ConfigError(f"out must be a string, got {raw['out']!r}")
+        for key in ("write_pair_table", "write_paths"):
+            if not isinstance(raw.get(key, False), bool):
+                raise ConfigError(f"{key} must be true or false, got {raw[key]!r}")
         return cls(raw)
 
     @property
@@ -212,17 +221,17 @@ class ExperimentConfig:
         return process
 
     def tolerance(self, key: str) -> float:
-        with _config_check():
-            return float(self.raw.get("tolerances", {}).get(key, DEFAULT_TOLERANCES[key]))
+        return float(self.raw.get("tolerances", {}).get(key, DEFAULT_TOLERANCES[key]))
 
     def integer(self, key: str, default: int, spec: dict | None = None,
                 low: float = -math.inf) -> int:
         """Integral number ``key`` of ``spec`` (the top level by default), at
         least ``low``: ``4`` and ``4.0`` pass, ``4.7`` is a config error, not
-        a truncation."""
+        a truncation, and so is ``true``."""
         with _config_check():
             value = (self.raw if spec is None else spec).get(key, default)
-            if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+            if not (isinstance(value, int) and not isinstance(value, bool)
+                    or isinstance(value, float) and value.is_integer()):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{key} must be >= {low}, got {value!r}")
@@ -342,10 +351,9 @@ def _run_dynkin_verify(cfg: ExperimentConfig, out: Path) -> dict:
     tol = cfg.tolerance("value_gap")
     with _config_check():
         _check_oracle_tree(lat)
-    sol = solve_drbsde(lat, game, cfg.scheme)
-    rules, _ = enumerate_stopping_rules(lat)  # one solve and one enumeration serve both
-    oracle = game_value_oracle(lat, game, cfg.scheme, tol, solution=sol, rules=rules)
-    saddle = verify_saddle(lat, game, sol, cfg.scheme, tol, cfg.seed, rules=rules)
+    sol = solve_drbsde(lat, game, cfg.scheme)  # one solve serves both checks
+    oracle = game_value_oracle(lat, game, cfg.scheme, tol, solution=sol)
+    saddle = verify_saddle(lat, game, sol, cfg.scheme, tol, cfg.seed)
     write_game_report(out / "game_report.txt", oracle)
     if cfg.raw.get("write_pair_table", False):
         write_pair_table_csv(out / "pair_table.csv", oracle.table)

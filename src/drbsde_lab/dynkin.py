@@ -12,19 +12,22 @@ terminal data when both wait to the end:
                     xi             if tau = gamma = T
 
 The exhaustive oracle brute-forces the pair table, so its sup-inf/inf-sup
-values are exact finite maxima, independent of any solver identity.  It
-still enumerates every pair, but a pair's value at a node depends only on
-both rules' flags below it, so a block of 64 rows works on the distinct
-pairs of subtree classes per node.  A step's value there depends only on the
-node and its two child values, so each step solves every distinct ``(node,
-down, up)`` triple of child values once, values told apart by their bits,
-and each pair of classes gathers its own.  The implicit fixed point converges
-each element on its own, so a pair's value depends only on the pair: the
-same in any block, in the full broadcast and in :func:`strategy_value`.
+values are exact finite maxima, independent of any solver identity.  The
+rules are one stacked-flag table per depth, classed once.  The oracle still
+enumerates every pair, but a pair's value at a node depends only on both
+rules' flags below it, so a block of ``PAIR_BLOCK`` rows works on the
+distinct pairs of subtree classes per node.  A step's value there depends
+only on the node and its two child values, so each step solves every
+distinct ``(node, down, up)`` triple of child values once, values told
+apart by their bits, and each pair of classes gathers its own.  The
+implicit fixed point converges each element on its own, so a pair's value
+depends only on the pair: the same in any block, in the full broadcast and
+in :func:`strategy_value`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,6 +40,7 @@ from .lattice import (DUMP_CHUNK, FULL_TREE, Lattice, StoppingRule, _float_cells
 from .rbsde import first_hitting
 
 ORACLE_MAX_N = 4
+PAIR_BLOCK = 64  # rows of the pair table per block
 
 __all__ = [
     "StoppingRule",
@@ -68,56 +72,46 @@ def _check_oracle_tree(tree: Lattice) -> None:
         )
 
 
-_SHAPE_MEMO: dict[int, list] = {}
-
-
-def _shapes(depth: int) -> list:
-    """All canonical rule shapes on a depth-``depth`` subtree (memoized)."""
-    cached = _SHAPE_MEMO.get(depth)
-    if cached is not None:
-        return cached
+def _rule_flags(depth: int) -> list[np.ndarray]:
+    """Every canonical rule on a depth-``depth`` subtree as stacked flags, one
+    ``(rule_count(depth), 2**k)`` array per step ``k < depth`` (every rule
+    stops at the horizon).  Row 0 stops at once; row ``1 + a * c + b`` waits
+    a step, then plays row ``a`` of the depth-``depth - 1`` table on the down
+    subtree and row ``b`` on the up one, ``c`` the rules there."""
     if depth == 0:
-        out = [(np.array([True]),)]
-    else:
-        stop_now = (
-            (np.array([True]),)
-            + tuple(np.zeros(1 << i, dtype=bool) for i in range(1, depth))
-            + (np.ones(1 << depth, dtype=bool),)
-        )
-        out = [stop_now]
-        sub = _shapes(depth - 1)
-        for left in sub:
-            for right in sub:
-                out.append(
-                    (np.array([False]),)
-                    + tuple(
-                        np.concatenate([left[i], right[i]]) for i in range(depth)
-                    )
-                )
-    _SHAPE_MEMO[depth] = out
-    return out
+        return []
+    sub, c = _rule_flags(depth - 1), rule_count(depth - 1)
+    first = np.zeros((1 + c * c, 1), dtype=bool)
+    first[0] = True
+    waits = [np.concatenate([np.repeat(f, c, axis=0), np.tile(f, (c, 1))], axis=1) for f in sub]
+    return [first] + [np.concatenate([np.zeros((1, f.shape[1]), dtype=bool), f]) for f in waits]
+
+
+@functools.cache
+def _rule_table(depth: int):
+    """:func:`_rule_flags` of ``depth``, frozen, with its
+    :func:`_subtree_classes`: the enumeration, stacked and classed once."""
+    flags = _rule_flags(depth)
+    root, layout = _subtree_classes(flags, depth)
+    for a in [*flags, root, *(a for step in layout for a in step)]:
+        a.flags.writeable = False
+    return tuple(flags), (root, tuple(layout))
+
+
+def _row_rule(tree: Lattice, flags, i: int, start: int = 0) -> StoppingRule:
+    """Row ``i`` of stacked ``flags`` as a rule on ``tree``, its flags before
+    step ``start`` cleared: the rule then starts at ``start``."""
+    steps = [f[i] if k >= start else np.zeros(f.shape[1], dtype=bool)
+             for k, f in enumerate(flags)]
+    return StoppingRule(tree, (*steps, np.ones(tree.n_nodes(tree.N), dtype=bool)))
 
 
 def enumerate_stopping_rules(tree: Lattice):
     """Every canonical stopping rule on the tree, once, in a fixed order."""
     _check_oracle_tree(tree)
-    rules = [StoppingRule(tree, shape) for shape in _shapes(tree.N)]
-    expected = rule_count(tree.N)
-    if len(rules) != expected:
-        raise RuntimeError(
-            f"enumeration produced {len(rules)} rules, recurrence says {expected}"
-        )
-    return rules, expected
-
-
-def _delay_rule(rule: StoppingRule, k: int) -> StoppingRule:
-    """Forget flags strictly before step ``k``; the rule then starts at ``k``."""
-    lat = rule.lattice
-    flags = [
-        np.zeros(lat.n_nodes(i), dtype=bool) if i < k else rule.flags[i]
-        for i in range(lat.N + 1)
-    ]
-    return StoppingRule(lat, tuple(flags))
+    flags = _rule_table(tree.N)[0]
+    rules = [_row_rule(tree, flags, i) for i in range(rule_count(tree.N))]
+    return rules, len(rules)
 
 
 def payoff_R(tau: StoppingRule, gamma: StoppingRule, path, game: DynkinGame) -> float:
@@ -180,14 +174,9 @@ def _per_node(key: np.ndarray, base: np.ndarray, size: int):
     return inv, rep
 
 
-def _stacked_flags(rules, n: int) -> list[np.ndarray]:
-    """The rules' flags at steps ``0..n-1``, one ``(len(rules), 2**k)`` array each."""
-    return [np.stack([r.flags[k] for r in rules]) for k in range(n)]
-
-
-def _rule_classes(rules, n: int):
-    """:func:`_subtree_classes` of a list of rules."""
-    return _subtree_classes(_stacked_flags(rules, n), n)
+def _rule_classes(rule: StoppingRule):
+    """:func:`_subtree_classes` of one rule."""
+    return _subtree_classes([f[None] for f in rule.flags], rule.lattice.N)
 
 
 def _ranks(x: np.ndarray):
@@ -298,8 +287,7 @@ def strategy_value(
         raise ValueError("strategy values need the full-tree backend")
     if not tree.same_grid(game.lattice):
         raise ValueError("game lives on a different lattice")
-    val = _pair_table_block(
-        tree, game, _rule_classes([tau], tree.N), _rule_classes([gamma], tree.N), scheme)
+    val = _pair_table_block(tree, game, _rule_classes(tau), _rule_classes(gamma), scheme)
     return float(val[0, 0])
 
 
@@ -346,20 +334,17 @@ class GameReport:
         return all(checks)
 
 
-def pair_value_table(
-    tree: Lattice, game: DynkinGame, scheme: str = "explicit", block: int = 64, rules=None
-) -> np.ndarray:
-    """Root values of every rule pair, rows indexed by the first player;
-    ``rules`` is :func:`enumerate_stopping_rules`' list (enumerated if None)."""
+def pair_value_table(tree: Lattice, game: DynkinGame, scheme: str = "explicit") -> np.ndarray:
+    """Root values of every rule pair, rows indexed by the first player, both
+    in :func:`enumerate_stopping_rules`' order; ``PAIR_BLOCK`` rows a sweep."""
     _check_oracle_tree(tree)
-    rules = enumerate_stopping_rules(tree)[0] if rules is None else rules
-    count, n = len(rules), tree.N
-    stacked = _stacked_flags(rules, n)
-    every = _subtree_classes(stacked, n)
+    n, (flags, every) = tree.N, _rule_table(tree.N)
+    count = rule_count(n)
     table = np.empty((count, count))
-    for lo in range(0, count, block):
-        table[lo:lo + block] = _pair_table_block(
-            tree, game, _subtree_classes([f[lo:lo + block] for f in stacked], n), every, scheme)
+    for lo in range(0, count, PAIR_BLOCK):
+        rows = [f[lo:lo + PAIR_BLOCK] for f in flags]
+        table[lo:lo + PAIR_BLOCK] = _pair_table_block(
+            tree, game, _subtree_classes(rows, n), every, scheme)
     return table
 
 
@@ -368,14 +353,12 @@ def game_value_oracle(
     game: DynkinGame,
     scheme: str = "explicit",
     tol: float = 1e-10,
-    block: int = 64,
     solution=None,
-    rules=None,
 ) -> GameReport:
     """Brute-force the full pair table and compare both iterated optima
     against the backward solve (``solution``, solved here when ``None``);
-    the report keeps the table.  ``rules`` as in :func:`pair_value_table`."""
-    table = pair_value_table(tree, game, scheme, block, rules)
+    the report keeps the table."""
+    table = pair_value_table(tree, game, scheme)
     count = table.shape[0]
     row_min = table.min(axis=1)
     col_max = table.max(axis=0)
@@ -439,28 +422,25 @@ def verify_saddle(
     scheme: str = "explicit",
     tol: float = 1e-10,
     seed: int = 0,
-    rules=None,
 ) -> GameReport:
     """Check that the two first contact rules beat every unilateral deviation.
 
     With the opponent pinned at her contact rule, every enumerated deviation
     of the other player lands on the wrong side of the backward value; the
     contact pair itself attains it, and evaluating the solution stopped at
-    the capped rules sandwiches it from both sides.  ``rules`` as in
-    :func:`pair_value_table`."""
+    the capped rules sandwiches it from both sides."""
     _check_oracle_tree(tree)
     if solution is None:
         solution = solve_drbsde(tree, game, scheme)
     y0 = solution.root_value
-    rules = enumerate_stopping_rules(tree)[0] if rules is None else rules
-    count = len(rules)
-    every = _rule_classes(rules, tree.N)
+    flags, every = _rule_table(tree.N)
+    count = rule_count(tree.N)
     tau_star = first_hitting(solution, None, "lower").canonicalize()
     gamma_star = first_hitting(solution, None, "upper").canonicalize()
 
     # every tau against gamma*; tau* against every gamma
-    col = _pair_table_block(tree, game, every, _rule_classes([gamma_star], tree.N), scheme)[:, 0]
-    row = _pair_table_block(tree, game, _rule_classes([tau_star], tree.N), every, scheme)[0, :]
+    col = _pair_table_block(tree, game, every, _rule_classes(gamma_star), scheme)[:, 0]
+    row = _pair_table_block(tree, game, _rule_classes(tau_star), every, scheme)[0, :]
     violation = max(float(np.max(col - y0)), float(np.max(y0 - row)))
     equality_gap = abs(strategy_value(tree, game, tau_star, gamma_star, scheme) - y0)
 
@@ -474,7 +454,7 @@ def verify_saddle(
         nu = StoppingRule.at_step(tree, k)
         stars = [first_hitting(solution, nu, side) for side in ("upper", "lower")]
         for idx in picks:
-            dev = _delay_rule(rules[int(idx)], k)
+            dev = _row_rule(tree, flags, int(idx), k)
             nus += [nu, nu]
             capped += [dev.union(star) for star in stars]
     tables = g_evaluate(tree, nus, capped, solution.Y, game.g, scheme)

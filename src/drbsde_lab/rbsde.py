@@ -311,9 +311,7 @@ def verify_snell(
     elif mode == "enumerate":
         from .dynkin import enumerate_stopping_rules  # dynkin imports this module
 
-        if lat.mode != "full-tree" or lat.N > 4:
-            raise ValueError("enumeration needs a full tree with N <= 4")
-        rules, _ = enumerate_stopping_rules(lat)
+        rules, _ = enumerate_stopping_rules(lat)  # its guard: full tree, N <= ORACLE_MAX_N
         tables = g_evaluate(lat, StoppingRule.at_step(lat, 0), rules, reward, g, scheme)
         best = max(float(table[0][0]) for table in tables)
         rules_checked = len(rules)

@@ -435,6 +435,57 @@ class TestRunKinds:
         assert err.startswith("config error:") and "must be an integer" in err
         assert not (tmp_path / "out" / "solution.csv").exists()
 
+    @pytest.mark.parametrize("config", [
+        {"kind": "bsde", "lattice": {"T": 1.0, "N": True}, "terminal": "state"},
+        {**GAME_CONFIG, "seed": True},
+        {"kind": "axioms", "lattice": {"T": 1.0, "N": 2, "mode": "full-tree"}, "cases": True},
+        {"kind": "hypotheses", "samples": True},
+        {**GAME_CONFIG, "kind": "mc-crosscheck", "mc": {"M": True}},
+        {**GAME_CONFIG, "kind": "mc-crosscheck", "mc": {"M": 400, "degree": False}},
+    ], ids=["N", "seed", "cases", "samples", "M", "degree"])
+    def test_boolean_integer_fields_exit_2(self, tmp_path, capsys, config):
+        # Python counts a bool as an int: N true would run N = 1, seed true seed 1
+        path = write_config(tmp_path, "bool.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "must be an integer" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("kind,tolerances", [
+        ("drbsde", {"flat_off": math.nan}),
+        ("drbsde", {"flat_off": -1}),
+        ("drbsde", {"flat_off": math.inf}),
+        ("dynkin-verify", {"value_gap": "0"}),
+        ("dynkin-verify", {"value_gap": True}),
+        ("dynkin-verify", {"value_gap": 10**400}),
+        ("drbsde", {"flat_off": 0.0, "mc_scale_fraction": math.nan}),
+    ], ids=["nan", "negative", "inf", "string", "bool", "overflowing", "unread-key"])
+    def test_bad_tolerance_values_exit_2(self, tmp_path, capsys, kind, tolerances):
+        # NaN or a negative would fail every check (exit 1) and inf pass
+        # every one; a key the kind does not read is checked all the same
+        path = write_config(tmp_path, "tol.json", {**GAME_CONFIG, "kind": kind,
+                                                   "tolerances": tolerances})
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "must be a finite number >= 0" in err
+
+    @pytest.mark.parametrize("config,message", [
+        ({**GAME_CONFIG, "out": 5}, "out must be a string, got 5"),
+        ({**GAME_CONFIG, "write_pair_table": "no"}, "write_pair_table must be true or false"),
+        ({**GAME_CONFIG, "kind": "mc-crosscheck", "lattice": {"T": 1.0, "N": 4},
+          "mc": {"M": 400}, "write_paths": 1}, "write_paths must be true or false"),
+    ], ids=["out", "write_pair_table", "write_paths"])
+    def test_output_fields_of_the_wrong_type_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                   config, message):
+        monkeypatch.chdir(tmp_path)  # where a run without --out would write
+        path = write_config(tmp_path, "outputs.json", config)
+        out = tmp_path / "out"
+        for argv in (["run", str(path)], ["run", str(path), "--out", str(out)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and message in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outputs.json"]
+
     @pytest.mark.parametrize("config,override", [
         ({**GAME_CONFIG, "seed": -1}, []),
         ({"kind": "axioms", "lattice": {"T": 1.0, "N": 2, "mode": "full-tree"}, "cases": 2,
@@ -471,8 +522,8 @@ class TestRunKinds:
 
     def test_unknown_tolerance_key_exits_2_naming_the_known_keys(self, tmp_path, capsys):
         drbsde = {**GAME_CONFIG, "kind": "drbsde"}
-        path = write_config(tmp_path, "known.json", {**drbsde, "tolerances": {"flat_off": -1}})
-        assert main(["run", str(path), "--out", str(tmp_path / "known")]) == 1
+        path = write_config(tmp_path, "known.json", {**drbsde, "tolerances": {"flat_off": 1e-12}})
+        assert main(["run", str(path), "--out", str(tmp_path / "known")]) == 0
         path = write_config(tmp_path, "typo.json", {**drbsde, "tolerances": {"flat-off": -1}})
         assert main(["run", str(path), "--out", str(tmp_path / "typo")]) == 2
         err = capsys.readouterr().err
@@ -498,20 +549,24 @@ class TestDynkinVerify:
         assert calls == ["implicit"]
 
     def test_one_enumeration_serves_the_oracle_and_the_saddle(self, tmp_path, monkeypatch):
-        from drbsde_lab import cli, dynkin
+        # the rules' stacked table is built and classed once: one classing
+        # over all 677 rows at N = 4, the blocks and contact rules apart
+        from drbsde_lab import dynkin
 
-        calls = []
+        rows = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].N)
-            return enumerate_rules(*args, **kwargs)
+        def counted(flags, n):
+            rows.append(flags[0].shape[0])
+            return classes(flags, n)
 
-        enumerate_rules = dynkin.enumerate_stopping_rules
-        monkeypatch.setattr(cli, "enumerate_stopping_rules", counted)
-        monkeypatch.setattr(dynkin, "enumerate_stopping_rules", counted)
-        cfg = ExperimentConfig.from_dict(GAME_CONFIG)
+        classes = dynkin._subtree_classes
+        monkeypatch.setattr(dynkin, "_subtree_classes", counted)
+        dynkin._rule_table.cache_clear()
+        cfg = ExperimentConfig.from_dict(
+            dict(GAME_CONFIG, lattice={"T": 1.0, "N": 4, "mode": "full-tree"}))
         assert run_experiment(cfg, tmp_path) == 0
-        assert calls == [GAME_CONFIG["lattice"]["N"]]
+        assert rows.count(677) == 1
+        assert dynkin._rule_table.cache_info().misses == 1
 
     def test_pair_table_is_the_oracle_table(self, tmp_path, monkeypatch):
         from drbsde_lab import dynkin
@@ -600,7 +655,7 @@ DROP = object()
 SPOILERS = {
     "lattice": [DROP, "x", {"T": 0.0, "N": 2}, {"N": 0}, {"N": "x"}, {"N": [2]},
                 {"N": 5, "mode": "full-tree"}, {"N": 2, "mode": "walk"}, {"T": None},
-                {"N": 2.5}],
+                {"N": 2.5}, {"N": True}],
     "scheme": ["Implicit", 1, None],
     "generator": ["cubic:1", "linear:1", "linear:-50,0", "driver-file:absent.npz", 5,
                   {"name": "zero"}, {"name": "linear:0.5,0.3", "kappa": -1.0},
@@ -610,14 +665,14 @@ SPOILERS = {
     "upper": [DROP, "state - 1", "state", "1e300 * 1e300"],
     "side": ["both", None],
     "schedule": [[], [4, 1], ["a"], 5, [0.5], [1, 4, math.inf], [-150, 4], [math.nan]],
-    "cases": ["x", -1, None, 2.5],
-    "samples": [0, -1, "x"],
+    "cases": ["x", -1, None, 2.5, True],
+    "samples": [0, -1, "x", True],
     "box": [[[0, 1]], [[0, 1, 2], [-1, 1], [-1, 1], [-1, 1]], "x",
             [[0, 1], [-1, 1], [-1, 1], [-1, 1]], [[1, 0], [-1, 1], [-1, 1], [-1, 1]],
             [[0, 1], [math.nan, 1], [-1, 1], [-1, 1]], [[0, 1], [-1, 1], [-1, math.inf], [-1, 1]]],
     "expected_failures": [5, ["H1"]],
     "mc": [{"M": 50}, {"degree": -1}, {"M": "x"}, [], {"M": 400, "degree": 0}, {"M": 400.5}],
-    "seed": ["x", None, 1.5, -1],
+    "seed": ["x", None, 1.5, -1, True],
     "tolerances": [{"value_gap": "x"}, "x", {"value_gap": 0.0}],
 }
 

@@ -52,6 +52,20 @@ def constant_rails_game(tree, xi_values, l0, u0, g=None):
     )
 
 
+def reference_shapes(depth):
+    """Every canonical rule's flags on a depth-``depth`` subtree, as the
+    enumeration first built them: one tuple of per-step arrays per rule."""
+    if depth == 0:
+        return [(np.array([True]),)]
+    stop_now = ((np.array([True]),) + tuple(np.zeros(1 << i, dtype=bool) for i in range(1, depth))
+                + (np.ones(1 << depth, dtype=bool),))
+    sub = reference_shapes(depth - 1)
+    return [stop_now] + [
+        (np.array([False]),) + tuple(np.concatenate([down[i], up[i]]) for i in range(depth))
+        for down in sub for up in sub
+    ]
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 2), (2, 5), (3, 26), (4, 677)])
     def test_counts_follow_recurrence(self, n, count):
@@ -75,6 +89,21 @@ class TestEnumeration:
         lat = build_lattice(1.0, 3)
         with pytest.raises(ValueError):
             enumerate_stopping_rules(lat)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stacked_table_is_the_object_enumeration(self, n):
+        # the table's rows, bitwise and in order, are the rules of the
+        # recursion over rule objects: stop at once, else a rule on each
+        # child subtree, the down one outer
+        tree = build_lattice(1.0, n, FULL_TREE)
+        flags, (root, layout) = dynkin._rule_table(n)
+        want = reference_shapes(n)
+        assert len(flags) == len(layout) == n and root.shape == (len(want),)
+        for k, f in enumerate(flags):
+            assert f.dtype == bool and not f.flags.writeable
+            np.testing.assert_array_equal(f, np.stack([shape[k] for shape in want]))
+        rules, _ = enumerate_stopping_rules(tree)
+        assert [r.key() for r in rules] == [StoppingRule(tree, shape).key() for shape in want]
 
     def test_enumeration_order_is_stable(self):
         tree = build_lattice(1.0, 3, FULL_TREE)
@@ -443,9 +472,10 @@ class TestPairValuesStandAlone:
     """A pair's value depends on the pair alone, not on its block."""
 
     @pytest.mark.parametrize("block", [1, 8, 677])
-    def test_pair_table_is_block_invariant(self, implicit_game_table, block):
+    def test_pair_table_is_block_invariant(self, implicit_game_table, monkeypatch, block):
         tree, game, table = implicit_game_table
-        other = pair_value_table(tree, game, "implicit", block)
+        monkeypatch.setattr(dynkin, "PAIR_BLOCK", block)
+        other = pair_value_table(tree, game, "implicit")
         np.testing.assert_array_equal(other.view(np.int64), table.view(np.int64))
 
     @settings(max_examples=25, deadline=None)
@@ -589,12 +619,19 @@ class TestDistinctChildValues:
             tree, game, [f[None] for f in tau.flags], [f[None] for f in gamma.flags], "implicit")
         assert np.float64(value).view(np.int64) == want[0, 0].view(np.int64)
 
-    def test_pair_value_table_stacks_the_flags_once(self):
+    def test_pair_value_table_stacks_the_flags_once(self, monkeypatch):
+        # the rules' table is built and classed once, then each block of
+        # PAIR_BLOCK rows is classed on its own
         tree = build_lattice(1.0, 3, FULL_TREE)
         game = readme_game(tree)
-        with mock.patch.object(dynkin, "_stacked_flags", wraps=dynkin._stacked_flags) as stack:
-            table = pair_value_table(tree, game, "implicit", block=4)
-        assert stack.call_count == 1
+        monkeypatch.setattr(dynkin, "PAIR_BLOCK", 4)
+        dynkin._rule_table.cache_clear()
+        with mock.patch.object(dynkin, "_subtree_classes",
+                               wraps=dynkin._subtree_classes) as classes:
+            table = pair_value_table(tree, game, "implicit")
+        assert dynkin._rule_table.cache_info().misses == 1
+        rows = [call.args[0][0].shape[0] for call in classes.call_args_list]
+        assert rows == [26] + [4] * 6 + [2]
         want = reference_pair_table_block(tree, game, stacked_rules(tree), stacked_rules(tree),
                                           "implicit")
         np.testing.assert_array_equal(table.view(np.int64), want.view(np.int64))
