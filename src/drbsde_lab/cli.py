@@ -167,7 +167,7 @@ class ExperimentConfig:
             raise ConfigError("config needs a 'lattice' object")
         with _config_check():
             return build_lattice(
-                float(spec.get("T", 1.0)),
+                self.real("T", spec.get("T", 1.0)),
                 self.integer("N", 8, spec),
                 spec.get("mode", "recombining"),
             )
@@ -178,12 +178,13 @@ class ExperimentConfig:
             if isinstance(spec, str):
                 return registry_generator(spec)
             if isinstance(spec, dict):
+                constants = ("kappa", "lam", "alpha", "h")
+                unknown = set(spec) - {"name", *constants}
+                if unknown:
+                    raise ValueError(f"unknown keys {sorted(unknown)}, "
+                                     f"expected among {['name', *constants]}")
                 g = registry_generator(spec["name"])
-                overrides = {
-                    key: float(spec[key])
-                    for key in ("kappa", "lam", "alpha", "h")
-                    if key in spec
-                }
+                overrides = {key: self.real(key, spec[key]) for key in constants if key in spec}
                 if overrides:
                     g = replace(g, **overrides)
                 return g
@@ -197,8 +198,10 @@ class ExperimentConfig:
             if required:
                 raise ConfigError(f"config needs a {key!r} expression")
             return None
+        if not isinstance(src, str):
+            raise ConfigError(f"{key!r} must be an expression string, got {src!r}")
         try:
-            return compile_expression(str(src))
+            return compile_expression(src)
         except ExpressionError as exc:
             raise ConfigError(f"bad {key!r} expression: {exc}") from exc
 
@@ -237,6 +240,17 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be >= {low}, got {value!r}")
             return int(value)
 
+    @staticmethod
+    def real(name: str, value) -> float:
+        """Real-number field ``name`` holding ``value``: a JSON number, so
+        ``true`` and ``"2"`` are config errors, never read as 1 and 2."""
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        try:
+            return float(value)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ConfigError(f"{name} must be a number within the float range") from exc
+
     def choice(self, key: str, default: str, allowed) -> str:
         value = self.raw.get(key, default)
         if value not in allowed:
@@ -254,7 +268,8 @@ class ExperimentConfig:
     @property
     def schedule(self):
         with _config_check():
-            return _check_schedule(self.raw.get("schedule", (1, 4, 16, 64, 256, 1024)))
+            levels = self.raw.get("schedule", (1, 4, 16, 64, 256, 1024))
+            return _check_schedule([self.real("penalty level", n) for n in levels])
 
 
 def _solution_files(out: Path, sol: Solution) -> None:
@@ -440,9 +455,9 @@ def _run_axioms(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _run_hypotheses(cfg: ExperimentConfig, out: Path) -> dict:
-    spec = cfg.raw.get("box")
     with _config_check():
-        box = tuple(tuple(float(x) for x in pair) for pair in spec) if spec else DEFAULT_BOX
+        box = tuple(tuple(cfg.real("box bound", x) for x in pair)
+                    for pair in cfg.raw.get("box", DEFAULT_BOX))
         samples = cfg.integer("samples", 2000, low=1)
         if [len(pair) for pair in box] != [2] * 4:
             raise ValueError("box needs four (lo, hi) pairs")

@@ -17,12 +17,12 @@ rules are one stacked-flag table per depth, classed once.  The oracle still
 enumerates every pair, but a pair's value at a node depends only on both
 rules' flags below it, so a block of ``PAIR_BLOCK`` rows works on the
 distinct pairs of subtree classes per node.  A step's value there depends
-only on the node and its two child values, so each step solves every
-distinct ``(node, down, up)`` triple of child values once, values told
-apart by their bits, and each pair of classes gathers its own.  The
-implicit fixed point converges each element on its own, so a pair's value
-depends only on the pair: the same in any block, in the full broadcast and
-in :func:`strategy_value`.
+only on the node and its two children, so each step solves every distinct
+pair of child rows per node once, a row being one distinct triple of the
+step below, and each pair of classes gathers its own.  The implicit
+fixed point converges each element on its own, so a pair's value depends
+only on the pair: the same in any block, in the full broadcast and in
+:func:`strategy_value`.
 """
 
 from __future__ import annotations
@@ -142,24 +142,25 @@ def _subtree_classes(flags: list[np.ndarray], n: int):
     cls, width, layout = np.zeros((flags[0].shape[0], 1 << n), dtype=np.int64), 1, [None] * n
     for k in range(n - 1, -1, -1):
         span = 2 * width * width  # each node's key range
-        base = np.arange(1 << k) * span
-        key = (flags[k] * width + cls[:, 0::2]) * width + cls[:, 1::2] + base
-        cls, rep = _per_node(key, base, span << k)
+        key = (flags[k] * width + cls[:, 0::2]) * width + cls[:, 1::2] + np.arange(1 << k) * span
+        cls, rep = _per_node(key, span)
         kids = np.stack([rep // width % width, rep % width], axis=-1).reshape(len(rep), -1)
         layout[k], width = (rep >= width * width, kids), len(rep)
     return cls[:, 0], layout
 
 
-def _per_node(key: np.ndarray, base: np.ndarray, size: int):
+def _per_node(key: np.ndarray, span: int):
     """Number each node's distinct keys: node ``j``'s keys (``key``'s last
-    axis) lie in a range of their own from ``base[j]``, all in ``[0, size)``.
-    The keys are marked in a dense table when it is no larger than ``key``
-    and sorted otherwise, so memory stays O(``key``).
+    axis) lie in ``[j * span, (j + 1) * span)``.  The keys are marked in a
+    dense table when it is no larger than ``key`` and sorted otherwise, so
+    memory stays O(``key``).
 
     Returns each key's id among its node's, and each node's distinct keys
     less its base ``(m, nodes)``, ``m`` the most at one node; a node with
     fewer repeats its last.
     """
+    base = np.arange(key.shape[-1], dtype=key.dtype) * span
+    size = span * key.shape[-1]
     if size <= key.size:
         seen = np.zeros(size, dtype=bool)
         seen[key] = True
@@ -179,59 +180,38 @@ def _rule_classes(rule: StoppingRule):
     return _subtree_classes([f[None] for f in rule.flags], rule.lattice.N)
 
 
-def _ranks(x: np.ndarray):
-    """Each entry's id in its column of ``x`` (2-D): its rank among the
-    column's distinct entries, from one sort along axis 0.  Returns the ids,
-    the sorted columns and their ids."""
-    order, col = np.argsort(x, axis=0), np.arange(x.shape[1])
-    ranked = x[order, col]
-    rank = np.zeros(x.shape, dtype=np.int32 if len(x) <= np.iinfo(np.int32).max else np.int64)
-    np.cumsum(ranked[1:] != ranked[:-1], axis=0, out=rank[1:])
-    ids = np.empty_like(rank)
-    ids[order, col] = rank
-    return ids, ranked, rank
-
-
 def _distinct_children(vals: np.ndarray, ids: np.ndarray, kids_t: np.ndarray,
                        kids_g: np.ndarray):
-    """Each node's distinct ``(down, up)`` child values over its class pairs.
+    """Each node's distinct ``(down, up)`` pairs of child rows over its class
+    pairs.
 
     The step-``k+1`` value of class pair ``(a, b)`` at node ``c`` is
     ``vals[ids[a, b, c], c]``; ``kids_t`` ``(a, 2 * nodes)`` and ``kids_g``
     ``(b, 2 * nodes)`` hold each step-``k`` class's children's classes.
-    Values are told apart by their bits, so ``-0.0``, ``+0.0`` and every NaN
-    stay distinct.  Returns the batch ``(m, 2 * nodes)`` that holds each
-    node's distinct pairs once, ``m`` the most at one node (a node with
+    A node's rows in ``vals`` are distinct triples of the step below, so a
+    pair of rows is keyed as it is; two rows that tie by value are solved
+    apart.  Returns the batch ``(m, 2 * nodes)`` that holds each node's
+    distinct pairs of rows once, ``m`` the most at one node (a node with
     fewer repeats its last), and each class pair's row in it per node,
     ``(a, b, nodes)``.
     """
-    cols = vals.shape[1]
-    nodes, col = cols // 2, np.arange(cols)
-    # per-column value ids from one sort of the small step-(k+1) table
-    vid, ranked, rank = _ranks(vals.view(np.int64))
-    values = np.empty((int(rank[-1].max()) + 1, cols))
-    values[rank, col] = ranked.view(np.float64)
-    # node j's keys (down id, up id) fill a range of its own, nd_j * nu_j long
-    nd, nu = rank[-1, 0::2] + 1, rank[-1, 1::2] + 1
-    span = nd.astype(np.int64) * nu
-    base = np.cumsum(span) - span
-    size = int(base[-1] + span[-1])
-    dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-    vid, nu, base = vid.astype(dtype, copy=False), nu.astype(dtype), base.astype(dtype)
-    # every class pair's key at every node: each tau class's ids against
-    # every gamma child class, then each gamma class takes its own
-    node, down, up = np.arange(nodes), col[0::2], col[1::2]
-    cell = vid[ids, col]
+    rows_n, cols = vals.shape
+    nodes, span = cols // 2, rows_n * rows_n
+    dtype = np.int32 if span * nodes <= np.iinfo(np.int32).max else np.int64
+    # every class pair's key (down row, up row) at every node: each tau
+    # class's rows against every gamma child class, then each gamma class
+    # takes its own
+    node, down, up = np.arange(nodes), np.arange(0, cols, 2), np.arange(1, cols, 2)
+    cell, base = ids.astype(dtype, copy=False), (node * span).astype(dtype)
     rows, b1 = (len(kids_t), -1), np.arange(cell.shape[1])[:, None]
-    key = np.take((cell[kids_t[:, None, 0::2], b1, down] * nu + base).reshape(rows),
+    key = np.take((cell[kids_t[:, None, 0::2], b1, down] * rows_n + base).reshape(rows),
                   kids_g[:, 0::2] * nodes + node, axis=1)
     key += np.take(cell[kids_t[:, None, 1::2], b1, up].reshape(rows),
                    kids_g[:, 1::2] * nodes + node, axis=1)
-    del cell
-    at, pick = _per_node(key, base, size)
+    at, pick = _per_node(key, span)
     batch = np.empty((len(pick), cols))
-    batch[:, 0::2] = values[pick // nu, down]
-    batch[:, 1::2] = values[pick % nu, up]
+    batch[:, 0::2] = vals[pick // rows_n, down]
+    batch[:, 1::2] = vals[pick % rows_n, up]
     return batch, at.astype(dtype, copy=False)
 
 
@@ -249,7 +229,7 @@ def _pair_table_block(
     once; the result has shape ``(a, b)``.  The pair stops at the first
     node either rule flags; the upper rail wins ties.  This oracle keeps its
     own loop over the shared batched step.  Each step solves every distinct
-    ``(node, down, up)`` child-value triple of the block's class pairs once
+    pair of child rows per node of the block's class pairs once
     (:func:`_distinct_children`); where every node holds one class pair,
     its children are the batch.  A step's values are a table, the
     candidates and then the lower and upper rails, with each class pair's

@@ -513,6 +513,68 @@ class TestRunKinds:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "lo <= hi" in err
 
+    @pytest.mark.parametrize("config,message", [
+        ({"kind": "bsde", "lattice": {"T": True, "N": 4}, "terminal": "state"},
+         "T must be a number, got True"),
+        ({"kind": "bsde", "lattice": {"T": "2", "N": 4}, "terminal": "state"},
+         "T must be a number, got '2'"),
+        ({"kind": "bsde", "lattice": {"T": 10**400, "N": 4}, "terminal": "state"},
+         "T must be a number within the float range"),
+        *[({**GAME_CONFIG, "kind": "drbsde",
+            "generator": {"name": "linear:-0.5,0.3", key: value}},
+           f"{key} must be a number, got {value!r}")
+          for key, value in (("kappa", True), ("kappa", "2"), ("lam", False), ("h", "0"))],
+        ({**GAME_CONFIG, "kind": "pasting", "schedule": [True, "4", 16]},
+         "penalty level must be a number, got True"),
+        ({"kind": "penalization", "lattice": {"T": 1.0, "N": 4}, "terminal": "state",
+          "lower": "state - 1", "schedule": [1, "4", 16]},
+         "penalty level must be a number, got '4'"),
+        ({"kind": "bsde", "lattice": {"T": 1.0, "N": 4}, "terminal": 5},
+         "'terminal' must be an expression string, got 5"),
+        ({**GAME_CONFIG, "kind": "drbsde", "lower": -5},
+         "'lower' must be an expression string, got -5"),
+        ({**GAME_CONFIG, "kind": "drbsde", "upper": ["state"]},
+         "'upper' must be an expression string, got ['state']"),
+        ({"kind": "hypotheses", "samples": 20, "box": [[True, 1], [-1, 1], [-1, 1], [-1, 1]]},
+         "box bound must be a number, got True"),
+        ({"kind": "hypotheses", "samples": 20, "box": [[0, 1], ["-3", 3], [-1, 1], [-1, 1]]},
+         "box bound must be a number, got '-3'"),
+    ], ids=["T-true", "T-string", "T-overflowing", "kappa-true", "kappa-string", "lam-false",
+            "h-string", "schedule-true", "schedule-string", "terminal-number",
+            "lower-number", "upper-list", "box-true", "box-string"])
+    def test_numbers_and_expressions_of_the_wrong_kind_exit_2(self, tmp_path, capsys, config,
+                                                              message):
+        # float() would read true as 1 and "2" as 2, and str() would run the
+        # terminal 5 as the constant expression 5
+        path = write_config(tmp_path, "kind.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("box,message", [
+        ([], "box needs four (lo, hi) pairs"), (False, "not iterable"), (0, "not iterable"),
+        (None, "not iterable"),
+    ], ids=["empty", "false", "zero", "null"])
+    def test_a_given_box_never_falls_back_to_the_default(self, tmp_path, capsys, box, message):
+        config = {"kind": "hypotheses", "samples": 20, "box": box}
+        path = write_config(tmp_path, "box.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
+    def test_unknown_generator_key_exits_2(self, tmp_path, capsys):
+        drbsde = {**GAME_CONFIG, "kind": "drbsde"}
+        known = {"name": "linear:-0.5,0.3", "kappa": 0.5}
+        path = write_config(tmp_path, "known.json", {**drbsde, "generator": known})
+        assert main(["run", str(path), "--out", str(tmp_path / "known")]) == 0
+        path = write_config(tmp_path, "typo.json",
+                            {**drbsde, "generator": {"name": "linear:-0.5,0.3", "kapa": 9}})
+        assert main(["run", str(path), "--out", str(tmp_path / "typo")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "unknown keys ['kapa']" in err
+        assert "['name', 'kappa', 'lam', 'alpha', 'h']" in err
+
     def test_integral_float_fields_run(self, tmp_path):
         config = {"kind": "bsde", "lattice": {"T": 1.0, "N": 4.0}, "terminal": "state"}
         path = write_config(tmp_path, "whole.json", config)
@@ -655,21 +717,26 @@ DROP = object()
 SPOILERS = {
     "lattice": [DROP, "x", {"T": 0.0, "N": 2}, {"N": 0}, {"N": "x"}, {"N": [2]},
                 {"N": 5, "mode": "full-tree"}, {"N": 2, "mode": "walk"}, {"T": None},
-                {"N": 2.5}, {"N": True}],
+                {"N": 2.5}, {"N": True}, {"T": True, "N": 2}, {"T": "2", "N": 2}],
     "scheme": ["Implicit", 1, None],
     "generator": ["cubic:1", "linear:1", "linear:-50,0", "driver-file:absent.npz", 5,
                   {"name": "zero"}, {"name": "linear:0.5,0.3", "kappa": -1.0},
-                  {"name": "zero", "lam": "x"}, {}],
-    "terminal": [DROP, "min(state", "exp(state)", 7, "abs(state) * 1e300 * 1e300", "state"],
-    "lower": [DROP, "state + 1", "state", "x"],
-    "upper": [DROP, "state - 1", "state", "1e300 * 1e300"],
+                  {"name": "zero", "lam": "x"}, {}, {"name": "linear:0.5,0.3", "kappa": True},
+                  {"name": "linear:0.5,0.3", "kappa": "2"},
+                  {"name": "linear:-0.5,0.3", "kapa": 9}],
+    "terminal": [DROP, "min(state", "exp(state)", 7, 5, "abs(state) * 1e300 * 1e300", "state"],
+    "lower": [DROP, "state + 1", "state", "x", -5],
+    "upper": [DROP, "state - 1", "state", "1e300 * 1e300", 5],
     "side": ["both", None],
-    "schedule": [[], [4, 1], ["a"], 5, [0.5], [1, 4, math.inf], [-150, 4], [math.nan]],
+    "schedule": [[], [4, 1], ["a"], 5, [0.5], [1, 4, math.inf], [-150, 4], [math.nan],
+                 [True, "4", 16]],
     "cases": ["x", -1, None, 2.5, True],
     "samples": [0, -1, "x", True],
     "box": [[[0, 1]], [[0, 1, 2], [-1, 1], [-1, 1], [-1, 1]], "x",
             [[0, 1], [-1, 1], [-1, 1], [-1, 1]], [[1, 0], [-1, 1], [-1, 1], [-1, 1]],
-            [[0, 1], [math.nan, 1], [-1, 1], [-1, 1]], [[0, 1], [-1, 1], [-1, math.inf], [-1, 1]]],
+            [[0, 1], [math.nan, 1], [-1, 1], [-1, 1]], [[0, 1], [-1, 1], [-1, math.inf], [-1, 1]],
+            [[True, 1], [-1, 1], [-1, 1], [-1, 1]], [[0, 1], ["-3", 3], [-1, 1], [-1, 1]],
+            [], False, 0],
     "expected_failures": [5, ["H1"]],
     "mc": [{"M": 50}, {"degree": -1}, {"M": "x"}, [], {"M": 400, "degree": 0}, {"M": 400.5}],
     "seed": ["x", None, 1.5, -1, True],

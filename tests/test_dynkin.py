@@ -516,11 +516,47 @@ def batch_spy(seen):
 
 
 def distinct_per_node(lattice, next_values):
-    """Each node's number of distinct ``(down bits, up bits)`` pairs."""
+    """Each node's distinct ``(down bits, up bits)`` pairs, sorted."""
     down, up = lattice.split_children(next_values)
     pairs = np.stack([down.view(np.int64), up.view(np.int64)], axis=-1)
     pairs = pairs.reshape(-1, down.shape[-1], 2)
-    return [len(np.unique(pairs[:, j], axis=0)) for j in range(down.shape[-1])]
+    return [np.unique(pairs[:, j], axis=0) for j in range(down.shape[-1])]
+
+
+def assert_same_pairs(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+def row_pair_spy(seen):
+    """``_distinct_children`` that checks each call against brute force and
+    records each node's number of distinct ``(down row, up row)`` pairs of
+    child rows over the class pairs: the batch holds each such pair once,
+    and each class pair's row in it holds its children's values."""
+    distinct_children = dynkin._distinct_children
+
+    def spy(vals, ids, kids_t, kids_g):
+        batch, at = distinct_children(vals, ids, kids_t, kids_g)
+        cols = vals.shape[1]
+        rows = ids[kids_t[:, None, :], kids_g[None, :, :], np.arange(cols)]
+        counts = []
+        for j in range(cols // 2):
+            pairs, here = rows[..., 2 * j:2 * j + 2].reshape(-1, 2), at[..., j].ravel()
+            # the pairs and their batch rows 0 .. n-1 match one to one
+            key = pairs[:, 0].astype(np.int64) * len(vals) + pairs[:, 1]
+            n = len(np.unique(key))
+            np.testing.assert_array_equal(np.unique(here), np.arange(n))
+            assert len(np.unique(key * n + here)) == n
+            got = batch[here, 2 * j:2 * j + 2]
+            want = vals[pairs, [2 * j, 2 * j + 1]]
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            counts.append(n)
+        assert batch.shape == (max(counts), cols)
+        seen.append(counts)
+        return batch, at
+
+    return spy
 
 
 def classes_pair_table_block(tree, game, tau_classes, gamma_classes, scheme):
@@ -538,19 +574,25 @@ def classes_pair_table_block(tree, game, tau_classes, gamma_classes, scheme):
 
 
 class TestDistinctChildValues:
-    """Each step solves every distinct (node, down, up) child-value triple once."""
+    """Each step solves every distinct pair of child rows per node once."""
 
     def test_root_batch_is_one_row_per_distinct_pair(self):
         tree = build_lattice(1.0, 4, FULL_TREE)
         game = readme_game(tree)
-        seen = []
-        with mock.patch.object(dynkin, "step_candidate", batch_spy(seen)):
+        stacked = stacked_rules(tree)
+        seen, counts = [], []
+        with mock.patch.object(dynkin, "step_candidate", batch_spy(seen)), \
+                mock.patch.object(dynkin, "_distinct_children", row_pair_spy(counts)):
             pair_value_table(tree, game, "implicit")
         roots = [batch for k, batch in seen if k == 0]
         assert len(roots) == -(-677 // 64)
-        for batch in roots:
-            assert batch.shape[1] == 2
-            assert distinct_per_node(tree, batch) == [len(batch)]
+        assert [[len(batch)] for batch in roots] == [c for c in counts if len(c) == 1]
+        for lo, batch in zip(range(0, 677, 64), roots):
+            full = []
+            with mock.patch.dict(globals(), step_candidate=batch_spy(full)):
+                reference_pair_table_block(tree, game, [f[lo:lo + 64] for f in stacked],
+                                           stacked, "implicit")
+            assert_same_pairs(distinct_per_node(tree, batch), distinct_per_node(tree, full[-1][1]))
         # about a tenth of the 677 x 677 pairs
         assert sum(len(batch) for batch in roots) < 677 * 677 / 4
 
@@ -564,22 +606,24 @@ class TestDistinctChildValues:
         else:
             star = first_hitting(solve_drbsde(tree, game, "implicit"), None, "upper")
             tau, gamma = stacked, [f[None, :] for f in star.canonicalize().flags]
-        got, want = [], []
-        with mock.patch.object(dynkin, "step_candidate", batch_spy(got)):
+        got, want, counts = [], [], []
+        with mock.patch.object(dynkin, "step_candidate", batch_spy(got)), \
+                mock.patch.object(dynkin, "_distinct_children", row_pair_spy(counts)):
             dynkin._pair_table_block(tree, game, dynkin._subtree_classes(tau, 4),
                                      dynkin._subtree_classes(gamma, 4), "implicit")
         with mock.patch.dict(globals(), step_candidate=batch_spy(want)):
             reference_pair_table_block(tree, game, tau, gamma, "implicit")
         assert [k for k, _ in got] == [k for k, _ in want] == [3, 2, 1, 0]
-        for (k, batch), (_, full) in zip(got, want):
-            # the full broadcast's distinct count per node, and no more rows:
-            # a node with fewer repeats its last triple
-            counts = distinct_per_node(tree, full)
-            assert distinct_per_node(tree, batch) == counts
-            assert batch.shape == (max(counts), 2 << k)
+        assert [len(c) for c in counts] == [8, 4, 2, 1]
+        for (k, batch), (_, full), count in zip(got, want, counts):
+            # the most distinct pairs of child rows at one node, and no more
+            # rows: a node with fewer repeats its last pair
+            assert batch.shape == (max(count), 2 << k)
+            # and the full broadcast's distinct values, no fewer and no more
+            assert_same_pairs(distinct_per_node(tree, batch), distinct_per_node(tree, full))
         assert sum(b.size for _, b in got) < sum(b.size for _, b in want) / 10
 
-    def test_signed_zeros_stay_separate_triples(self):
+    def test_signed_zeros_stay_separate_rows(self):
         # the lower rail is -0.0 at one step-1 node, where continuing gives
         # +0.0: a pair that stops there and one that goes on keep two rows
         tree = build_lattice(1.0, 2, FULL_TREE)
@@ -638,16 +682,17 @@ class TestDistinctChildValues:
 
     @pytest.mark.parametrize("wide", [False, True], ids=["marked", "sorted"])
     def test_per_node_numbers_each_nodes_distinct_keys(self, wide):
-        # node j's keys lie in [base[j], base[j] + 3 * scale); a range far
+        # node j's keys lie in [j * span, (j + 1) * span); a range far
         # wider than the keys is sorted in memory of the keys' order
         rng = np.random.default_rng(5)
         scale = 10**6 if wide else 1
-        base = np.arange(4) * (3 * scale)
+        span = 3 * scale
+        base = np.arange(4) * span
         key = (rng.integers(0, 3, (200, 4)) * scale + base).astype(np.int32)
         key[:, 3] = base[3]  # one key at the last node: its column repeats
         tracemalloc.start()
         try:
-            ids, reps = dynkin._per_node(key, base, 4 * 3 * scale)
+            ids, reps = dynkin._per_node(key, span)
             used = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -664,8 +709,8 @@ class TestDistinctChildValues:
     def test_a_family_at_depth(self, scheme):
         # 128 random-flag rows against one rule at N = 12: bitwise the full
         # broadcast, and below the memory of the classes' broadcast; some
-        # step's dense (node, down, up) table would be larger than its keys,
-        # so those steps sort them
+        # step's dense (node, down row, up row) table would be larger than
+        # its keys, so those steps sort them
         n = 12
         tree = build_lattice(1.0, n, FULL_TREE)
         game = separated_game(tree, registry_generator("linear:-0.5,0.3"))
@@ -685,6 +730,7 @@ class TestDistinctChildValues:
         assert used < peak(classes_pair_table_block)[1]
         with mock.patch.object(dynkin, "_per_node", wraps=dynkin._per_node) as per_node:
             dynkin._pair_table_block(tree, game, *classes, scheme)
-        assert any(call.args[2] > call.args[0].size for call in per_node.call_args_list)
+        assert any(span * key.shape[-1] > key.size for key, span in
+                   (call.args for call in per_node.call_args_list))
         want = reference_pair_table_block(tree, game, tau, gamma, scheme)
         np.testing.assert_array_equal(value.view(np.int64), want.view(np.int64))
