@@ -111,6 +111,15 @@ def _config_check():
         raise ConfigError(str(exc)) from exc
 
 
+def _check_keys(what: str, spec, known) -> None:
+    """An unknown key of a config object is an error, so a misspelt key never
+    leaves its default in place."""
+    unknown = set(spec) - set(known)
+    if unknown:
+        raise ConfigError(f"bad {what} spec {spec!r}: unknown keys {sorted(unknown)}, "
+                          f"expected among {list(known)}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated view of one experiment; the raw dict round-trips losslessly."""
@@ -165,6 +174,7 @@ class ExperimentConfig:
         spec = self.raw.get("lattice")
         if not isinstance(spec, dict):
             raise ConfigError("config needs a 'lattice' object")
+        _check_keys("lattice", spec, ("T", "N", "mode"))
         with _config_check():
             return build_lattice(
                 self.real("T", spec.get("T", 1.0)),
@@ -174,15 +184,13 @@ class ExperimentConfig:
 
     def generator(self) -> Generator:
         spec = self.raw.get("generator", "zero")
+        constants = ("kappa", "lam", "alpha", "h")
+        if isinstance(spec, dict):
+            _check_keys("generator", spec, ("name", *constants))
         try:
             if isinstance(spec, str):
                 return registry_generator(spec)
             if isinstance(spec, dict):
-                constants = ("kappa", "lam", "alpha", "h")
-                unknown = set(spec) - {"name", *constants}
-                if unknown:
-                    raise ValueError(f"unknown keys {sorted(unknown)}, "
-                                     f"expected among {['name', *constants]}")
                 g = registry_generator(spec["name"])
                 overrides = {key: self.real(key, spec[key]) for key in constants if key in spec}
                 if overrides:
@@ -495,22 +503,15 @@ def _run_mc_crosscheck(cfg: ExperimentConfig, out: Path) -> dict:
 
     with _config_check():
         mc_spec = cfg.raw.get("mc", {})
+        _check_keys("mc", mc_spec, ("M", "degree"))
         m_paths = cfg.integer("M", 100_000, mc_spec)
         basis = RegressionBasis(cfg.integer("degree", 3, mc_spec))
-        paths = simulate_paths(1, lat.T, lat.N, m_paths, cfg.seed)
+        paths = simulate_paths(lat.T, lat.N, m_paths, cfg.seed)
     term_fn = cfg.expression("terminal", required=True)
-    lower_fn = cfg.expression("lower")
-    upper_fn = cfg.expression("upper")
-
-    def wrap(fn):
-        if fn is None:
-            return None
-        return lambda t, states: fn(t, states[:, 0])
-
     problem = McProblem(
-        terminal=lambda states: term_fn(lat.T, states[:, 0]),
-        lower=wrap(lower_fn),
-        upper=wrap(upper_fn),
+        terminal=lambda states: term_fn(lat.T, states),
+        lower=cfg.expression("lower"),
+        upper=cfg.expression("upper"),
     )
     try:
         result = solve_mc(paths, problem, cfg.generator(), basis, cfg.scheme)

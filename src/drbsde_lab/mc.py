@@ -6,8 +6,8 @@ driver update (explicit, or the damped implicit fixed point) is the
 lattice kernel's own, and so is the reflection and penalty step,
 ``bsde._reflect``, applied after the regression, so obstacle constraints
 hold path by path, exactly; the flat-off products are read off its
-compensator increments.  This is the backend for dimensions above one and
-for cross-checking the lattice at scale.
+compensator increments.  It runs in one dimension, as the lattice does, and
+cross-checks the lattice at scale.
 
 Reproducibility: path ``i`` draws from a counter-based bit generator keyed
 by ``(seed, i)``, so bundles are bit-identical across runs and independent
@@ -40,22 +40,24 @@ class PathDataError(ValueError):
 
 # paths per chunk of a running sum: a chunk's increments stay in cache
 STATE_CHUNK = 4096
+# most disjoint path batches behind the bootstrap standard error, and its resamples
+BATCHES = 50
+BOOTSTRAP_SAMPLES = 500
 
 
 @dataclass(frozen=True)
 class PathBundle:
     """Simulated Brownian increments; the state paths are their running sums.
 
-    Only the increments are kept, ``M * N * d * 8`` bytes.  :meth:`state`
+    Only the increments are kept, ``M * N * 8`` bytes.  :meth:`state`
     rebuilds one step's states, with the bits of ``np.cumsum`` over the
     steps from a zero start; :attr:`states` builds the whole array."""
 
-    d: int
     T: float
     N: int
     M: int
     seed: int
-    increments: np.ndarray  # (M, N, d)
+    increments: np.ndarray  # (M, N)
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -67,11 +69,11 @@ class PathBundle:
         return self.diagnostics.get("gate_ok", False)
 
     def state(self, k: int, mark=(0, None)) -> np.ndarray:
-        """The states at step ``k``, shape ``(M, d)`` (:meth:`states_at`)."""
+        """The states at step ``k``, shape ``(M,)`` (:meth:`states_at`)."""
         return self.states_at([k], mark)[0]
 
     def states_at(self, steps, mark=(0, None)) -> list:
-        """The states at each of the increasing ``steps``, one ``(M, d)``
+        """The states at each of the increasing ``steps``, one ``(M,)``
         array each: zeros at step 0, else ``np.cumsum``'s left-to-right
         running sum of each path's increments before the step, which starts
         from the first increment itself (a -0.0 stays -0.0).  One pass over
@@ -80,8 +82,7 @@ class PathBundle:
         step j)``, ``j`` at most the first step, resumes the sum there, with
         the same bits."""
         j, start = mark
-        outs = [np.zeros((self.M, self.d)) if k == 0 else np.empty((self.M, self.d))
-                for k in steps]
+        outs = [np.zeros(self.M) if k == 0 else np.empty(self.M) for k in steps]
         for lo in range(0, self.M, STATE_CHUNK):
             inc = self.increments[lo:lo + STATE_CHUNK]
             run, at = (inc[:, 0], 1) if j == 0 else (start[lo:lo + STATE_CHUNK], j)
@@ -96,15 +97,15 @@ class PathBundle:
 
     @property
     def states(self) -> np.ndarray:
-        """Every step's states, shape ``(M, N + 1, d)``, built on each read:
+        """Every step's states, shape ``(M, N + 1)``, built on each read:
         no solver or writer reads it."""
-        states = np.zeros((self.M, self.N + 1, self.d))
-        np.cumsum(self.increments, axis=1, out=states[:, 1:, :])
+        states = np.zeros((self.M, self.N + 1))
+        np.cumsum(self.increments, axis=1, out=states[:, 1:])
         return states
 
 
-def simulate_paths(d: int, T: float, N: int, M: int, seed: int) -> PathBundle:
-    """Simulate ``M`` independent ``d``-dimensional Brownian paths.
+def simulate_paths(T: float, N: int, M: int, seed: int) -> PathBundle:
+    """Simulate ``M`` independent Brownian paths.
 
     Path ``i`` draws its normals from Philox keyed by ``(seed, i)`` alone.
     With two usable CPUs and at least ``lattice.SPLIT_MIN`` paths
@@ -113,15 +114,15 @@ def simulate_paths(d: int, T: float, N: int, M: int, seed: int) -> PathBundle:
     scaling and the gate diagnostics then run here, once over the whole
     bundle.  No states are stored: :meth:`PathBundle.state` rebuilds a
     step's states from the increments."""
-    if d < 1 or N < 1:
-        raise ValueError("dimension and step count must be positive")
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    if N < 1:
+        raise ValueError("step count must be positive")
+    if not (T > 0 and math.isfinite(T)):
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     if M < 100:
         raise ValueError("at least 100 paths are required")
     dt = T / N
     # shared with a forked child, which draws its rows in place
-    increments = np.frombuffer(mmap.mmap(-1, M * N * d * 8), dtype=float).reshape(M, N, d)
+    increments = np.frombuffer(mmap.mmap(-1, M * N * 8), dtype=float).reshape(M, N)
 
     def draw(lo, hi):
         # one generator re-keyed per path: Philox key words (low, high) =
@@ -140,26 +141,18 @@ def simulate_paths(d: int, T: float, N: int, M: int, seed: int) -> PathBundle:
     _in_two(M, draw)
     increments *= math.sqrt(dt)
 
-    flat = increments.reshape(-1, d)
-    mean = flat.mean(axis=0)
-    var = flat.var(axis=0)
-    mean_gate = bool(np.all(np.abs(mean) <= 3.0 / math.sqrt(M)))
-    var_gate = bool(np.all(np.abs(var - dt) <= 0.1 * dt))
+    mean = float(increments.mean())
+    var = float(increments.var())
+    mean_gate = abs(mean) <= 3.0 / math.sqrt(M)
+    var_gate = abs(var - dt) <= 0.1 * dt
     diagnostics = {
-        "increment_mean": mean.tolist(),
-        "increment_var": var.tolist(),
+        "increment_mean": mean,
+        "increment_var": var,
         "mean_gate_ok": mean_gate,
         "var_gate_ok": var_gate,
         "gate_ok": mean_gate and var_gate,
     }
-    if d > 1:
-        cov = np.cov(flat, rowvar=False)
-        off = cov[~np.eye(d, dtype=bool)]
-        diagnostics["max_cross_covariance"] = float(np.max(np.abs(off)))
-        diagnostics["cross_gate_ok"] = bool(
-            np.max(np.abs(off)) <= 3.0 * dt / math.sqrt(M)
-        )
-    return PathBundle(d, float(T), int(N), int(M), int(seed), increments, diagnostics)
+    return PathBundle(float(T), int(N), int(M), int(seed), increments, diagnostics)
 
 
 # ----------------------------------------------------------------------
@@ -169,9 +162,9 @@ def simulate_paths(d: int, T: float, N: int, M: int, seed: int) -> PathBundle:
 
 @dataclass(frozen=True)
 class RegressionBasis:
-    """Cross-sectional basis: the monomials of total degree at most
-    ``degree`` in the state coordinates, the constant first.  Degree 0 is a
-    constant regression; a negative degree is a ``ValueError``."""
+    """Cross-sectional basis: the powers ``1, x, ..., x**degree`` of the
+    state.  Degree 0 is a constant regression; a negative degree is a
+    ``ValueError``."""
 
     degree: int = 3
 
@@ -180,33 +173,9 @@ class RegressionBasis:
             raise ValueError(f"basis degree must be >= 0, got {self.degree}")
 
     def design(self, states: np.ndarray) -> np.ndarray:
-        """Design matrix at one time slice; states has shape (M, d)."""
-        m, d = states.shape
-        cols = [np.ones(m)]
-        for p in _total_degree_powers(d, self.degree):
-            col = np.ones(m)
-            for axis, e in enumerate(p):
-                if e:
-                    col = col * states[:, axis] ** e
-            cols.append(col)
-        return np.column_stack(cols)
-
-
-def _total_degree_powers(d: int, degree: int):
-    """Nonzero multi-indices with total degree <= degree, fixed order."""
-    out = []
-
-    def rec(prefix, remaining, axis):
-        if axis == d:
-            if any(prefix):
-                out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, axis + 1)
-
-    rec([], degree, 0)
-    out.sort(key=lambda p: (sum(p), p))
-    return out
+        """Design matrix at one time slice; states has shape (M,)."""
+        return np.column_stack([np.ones(len(states))]
+                               + [states ** e for e in range(1, self.degree + 1)])
 
 
 def _project(design: np.ndarray, targets: np.ndarray):
@@ -232,7 +201,7 @@ def _project(design: np.ndarray, targets: np.ndarray):
 class McProblem:
     """Problem datum for the path backend, given as state functions."""
 
-    terminal: Callable                      # states (M, d) -> values (M,)
+    terminal: Callable                      # states (M,) -> values (M,)
     lower: Optional[Callable] = None        # (t, states) -> values
     upper: Optional[Callable] = None
 
@@ -248,24 +217,20 @@ class McResult:
     seed: int
     basis: RegressionBasis
     scheme: str
-    bootstrap_samples: int
 
 
 def write_bundle_csv(path, bundle: PathBundle) -> None:
-    """Path dump: one row per (path, step, coordinate), the states rebuilt
-    per chunk of paths."""
-    per_path = bundle.N * bundle.d
-    pool = _text(b"%d", range(max(bundle.N, bundle.d)))
-    steps = pool[np.repeat(np.arange(bundle.N), bundle.d)]
-    coords = pool[np.tile(np.arange(bundle.d), bundle.N)]
-    per_chunk = max(1, DUMP_CHUNK // per_path)
+    """Path dump: one row per (path, step), the states rebuilt per chunk of
+    paths; ``coord`` is always 0."""
+    steps = _text(b"%d", range(bundle.N))
+    per_chunk = max(1, DUMP_CHUNK // bundle.N)
     with open(path, "wb") as fh:
         fh.write(b"path,k,coord,dB,state\r\n")
         for lo in range(0, bundle.M, per_chunk):
             hi = min(lo + per_chunk, bundle.M)
             inc = bundle.increments[lo:hi]
-            _write_rows(fh, [np.repeat(_text(b"%d", range(lo, hi)), per_path),
-                             np.tile(steps, hi - lo), np.tile(coords, hi - lo),
+            _write_rows(fh, [np.repeat(_text(b"%d", range(lo, hi)), bundle.N),
+                             np.tile(steps, hi - lo), np.full(inc.size, b"0"),
                              _float_cells(inc.reshape(-1)),
                              # the chunk's states, steps 1 .. N: the bits of
                              # PathBundle.state
@@ -284,7 +249,7 @@ def write_mc_sidecar(path, result: "McResult") -> None:
         "condition_warning": result.condition_warning,
         "flat_off_lower": result.flat_off_lower,
         "flat_off_upper": result.flat_off_upper,
-        "bootstrap_samples": result.bootstrap_samples,
+        "bootstrap_samples": BOOTSTRAP_SAMPLES,
     })
 
 
@@ -312,7 +277,7 @@ def _states_down(paths: PathBundle):
     """``at(k)``: the states at step ``k`` (:meth:`PathBundle.state`), for
     ``k`` taken in any order.  The first call keeps the running sum at every
     ``ceil(sqrt(N))``-th step, and each call resumes from the last mark at
-    or below ``k``: about ``sqrt(N)`` arrays of ``(M, d)`` floats kept, and
+    or below ``k``: about ``sqrt(N)`` arrays of ``M`` floats kept, and
     fewer than ``sqrt(N)`` steps added per call."""
     every = math.isqrt(paths.N - 1) + 1
     marks = [(0, None)]
@@ -354,15 +319,11 @@ def solve_mc(
     g: Generator,
     basis: RegressionBasis = RegressionBasis(),
     scheme: str = "explicit",
-    penalty: Optional[tuple] = None,
-    batches: int = 50,
-    bootstrap_samples: int = 500,
 ) -> McResult:
     """Backward induction on simulated paths with regression projections.
 
-    ``penalty`` is ``(side, level)`` to approximate a reflection by the
-    closed-form implicit penalty instead of the clamp.  The standard error
-    is bootstrapped from disjoint path batches re-solved end to end, so it
+    The standard error is bootstrapped (``BOOTSTRAP_SAMPLES`` resamples)
+    from up to ``BATCHES`` disjoint path batches re-solved end to end, so it
     sees the regression-stage noise, not just the final averaging.
 
     Batch ``b`` is bundle rows ``[b*size, (b+1)*size)``.  One backward loop
@@ -385,42 +346,37 @@ def solve_mc(
     bundle's design, whose columns are elementwise in the states.
 
     The driver is ``g.fn(t, state, y, z)`` with ``state`` and ``z`` of shape
-    ``(M,)`` at d = 1 and ``(M, d)`` at d > 1.  Bad terminal or obstacle data
-    raises :class:`PathDataError`.
+    ``(M,)``.  Bad terminal or obstacle data raises :class:`PathDataError`.
     """
     if g.stop_rule is not None:
         raise ValueError("stopped drivers follow lattice nodes: no path backend")
-    M, N, d = paths.M, paths.N, paths.d
+    M, N = paths.M, paths.N
     dt = paths.dt
     max_cond = 1.0
     flat_lower = 0.0
     flat_upper = 0.0
-    penalized = None if penalty is None else penalty[0]
-    levels = tuple(penalty[1] if side == penalized else math.inf for side in ("lower", "upper"))
 
     def rails(t, states):
         return tuple(None if fn is None else np.asarray(fn(t, states), dtype=float)
                      for fn in (problem.lower, problem.upper))
 
     def targets(values, db):
-        return np.column_stack([values] + [values * db[:, j] / dt for j in range(d)])
+        return np.column_stack([values, values * db / dt])
 
     def advance(fitted, k, states, low, up):
         """Driver update from the fitted (E, Z) columns, then the reflection."""
-        svar = states[:, 0] if d == 1 else states
-        zhat = fitted[:, 1] if d == 1 else fitted[:, 1:]
 
         def driver(y):
-            return np.asarray(g.fn(dt * k, svar, y, zhat), dtype=float)
+            return np.asarray(g.fn(dt * k, states, y, fitted[:, 1]), dtype=float)
 
         cand = _driver_update(driver, fitted[:, 0], dt, g.lam_plus, scheme, k)
-        return _reflect(cand, low, up, dt, levels)
+        return _reflect(cand, low, up, dt)
 
     def book(out, low, up, dk, dj):
         nonlocal flat_lower, flat_upper
-        if low is not None and penalized != "lower":
+        if low is not None:
             flat_lower = max(flat_lower, float(np.max(np.abs((out - low) * dk))))
-        if up is not None and penalized != "upper":
+        if up is not None:
             flat_upper = max(flat_upper, float(np.max(np.abs((up - out) * dj))))
 
     state_at = _states_down(paths)
@@ -430,17 +386,16 @@ def solve_mc(
         return states, basis.design(states)
 
     # states and design depend on the increments alone, so a child can
-    # build them ahead: the design has one column per power
-    shapes = ((M, d), (M, 1 + len(_total_degree_powers(d, basis.degree))))
+    # build them ahead
     steps = range(N - 1, 0, -1)
-    with _ahead(steps, build, shapes) as built:
+    with _ahead(steps, build, ((M,), (M, 1 + basis.degree))) as built:
         v = mc_terminal(paths, problem)  # the child builds the first steps meanwhile
-        n_batches = max(2, min(batches, M // 100))
+        n_batches = max(2, min(BATCHES, M // 100))
         size = M // n_batches
         used = n_batches * size
         batch_v = v[:used]
         for k, (states, design) in zip(steps, built):
-            db = np.ascontiguousarray(paths.increments[:, k, :])
+            db = np.ascontiguousarray(paths.increments[:, k])
             low, up = rails(dt * k, states)
             fitted, cond = _project(design, targets(v, db))
             max_cond = max(max_cond, cond)
@@ -457,15 +412,14 @@ def solve_mc(
                                                            for r in (low, up)))[0]
 
     # root: every path shares the state, plain averages are exact
-    origin = np.zeros((1, d))
+    origin = np.zeros(1)
     low, up = rails(0.0, origin)
-    inc = np.ascontiguousarray(paths.increments[:, 0, :])
+    inc = np.ascontiguousarray(paths.increments[:, :1])
 
     def root(values, inc):
         e0 = np.array([float(values.mean())])
         z0 = values @ inc / (dt * values.size)
-        fitted = np.column_stack([e0, z0[None, :]])
-        return advance(fitted, 0, origin, low, up)
+        return advance(np.column_stack([e0, z0]), 0, origin, low, up)
 
     out, dk, dj = root(v, inc)
     book(out, low, up, dk, dj)
@@ -473,7 +427,7 @@ def solve_mc(
     batch_vals = np.array([float(root(batch_v[lo:lo + size], inc[lo:lo + size])[0][0])
                            for lo in range(0, used, size)])
     rng = np.random.default_rng(paths.seed ^ 0x5EED_B00F)
-    resampled = rng.integers(0, n_batches, size=(bootstrap_samples, n_batches))
+    resampled = rng.integers(0, n_batches, size=(BOOTSTRAP_SAMPLES, n_batches))
     boot_means = batch_vals[resampled].mean(axis=1)
     stderr = float(boot_means.std(ddof=1))
 
@@ -487,5 +441,4 @@ def solve_mc(
         seed=paths.seed,
         basis=basis,
         scheme=scheme,
-        bootstrap_samples=bootstrap_samples,
     )

@@ -320,18 +320,18 @@ def test_criterion_12_mc_cross_check():
             U=AdaptedProcess.from_function(lat, lambda t, s: f(s) + 0.25),
         )
         ref = solve_drbsde(lat, game).root_value
-        paths = simulate_paths(1, 1.0, 16, 100_000, 2026)
+        paths = simulate_paths(1.0, 16, 100_000, 2026)
         problem = McProblem(
-            terminal=lambda s: f(s[:, 0]),
-            lower=lambda t, s: f(s[:, 0]) - 0.25,
-            upper=lambda t, s: f(s[:, 0]) + 0.25,
+            terminal=f,
+            lower=lambda t, s: f(s) - 0.25,
+            upper=lambda t, s: f(s) + 0.25,
         )
         basis = RegressionBasis(3)
         result = solve_mc(paths, problem, g, basis)
         again = solve_mc(paths, problem, g, basis)
         assert result.y0 == again.y0 and result.stderr == again.stderr
-        small_a = simulate_paths(1, 1.0, 16, 2000, 2026)
-        small_b = simulate_paths(1, 1.0, 16, 2000, 2026)
+        small_a = simulate_paths(1.0, 16, 2000, 2026)
+        small_b = simulate_paths(1.0, 16, 2000, 2026)
         assert np.array_equal(small_a.increments, small_b.increments)
         scale = game.scale()
         gap = abs(result.y0 - ref)

@@ -403,15 +403,23 @@ class TestRunKinds:
         *[({"kind": "hypotheses", "samples": 20, "expected_failures": names},
            "expected_failures must list names among ['H1', 'H2', 'H3', 'H4', 'H5']")
           for names in ("H5", ["H6"], ["H1", ["H2"]])],
-        # a negative total degree names no basis
+        # a negative degree names no basis
         ({**GAME_CONFIG, "kind": "mc-crosscheck", "lattice": {"T": 1.0, "N": 4},
           "mc": {"M": 400, "degree": -1}}, "basis degree must be >= 0, got -1"),
+        # a misspelt key never leaves its default in place (N = 8, M = 100,000)
+        ({"kind": "bsde", "lattice": {"T": 1.0, "n": 3}, "terminal": "state"},
+         "bad lattice spec {'T': 1.0, 'n': 3}: unknown keys ['n'], "
+         "expected among ['T', 'N', 'mode']"),
+        ({**GAME_CONFIG, "kind": "mc-crosscheck", "lattice": {"T": 1.0, "N": 4},
+          "mc": {"m": 500, "degre": 1}},
+         "unknown keys ['degre', 'm'], expected among ['M', 'degree']"),
     ], ids=["terminal-order", "schedule",
             *(f"schedule-{kind}-{bad}" for kind in ("penalization", "pasting")
               for bad in ("inf", "negative", "nan")),
             "oracle-cap", "full-tree-only", "scheme", "cases-0", "cases-negative",
             "expected-failures-string", "expected-failures-unknown",
-            "expected-failures-nested", "mc-degree-negative"])
+            "expected-failures-nested", "mc-degree-negative", "lattice-unknown-key",
+            "mc-unknown-key"])
     def test_config_reachable_solver_checks_exit_2(self, tmp_path, capsys, config, message):
         assert run_experiment(ExperimentConfig.from_dict(config), tmp_path / "out") == 2
         err = capsys.readouterr().err
@@ -717,7 +725,8 @@ DROP = object()
 SPOILERS = {
     "lattice": [DROP, "x", {"T": 0.0, "N": 2}, {"N": 0}, {"N": "x"}, {"N": [2]},
                 {"N": 5, "mode": "full-tree"}, {"N": 2, "mode": "walk"}, {"T": None},
-                {"N": 2.5}, {"N": True}, {"T": True, "N": 2}, {"T": "2", "N": 2}],
+                {"N": 2.5}, {"N": True}, {"T": True, "N": 2}, {"T": "2", "N": 2},
+                {"T": 1.0, "n": 3}],
     "scheme": ["Implicit", 1, None],
     "generator": ["cubic:1", "linear:1", "linear:-50,0", "driver-file:absent.npz", 5,
                   {"name": "zero"}, {"name": "linear:0.5,0.3", "kappa": -1.0},
@@ -738,7 +747,8 @@ SPOILERS = {
             [[True, 1], [-1, 1], [-1, 1], [-1, 1]], [[0, 1], ["-3", 3], [-1, 1], [-1, 1]],
             [], False, 0],
     "expected_failures": [5, ["H1"]],
-    "mc": [{"M": 50}, {"degree": -1}, {"M": "x"}, [], {"M": 400, "degree": 0}, {"M": 400.5}],
+    "mc": [{"M": 50}, {"degree": -1}, {"M": "x"}, [], {"M": 400, "degree": 0}, {"M": 400.5},
+           {"m": 500, "degre": 1}],
     "seed": ["x", None, 1.5, -1, True],
     "tolerances": [{"value_gap": "x"}, "x", {"value_gap": 0.0}],
 }

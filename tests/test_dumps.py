@@ -96,12 +96,11 @@ def reference_bundle_csv(path, bundle):
         w.writerow(["path", "k", "coord", "dB", "state"])
         for i in range(bundle.M):
             for k in range(bundle.N):
-                for j in range(bundle.d):
-                    w.writerow([
-                        i, k, j,
-                        f"{bundle.increments[i, k, j]:.17g}",
-                        f"{bundle.states[i, k + 1, j]:.17g}",
-                    ])
+                w.writerow([
+                    i, k, 0,
+                    f"{bundle.increments[i, k]:.17g}",
+                    f"{bundle.states[i, k + 1]:.17g}",
+                ])
 
 
 def _nan_with_payload(bits: int) -> float:
@@ -199,14 +198,14 @@ def test_node_dumps_match_reference_at_package_chunk(fill, y, z, dk, dj, tmp_pat
                             tmp_path_factory.mktemp("tree"))
 
 
-# rows per path are N*d = 6: one chunk holds two paths, exactly one, or less;
+# rows per path are N = 6: one chunk holds two paths, exactly one, or less;
 # the states are the increments' running sums, so inf - inf makes NaN quietly
 @pytest.mark.parametrize("chunk", [13, 6, 4])
 @settings(max_examples=15, deadline=None)
 @given(dB=fills)
 def test_bundle_dump_matches_reference(chunk, dB, tmp_path_factory):
-    m, n, d = 5, 3, 2
-    bundle = PathBundle(d, 1.0, n, m, 0, _values(dB, m * n * d).reshape(m, n, d))
+    m, n = 5, 6
+    bundle = PathBundle(1.0, n, m, 0, _values(dB, m * n).reshape(m, n))
     with mock.patch.object(mc_module, "DUMP_CHUNK", chunk), np.errstate(invalid="ignore",
                                                                         over="ignore"):
         assert_same_bytes(write_bundle_csv, reference_bundle_csv, bundle,

@@ -12,6 +12,8 @@ from drbsde_lab.drbsde import DynkinGame, solve_drbsde
 from drbsde_lab.generator import Generator, registry_generator
 from drbsde_lab.lattice import AdaptedProcess, TerminalPayoff, build_lattice
 from drbsde_lab.mc import (
+    BATCHES,
+    BOOTSTRAP_SAMPLES,
     CONDITION_WARN,
     STATE_CHUNK,
     McProblem,
@@ -33,70 +35,66 @@ from drbsde_lab.mc import (
 
 class TestSimulate:
     def test_bit_exact_reproducibility(self):
-        a = simulate_paths(1, 1.0, 8, 500, 42)
-        b = simulate_paths(1, 1.0, 8, 500, 42)
+        a = simulate_paths(1.0, 8, 500, 42)
+        b = simulate_paths(1.0, 8, 500, 42)
         assert np.array_equal(a.increments, b.increments)
         assert np.array_equal(a.states, b.states)
 
     def test_per_path_derivation_independent_of_bundle_size(self):
-        big = simulate_paths(1, 1.0, 8, 1000, 7)
-        small = simulate_paths(1, 1.0, 8, 100, 7)
+        big = simulate_paths(1.0, 8, 1000, 7)
+        small = simulate_paths(1.0, 8, 100, 7)
         assert np.array_equal(big.increments[:100], small.increments)
 
-    @pytest.mark.parametrize("d,seed", [(1, 2026), (3, -5)])
-    def test_draws_match_a_fresh_generator_per_path(self, d, seed):
+    @pytest.mark.parametrize("seed", [2026, -5])
+    def test_draws_match_a_fresh_generator_per_path(self, seed):
         # reference: one Philox per path keyed by the 128-bit (seed, path)
-        paths = simulate_paths(d, 1.0, 4, 150, seed)
+        paths = simulate_paths(1.0, 4, 150, seed)
         base = (seed & ((1 << 64) - 1)) << 64
         for i in (0, 1, 149):
             gen = np.random.Generator(np.random.Philox(key=base + i))
-            expected = gen.standard_normal((4, d)) * np.sqrt(0.25)
+            expected = gen.standard_normal(4) * np.sqrt(0.25)
             assert np.array_equal(paths.increments[i], expected)
 
     def test_seed_changes_draws(self):
-        a = simulate_paths(1, 1.0, 8, 200, 1)
-        b = simulate_paths(1, 1.0, 8, 200, 2)
+        a = simulate_paths(1.0, 8, 200, 1)
+        b = simulate_paths(1.0, 8, 200, 2)
         assert not np.array_equal(a.increments, b.increments)
 
     def test_sanity_gates(self):
-        paths = simulate_paths(1, 1.0, 16, 20000, 3)
+        paths = simulate_paths(1.0, 16, 20000, 3)
         assert paths.gate_ok
-        var = paths.diagnostics["increment_var"][0]
+        var = paths.diagnostics["increment_var"]
         assert abs(var - paths.dt) <= 0.1 * paths.dt
-
-    def test_cross_covariance_gate_d2(self):
-        paths = simulate_paths(2, 1.0, 8, 10000, 5)
-        assert paths.diagnostics["cross_gate_ok"]
-        assert paths.diagnostics["max_cross_covariance"] <= 3 * paths.dt / np.sqrt(10000)
 
     def test_size_guards(self):
         with pytest.raises(ValueError):
-            simulate_paths(1, 1.0, 8, 50, 0)
-        with pytest.raises(ValueError):
-            simulate_paths(0, 1.0, 8, 100, 0)
-        with pytest.raises(ValueError):
-            simulate_paths(1, -1.0, 8, 100, 0)
+            simulate_paths(1.0, 8, 50, 0)
+        with pytest.raises(ValueError, match="step count"):
+            simulate_paths(1.0, 0, 100, 0)
+        # NaN fails no ``T <= 0`` test, and NaN or inf gives non-finite increments
+        for T in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="horizon must be positive and finite"):
+                simulate_paths(T, 8, 100, 0)
 
 
 def _cumsum_states(increments):
     """The states array the bundle once stored: cumulative sums from zero."""
-    M, N, d = increments.shape
-    states = np.zeros((M, N + 1, d))
-    np.cumsum(increments, axis=1, out=states[:, 1:, :])
+    M, N = increments.shape
+    states = np.zeros((M, N + 1))
+    np.cumsum(increments, axis=1, out=states[:, 1:])
     return states
 
 
 class TestStates:
     """A bundle keeps its increments; each step's states are rebuilt."""
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_every_step_has_the_cumulative_sum_bits(self, d):
+    def test_every_step_has_the_cumulative_sum_bits(self):
         # not a whole number of chunks; some paths start at -0.0, one stays there
         M, N = STATE_CHUNK + 37, 9
-        increments = np.random.default_rng(d).normal(scale=1 / 3, size=(M, N, d))
-        increments[::5, 0, 0] = -0.0
+        increments = np.random.default_rng(1).normal(scale=1 / 3, size=(M, N))
+        increments[::5, 0] = -0.0
         increments[M - 1] = -0.0
-        paths = PathBundle(d, 1.0, N, M, 0, increments)
+        paths = PathBundle(1.0, N, M, 0, increments)
         want = _cumsum_states(increments)
         assert np.signbit(want[M - 1, 1:]).all()
         assert paths.states.tobytes() == want.tobytes()
@@ -105,7 +103,7 @@ class TestStates:
             for j in range(1, k + 1):
                 assert paths.state(k, (j, want[:, j])).tobytes() == want[:, k].tobytes()
         every = paths.states_at(range(N + 1))
-        assert b"".join(a.tobytes() for a in every) == want.transpose(1, 0, 2).tobytes()
+        assert b"".join(a.tobytes() for a in every) == want.T.tobytes()
         assert [k for k, _ in _states_up(paths)] == list(range(N))
         for k, states in _states_up(paths):
             assert states.tobytes() == want[:, k].tobytes()
@@ -115,7 +113,7 @@ class TestStates:
 
     @pytest.mark.parametrize("split", [False, True])
     def test_no_allocation_holds_every_step(self, split, force_split):
-        # the parent never holds M * (N + 1) * d floats at once, in the scan,
+        # the parent never holds M * (N + 1) floats at once, in the scan,
         # in the backward loop or after it
         forks = force_split(split)
         M, N = 40_000, 16
@@ -126,12 +124,12 @@ class TestStates:
 
         def lower(t, s):
             held()
-            return np.tanh(s[:, 0]) - 0.3
+            return np.tanh(s) - 0.3
 
-        problem = McProblem(terminal=lambda s: np.tanh(s[:, 0]), lower=lower)
+        problem = McProblem(terminal=lambda s: np.tanh(s), lower=lower)
         tracemalloc.start()
         try:
-            paths = simulate_paths(1, 1.0, N, M, 31)
+            paths = simulate_paths(1.0, N, M, 31)
             held()
             solve_mc(paths, problem, registry_generator("linear:-0.5,0.3"))
             held()
@@ -145,12 +143,11 @@ class TestStates:
 class TestTwoProcessDraw:
     """A forked child draws the upper half of a big bundle in place."""
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_split_draws_the_serial_bits(self, d, force_split):
+    def test_split_draws_the_serial_bits(self, force_split):
         bundles = {}
         for on in (False, True):
             forks = force_split(on)
-            bundles[on] = simulate_paths(d, 1.0, 4, 40_000, 13)
+            bundles[on] = simulate_paths(1.0, 4, 40_000, 13)
             assert len(forks) == on
         serial, split = bundles[False], bundles[True]
         assert np.array_equal(split.increments, serial.increments)
@@ -160,7 +157,7 @@ class TestTwoProcessDraw:
     def test_draws_failing_in_the_child_are_redone_by_the_parent(self, force_split,
                                                                  monkeypatch):
         force_split(False)
-        serial = simulate_paths(1, 1.0, 4, 40_000, 13)
+        serial = simulate_paths(1.0, 4, 40_000, 13)
         forks = force_split(True)
         parent = os.getpid()
         real_philox = np.random.Philox
@@ -171,14 +168,14 @@ class TestTwoProcessDraw:
             return real_philox(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", philox_in_parent_only)
-        split = simulate_paths(1, 1.0, 4, 40_000, 13)
+        split = simulate_paths(1.0, 4, 40_000, 13)
         assert len(forks) == 1
         assert np.array_equal(split.increments, serial.increments)
         assert np.array_equal(split.states, serial.states)
 
     def test_small_bundles_never_fork(self, force_split):
         forks = force_split(True)
-        simulate_paths(1, 1.0, 4, lattice_module.SPLIT_MIN - 1, 13)
+        simulate_paths(1.0, 4, lattice_module.SPLIT_MIN - 1, 13)
         assert forks == []
 
 
@@ -190,12 +187,15 @@ class TestRegression:
 
     def test_polynomial_design_shape(self):
         basis = RegressionBasis(3)
-        states = np.random.default_rng(0).normal(size=(100, 1))
+        states = np.random.default_rng(0).normal(size=100)
         design = basis.design(states)
         assert design.shape == (100, 4)
+        # the columns 1, x, x**2, x**3, with the bits of numpy's powers
+        want = np.column_stack([np.ones(100), states, states ** 2, states ** 3])
+        assert design.tobytes() == want.tobytes()
 
     def test_degree_zero_is_a_constant_regression(self):
-        states = np.random.default_rng(0).normal(size=(100, 2))
+        states = np.random.default_rng(0).normal(size=100)
         np.testing.assert_array_equal(RegressionBasis(0).design(states), np.ones((100, 1)))
 
     @pytest.mark.parametrize("degree", [-1, -2])
@@ -206,24 +206,24 @@ class TestRegression:
 
 class TestSolve:
     def test_martingale_payoff_estimates_zero(self):
-        paths = simulate_paths(1, 1.0, 8, 20000, 42)
-        res = solve_mc(paths, McProblem(terminal=lambda s: s[:, 0]),
+        paths = simulate_paths(1.0, 8, 20000, 42)
+        res = solve_mc(paths, McProblem(terminal=lambda s: s),
                        registry_generator("zero"))
         assert abs(res.y0) <= 3 * res.stderr
 
     def test_constant_driver_shifts_by_ct(self):
-        paths = simulate_paths(1, 1.0, 8, 20000, 42)
-        res = solve_mc(paths, McProblem(terminal=lambda s: s[:, 0]),
+        paths = simulate_paths(1.0, 8, 20000, 42)
+        res = solve_mc(paths, McProblem(terminal=lambda s: s),
                        registry_generator("constant:0.3"))
-        emp = float(paths.states[:, -1, 0].mean())
+        emp = float(paths.states[:, -1].mean())
         assert abs(res.y0 - emp - 0.3) <= 3 * res.stderr
 
     def test_determinism(self):
-        paths = simulate_paths(1, 1.0, 8, 5000, 9)
+        paths = simulate_paths(1.0, 8, 5000, 9)
         prob = McProblem(
-            terminal=lambda s: np.tanh(s[:, 0]),
-            lower=lambda t, s: np.tanh(s[:, 0]) - 0.3,
-            upper=lambda t, s: np.tanh(s[:, 0]) + 0.3,
+            terminal=lambda s: np.tanh(s),
+            lower=lambda t, s: np.tanh(s) - 0.3,
+            upper=lambda t, s: np.tanh(s) + 0.3,
         )
         g = registry_generator("linear:-0.5,0.3")
         r1 = solve_mc(paths, prob, g)
@@ -232,44 +232,33 @@ class TestSolve:
         assert r1.stderr == r2.stderr
 
     def test_obstacles_enforced_path_wise(self):
-        paths = simulate_paths(1, 1.0, 8, 2000, 1)
+        paths = simulate_paths(1.0, 8, 2000, 1)
         prob = McProblem(
-            terminal=lambda s: np.tanh(s[:, 0]),
-            lower=lambda t, s: np.tanh(s[:, 0]) - 0.2,
-            upper=lambda t, s: np.tanh(s[:, 0]) + 0.2,
+            terminal=lambda s: np.tanh(s),
+            lower=lambda t, s: np.tanh(s) - 0.2,
+            upper=lambda t, s: np.tanh(s) + 0.2,
         )
         res = solve_mc(paths, prob, registry_generator("linear:-0.4,0.2"))
         assert res.flat_off_lower == 0.0
         assert res.flat_off_upper == 0.0
 
     def test_standard_error_shrinks_with_m(self):
-        prob = McProblem(terminal=lambda s: s[:, 0])
+        prob = McProblem(terminal=lambda s: s)
         g = registry_generator("constant:0.2")
         se = {}
         for m in (4000, 16000):
-            paths = simulate_paths(1, 1.0, 8, m, 11)
+            paths = simulate_paths(1.0, 8, m, 11)
             se[m] = solve_mc(paths, prob, g).stderr
         ratio = se[16000] / se[4000]
         assert 0.4 <= ratio <= 0.6, se
-
-    def test_penalty_route_approaches_clamp(self):
-        paths = simulate_paths(1, 1.0, 8, 5000, 21)
-        prob = McProblem(
-            terminal=lambda s: np.maximum(0.3 - s[:, 0], 0.0),
-            lower=lambda t, s: np.maximum(0.3 - s[:, 0], 0.0),
-        )
-        g = registry_generator("linear:-0.5,0")
-        clamped = solve_mc(paths, prob, g)
-        pen = solve_mc(paths, prob, g, penalty=("lower", 4096.0))
-        assert abs(clamped.y0 - pen.y0) <= 2e-3
 
     def test_stalled_implicit_step_raises(self):
         # dt * |a| = 12.5: the undamped iteration diverges and must not
         # hand back its last iterate
         from drbsde_lab.bsde import FixedPointError
 
-        paths = simulate_paths(1, 1.0, 4, 200, 0)
-        problem = McProblem(terminal=lambda s: s[:, 0])
+        paths = simulate_paths(1.0, 4, 200, 0)
+        problem = McProblem(terminal=lambda s: s)
         with pytest.raises(FixedPointError):
             solve_mc(paths, problem, registry_generator("linear:-50,0"),
                      scheme="implicit")
@@ -280,12 +269,12 @@ class TestSolve:
 
         lat = build_lattice(1.0, 4)
         g = stop_generator(registry_generator("constant:1"), StoppingRule.at_step(lat, 2))
-        paths = simulate_paths(1, 1.0, 4, 200, 0)
+        paths = simulate_paths(1.0, 4, 200, 0)
         with pytest.raises(ValueError, match="stopped"):
-            solve_mc(paths, McProblem(terminal=lambda s: s[:, 0]), g)
+            solve_mc(paths, McProblem(terminal=lambda s: s), g)
 
     def test_terminal_order_validated(self):
-        paths = simulate_paths(1, 1.0, 4, 500, 2)
+        paths = simulate_paths(1.0, 4, 500, 2)
         prob = McProblem(
             terminal=lambda s: np.zeros(s.shape[0]),
             lower=lambda t, s: np.ones(s.shape[0]),
@@ -296,15 +285,15 @@ class TestSolve:
     @pytest.mark.parametrize("spoiled", ["terminal", "lower", "upper"])
     def test_non_finite_data_on_a_path_rejected(self, spoiled):
         # one path's state at step 3 spoils the data there and nowhere else
-        paths = simulate_paths(1, 1.0, 4, 500, 2)
-        marked = paths.states[17, 3 if spoiled != "terminal" else 4, 0]
+        paths = simulate_paths(1.0, 4, 500, 2)
+        marked = paths.states[17, 3 if spoiled != "terminal" else 4]
 
         def spoil(base):
-            return lambda *args: np.where(args[-1][:, 0] == marked, np.inf, base(args[-1]))
+            return lambda *args: np.where(args[-1] == marked, np.inf, base(args[-1]))
 
-        rails = {"terminal": lambda s: np.tanh(s[:, 0]),
-                 "lower": lambda s: np.tanh(s[:, 0]) - 0.3,
-                 "upper": lambda s: np.tanh(s[:, 0]) + 0.3}
+        rails = {"terminal": lambda s: np.tanh(s),
+                 "lower": lambda s: np.tanh(s) - 0.3,
+                 "upper": lambda s: np.tanh(s) + 0.3}
         prob = McProblem(
             terminal=rails["terminal"] if spoiled != "terminal" else spoil(rails["terminal"]),
             **{side: spoil(rails[side]) if side == spoiled else
@@ -316,36 +305,31 @@ class TestSolve:
             mc_terminal(paths, prob)
 
 
-def reference_solve_mc(paths, problem, g, basis=RegressionBasis(), scheme="explicit",
-                       penalty=None, batches=50, bootstrap_samples=500):
+def reference_solve_mc(paths, problem, g, basis=RegressionBasis(), scheme="explicit"):
     """The backward pass replayed once for the full bundle and once per
     bootstrap batch, each rebuilding its design and obstacles at every step:
     the oracle for ``solve_mc``'s one shared loop."""
-    M, N, d = paths.M, paths.N, paths.d
+    M, N = paths.M, paths.N
     dt = paths.dt
     term_all = mc_terminal(paths, problem)
     max_cond = 1.0
     flat_lower = 0.0
     flat_upper = 0.0
-    penalized = None if penalty is None else penalty[0]
-    levels = tuple(penalty[1] if side == penalized else math.inf for side in ("lower", "upper"))
 
     def clamp(y, t, states, record):
         nonlocal flat_lower, flat_upper
         low, up = (None if fn is None else np.asarray(fn(t, states), dtype=float)
                    for fn in (problem.lower, problem.upper))
-        out, dk, dj = _reflect(y, low, up, dt, levels)
-        if record and low is not None and penalized != "lower":
+        out, dk, dj = _reflect(y, low, up, dt)
+        if record and low is not None:
             flat_lower = max(flat_lower, float(np.max(np.abs((out - low) * dk))))
-        if record and up is not None and penalized != "upper":
+        if record and up is not None:
             flat_upper = max(flat_upper, float(np.max(np.abs((up - out) * dj))))
         return out
 
     def driver_step(expectation, zhat, k, states):
-        svar = states[:, 0] if d == 1 else states
-
         def driver(y):
-            return np.asarray(g.fn(dt * k, svar, y, zhat), dtype=float)
+            return np.asarray(g.fn(dt * k, states, y, zhat), dtype=float)
 
         return _driver_update(driver, expectation, dt, g.lam_plus, scheme, k)
 
@@ -353,85 +337,76 @@ def reference_solve_mc(paths, problem, g, basis=RegressionBasis(), scheme="expli
         nonlocal max_cond
         v = term_all[idx]
         for k in range(N - 1, 0, -1):
-            states_k = paths.states[idx, k, :]
-            db = paths.increments[idx, k, :]
+            states_k = paths.states[idx, k]
             design = basis.design(states_k)
-            targets = np.column_stack([v] + [v * db[:, j] / dt for j in range(d)])
+            targets = np.column_stack([v, v * paths.increments[idx, k] / dt])
             fitted, cond = _project(design, targets)
             if record:
                 max_cond = max(max_cond, cond)
-            expectation = fitted[:, 0]
-            zhat = fitted[:, 1] if d == 1 else fitted[:, 1:]
-            y = driver_step(expectation, zhat, k, states_k)
+            y = driver_step(fitted[:, 0], fitted[:, 1], k, states_k)
             v = clamp(y, dt * k, states_k, record)
         e0 = float(v.mean())
-        z0 = v @ paths.increments[idx, 0, :] / (dt * idx.size)
-        y0 = driver_step(
-            np.array([e0]),
-            np.atleast_1d(float(z0[0])) if d == 1 else z0[None, :],
-            0,
-            paths.states[idx[:1], 0, :],
-        )
-        return float(clamp(y0, 0.0, paths.states[idx[:1], 0, :], record)[0])
+        # the (n, 1) first increments: the product solve_mc takes
+        z0 = v @ paths.increments[idx, :1] / (dt * idx.size)
+        origin = paths.states[idx[:1], 0]
+        y0 = driver_step(np.array([e0]), np.atleast_1d(float(z0[0])), 0, origin)
+        return float(clamp(y0, 0.0, origin, record)[0])
 
     y0 = backward(np.arange(M), record=True)
-    n_batches = max(2, min(batches, M // 100))
+    n_batches = max(2, min(BATCHES, M // 100))
     size = M // n_batches
     batch_vals = np.array(
         [backward(np.arange(b * size, (b + 1) * size)) for b in range(n_batches)]
     )
     rng = np.random.default_rng(paths.seed ^ 0x5EED_B00F)
-    resampled = rng.integers(0, n_batches, size=(bootstrap_samples, n_batches))
+    resampled = rng.integers(0, n_batches, size=(BOOTSTRAP_SAMPLES, n_batches))
     stderr = float(batch_vals[resampled].mean(axis=1).std(ddof=1))
     return McResult(y0, stderr, max_cond, max_cond > CONDITION_WARN, flat_lower, flat_upper,
-                    paths.seed, basis, scheme, bootstrap_samples)
+                    paths.seed, basis, scheme)
 
 
-def _d2_driver():
-    # a d = 2 driver reads (M, 2) states and z: the backend's contract above d = 1
+def _custom_driver():
+    # a driver outside the registry reads the (M,) states and z
     def fn(t, state, y, z):
-        return -0.4 * y + 0.2 * np.tanh(z[:, 0] - z[:, 1]) + 0.1 * np.sin(state[:, 0] * state[:, 1])
+        return -0.4 * y + 0.2 * np.tanh(z) + 0.1 * np.sin(state)
 
-    return Generator(fn, kappa=0.2, lam=0.4, name="d2-custom")
+    return Generator(fn, kappa=0.2, lam=0.4, name="custom")
 
 
 _TANH = McProblem(
-    terminal=lambda s: np.tanh(s[:, 0]),
-    lower=lambda t, s: np.tanh(s[:, 0]) - 0.3,
-    upper=lambda t, s: np.tanh(s[:, 0]) + 0.3,
+    terminal=lambda s: np.tanh(s),
+    lower=lambda t, s: np.tanh(s) - 0.3,
+    upper=lambda t, s: np.tanh(s) + 0.3,
 )
 _PUT = McProblem(
-    terminal=lambda s: np.maximum(0.3 - s[:, 0], 0.0),
-    lower=lambda t, s: np.maximum(0.3 - s[:, 0], 0.0),
+    terminal=lambda s: np.maximum(0.3 - s, 0.0),
+    lower=lambda t, s: np.maximum(0.3 - s, 0.0),
 )
 _CALL = McProblem(
-    terminal=lambda s: np.minimum(s[:, 0] - 0.2, 0.0),
-    upper=lambda t, s: np.minimum(s[:, 0] - 0.2, 0.0),
+    terminal=lambda s: np.minimum(s - 0.2, 0.0),
+    upper=lambda t, s: np.minimum(s - 0.2, 0.0),
 )
-_D2 = McProblem(
-    terminal=lambda s: np.tanh(s[:, 0] + s[:, 1]),
-    lower=lambda t, s: np.tanh(s[:, 0] + s[:, 1]) - 0.25,
-    upper=lambda t, s: np.tanh(s[:, 0] + s[:, 1]) + 0.25,
+_BAND = McProblem(
+    terminal=lambda s: np.tanh(s + 0.1),
+    lower=lambda t, s: np.tanh(s + 0.1) - 0.25,
+    upper=lambda t, s: np.tanh(s + 0.1) + 0.25,
 )
 
 
 class TestSharedSweep:
     """``solve_mc`` equals the per-batch replay bit for bit."""
 
-    @pytest.mark.parametrize("d,M,problem,spec,kwargs", [
-        (1, 5000, _TANH, "linear:-0.5,0.3", {}),
-        (1, 5000, _TANH, "linear:-0.5,0.3", {"scheme": "implicit"}),
-        (1, 20_050, _PUT, "linear:-0.5,0", {"penalty": ("lower", 4096.0)}),
-        (1, 5030, _CALL, "linear:-0.5,0.2", {"penalty": ("upper", 512.0),
-                                              "scheme": "implicit"}),
-        (2, 6010, _D2, None, {"basis": RegressionBasis(2)}),
-        (2, 6010, _D2, None, {"basis": RegressionBasis(2),
-                              "scheme": "implicit", "batches": 7}),
-    ], ids=["explicit", "implicit", "lower-penalty-uneven", "upper-penalty-implicit-uneven",
-            "d2-custom-driver", "d2-implicit-7-batches"])
-    def test_equals_per_batch_replay(self, d, M, problem, spec, kwargs):
-        paths = simulate_paths(d, 1.0, 8, M, 17)
-        g = _d2_driver() if spec is None else registry_generator(spec)
+    @pytest.mark.parametrize("M,problem,spec,kwargs", [
+        (5000, _TANH, "linear:-0.5,0.3", {}),
+        (5000, _TANH, "linear:-0.5,0.3", {"scheme": "implicit"}),
+        (20_050, _PUT, "linear:-0.5,0", {}),
+        (5030, _CALL, "linear:-0.5,0.2", {"scheme": "implicit"}),
+        (6010, _BAND, None, {"basis": RegressionBasis(2), "scheme": "implicit"}),
+    ], ids=["explicit", "implicit", "lower-clamp-uneven", "upper-clamp-implicit-uneven",
+            "custom-driver"])
+    def test_equals_per_batch_replay(self, M, problem, spec, kwargs):
+        paths = simulate_paths(1.0, 8, M, 17)
+        g = _custom_driver() if spec is None else registry_generator(spec)
         got = solve_mc(paths, problem, g, **kwargs)
         assert got == reference_solve_mc(paths, problem, g, **kwargs)
         assert np.isfinite(got.y0) and got.stderr > 0
@@ -441,15 +416,15 @@ class TestSharedSweep:
         # (5000 of 5030 paths); that path is row 21 of batch 43
         from drbsde_lab.bsde import FixedPointError
 
-        paths = simulate_paths(1, 1.0, 4, 5030, 0)
-        marked = paths.states[4321, 3, 0]
+        paths = simulate_paths(1.0, 4, 5030, 0)
+        marked = paths.states[4321, 3]
 
         def fn(t, state, y, z):
             return np.where((state == marked) & (state.size < 5030), np.nan, -0.5 * y)
 
         g = Generator(fn, kappa=0.1, lam=0.5, name="nan-on-one-batch-path")
         with pytest.raises(FixedPointError) as caught:
-            solve_mc(paths, McProblem(terminal=lambda s: s[:, 0]), g, scheme="implicit")
+            solve_mc(paths, McProblem(terminal=lambda s: s), g, scheme="implicit")
         assert (caught.value.step, caught.value.node) == (3, 4321)
 
 
@@ -465,16 +440,16 @@ def _bits(result):
 class TestDesignAhead:
     """A forked child builds each step's polynomial design one step ahead."""
 
-    @pytest.mark.parametrize("d,problem,spec,kwargs", [
-        (1, _TANH, "linear:-0.5,0.3", {"basis": RegressionBasis(3)}),
-        (2, _D2, None, {"basis": RegressionBasis(2), "scheme": "implicit"}),
-        (1, _PUT, "linear:-0.5,0", {"penalty": ("lower", 4096.0)}),
-    ], ids=["d1-degree3", "d2-degree2-implicit", "lower-penalty"])
-    def test_split_gives_the_serial_result(self, d, problem, spec, kwargs, force_split,
+    @pytest.mark.parametrize("problem,spec,kwargs", [
+        (_TANH, "linear:-0.5,0.3", {"basis": RegressionBasis(3)}),
+        (_BAND, None, {"basis": RegressionBasis(2), "scheme": "implicit"}),
+        (_PUT, "linear:-0.5,0", {}),
+    ], ids=["d1-degree3", "degree2-implicit", "lower-clamp"])
+    def test_split_gives_the_serial_result(self, problem, spec, kwargs, force_split,
                                            monkeypatch):
         force_split(False)
-        paths = simulate_paths(d, 1.0, 8, _SPLIT_M, 23)
-        g = _d2_driver() if spec is None else registry_generator(spec)
+        paths = simulate_paths(1.0, 8, _SPLIT_M, 23)
+        g = _custom_driver() if spec is None else registry_generator(spec)
         serial = solve_mc(paths, problem, g, **kwargs)
         forks = force_split(True)
         real_design = RegressionBasis.design
@@ -492,7 +467,7 @@ class TestDesignAhead:
 
     def test_the_child_runs_on_the_other_cpus(self, force_split, monkeypatch):
         force_split(False)
-        paths = simulate_paths(1, 1.0, 8, _SPLIT_M, 23)
+        paths = simulate_paths(1.0, 8, _SPLIT_M, 23)
         g = registry_generator("linear:-0.5,0.3")
         serial = solve_mc(paths, _TANH, g)
         forks = force_split(True)
@@ -517,7 +492,7 @@ class TestDesignAhead:
 
     def test_serial_result_and_no_open_pipe_when_fork_fails(self, force_split, monkeypatch):
         force_split(False)
-        paths = simulate_paths(1, 1.0, 8, _SPLIT_M, 23)
+        paths = simulate_paths(1.0, 8, _SPLIT_M, 23)
         g = registry_generator("linear:-0.5,0.3")
         serial = solve_mc(paths, _TANH, g)
         force_split(True)
@@ -544,7 +519,7 @@ class TestDesignAhead:
     def test_designs_failing_in_the_child_are_redone_by_the_parent(
             self, fail_from, force_split, monkeypatch):
         force_split(False)
-        paths = simulate_paths(1, 1.0, 8, _SPLIT_M, 23)
+        paths = simulate_paths(1.0, 8, _SPLIT_M, 23)
         g = registry_generator("linear:-0.5,0.3")
         serial = solve_mc(paths, _TANH, g)
         forks = force_split(True)
@@ -570,16 +545,16 @@ class TestDesignAhead:
 
     def test_the_child_forks_before_the_scan_and_is_reaped_when_it_fails(self, force_split):
         force_split(False)
-        paths = simulate_paths(1, 1.0, 8, _SPLIT_M, 23)
-        marked = paths.state(3)[17, 0]
+        paths = simulate_paths(1.0, 8, _SPLIT_M, 23)
+        marked = paths.state(3)[17]
         seen = []
 
         def lower(t, s):
             seen.append(len(forks))
-            return np.where(s[:, 0] == marked, np.nan, np.tanh(s[:, 0]) - 0.3)
+            return np.where(s == marked, np.nan, np.tanh(s) - 0.3)
 
         forks = force_split(True)
-        problem = McProblem(terminal=lambda s: np.tanh(s[:, 0]), lower=lower)
+        problem = McProblem(terminal=lambda s: np.tanh(s), lower=lower)
         with pytest.raises(PathDataError, match="lower obstacle is not finite on path 17 at step 3"):
             solve_mc(paths, problem, registry_generator("zero"))
         assert seen == [1] * 4  # the scan ran with the child already forked
@@ -590,7 +565,7 @@ class TestDesignAhead:
         from drbsde_lab.bsde import FixedPointError
 
         force_split(False)
-        paths = simulate_paths(1, 1.0, 8, _SPLIT_M, 23)
+        paths = simulate_paths(1.0, 8, _SPLIT_M, 23)
         forks = force_split(True)
 
         def fn(t, state, y, z):
@@ -599,7 +574,7 @@ class TestDesignAhead:
 
         g = Generator(fn, kappa=0.5, lam=-0.5, name="nan-at-step-4")
         with pytest.raises(FixedPointError) as caught:
-            solve_mc(paths, McProblem(terminal=lambda s: s[:, 0]), g, scheme="implicit")
+            solve_mc(paths, McProblem(terminal=lambda s: s), g, scheme="implicit")
         assert caught.value.step == 4
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
@@ -608,15 +583,16 @@ class TestDesignAhead:
 
 class TestSerialization:
     def test_bundle_csv(self, tmp_path):
-        paths = simulate_paths(2, 1.0, 3, 100, 5)
+        paths = simulate_paths(1.0, 3, 100, 5)
         write_bundle_csv(tmp_path / "b.csv", paths)
         lines = (tmp_path / "b.csv").read_text().splitlines()
         assert lines[0] == "path,k,coord,dB,state"
-        assert len(lines) == 1 + 100 * 3 * 2
+        assert len(lines) == 1 + 100 * 3
+        assert {line.split(",")[2] for line in lines[1:]} == {"0"}
 
     def test_estimate_sidecar(self, tmp_path):
-        paths = simulate_paths(1, 1.0, 4, 500, 6)
-        res = solve_mc(paths, McProblem(terminal=lambda s: s[:, 0]),
+        paths = simulate_paths(1.0, 4, 500, 6)
+        res = solve_mc(paths, McProblem(terminal=lambda s: s),
                        registry_generator("zero"))
         write_mc_sidecar(tmp_path / "est.json", res)
         import json
@@ -624,6 +600,7 @@ class TestSerialization:
         payload = json.loads((tmp_path / "est.json").read_text())
         assert payload["seed"] == 6
         assert payload["basis_degree"] == 3
+        assert payload["bootstrap_samples"] == 500
         assert sorted(payload) == sorted([
             "y0", "stderr", "seed", "scheme", "basis_degree", "max_condition",
             "condition_warning", "flat_off_lower", "flat_off_upper", "bootstrap_samples"])
@@ -641,11 +618,11 @@ class TestLatticeCrossCheck:
             U=AdaptedProcess.from_function(lat, lambda t, s: f(s) + 0.25),
         )
         ref = solve_drbsde(lat, game).root_value
-        paths = simulate_paths(1, 1.0, 16, 20000, 99)
+        paths = simulate_paths(1.0, 16, 20000, 99)
         prob = McProblem(
-            terminal=lambda s: f(s[:, 0]),
-            lower=lambda t, s: f(s[:, 0]) - 0.25,
-            upper=lambda t, s: f(s[:, 0]) + 0.25,
+            terminal=lambda s: f(s),
+            lower=lambda t, s: f(s) - 0.25,
+            upper=lambda t, s: f(s) + 0.25,
         )
         res = solve_mc(paths, prob, g, RegressionBasis(3))
         scale = game.scale()
