@@ -528,15 +528,10 @@ class AxiomReport:
     def all_pass(self) -> bool:
         return all(c.status != "fail" for c in self.checks.values())
 
-    def summary(self) -> str:
-        lines = [f"evaluation axioms for {self.generator} (tol {self.tol:g})"]
-        for name, c in self.checks.items():
-            lines.append(f"  {name}: {c.status} (worst {c.worst:.3g}, {c.cases} cases)")
-        return "\n".join(lines)
 
-
-def random_rule(lattice: Lattice, rng, stop_prob: float = 0.25) -> StoppingRule:
-    flags = [rng.random(lattice.n_nodes(k)) < stop_prob for k in range(lattice.N)]
+def random_rule(lattice: Lattice, rng) -> StoppingRule:
+    """Stop at each pre-terminal node with probability 1/4."""
+    flags = [rng.random(lattice.n_nodes(k)) < 0.25 for k in range(lattice.N)]
     flags.append(np.ones(lattice.n_nodes(lattice.N), dtype=bool))
     return StoppingRule(lattice, tuple(flags))
 

@@ -97,6 +97,11 @@ DEFAULT_TOLERANCES = {
     "mc_scale_fraction": 0.05, # MC vs lattice: 3*SE + fraction*scale
 }
 
+# every top-level key some kind reads; one set for all kinds
+CONFIG_KEYS = ("kind", "lattice", "generator", "scheme", "side", "terminal", "lower", "upper",
+               "seed", "cases", "samples", "box", "expected_failures", "schedule",
+               "tolerances", "out", "write_pair_table", "write_paths", "mc")
+
 
 class ConfigError(ValueError):
     pass
@@ -112,8 +117,10 @@ def _config_check():
 
 
 def _check_keys(what: str, spec, known) -> None:
-    """An unknown key of a config object is an error, so a misspelt key never
-    leaves its default in place."""
+    """A config object must be a JSON object, and an unknown key of one is an
+    error, so a misspelt key never leaves its default in place."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} must be an object, got {spec!r}")
     unknown = set(spec) - set(known)
     if unknown:
         raise ConfigError(f"bad {what} spec {spec!r}: unknown keys {sorted(unknown)}, "
@@ -137,15 +144,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
+        _check_keys("config", raw, CONFIG_KEYS)
         kind = raw.get("kind")
         if kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {KINDS}")
         tolerances = raw.get("tolerances", {})
-        if not (isinstance(tolerances, dict) and set(tolerances) <= set(DEFAULT_TOLERANCES)):
-            raise ConfigError(f"tolerances must be an object with keys among "
-                              f"{sorted(DEFAULT_TOLERANCES)}, got {tolerances!r}")
+        _check_keys("tolerances", tolerances, DEFAULT_TOLERANCES)
         for key, value in tolerances.items():
             # NaN or a negative fails every check and inf passes every one
             if isinstance(value, bool) or not (
@@ -172,8 +176,6 @@ class ExperimentConfig:
 
     def lattice(self) -> Lattice:
         spec = self.raw.get("lattice")
-        if not isinstance(spec, dict):
-            raise ConfigError("config needs a 'lattice' object")
         _check_keys("lattice", spec, ("T", "N", "mode"))
         with _config_check():
             return build_lattice(
@@ -191,6 +193,8 @@ class ExperimentConfig:
             if isinstance(spec, str):
                 return registry_generator(spec)
             if isinstance(spec, dict):
+                if not isinstance(spec.get("name"), str):
+                    raise ValueError(f"generator name must be a string, got {spec.get('name')!r}")
                 g = registry_generator(spec["name"])
                 overrides = {key: self.real(key, spec[key]) for key in constants if key in spec}
                 if overrides:
@@ -276,7 +280,9 @@ class ExperimentConfig:
     @property
     def schedule(self):
         with _config_check():
-            levels = self.raw.get("schedule", (1, 4, 16, 64, 256, 1024))
+            levels = self.raw.get("schedule", [1, 4, 16, 64, 256, 1024])
+            if not isinstance(levels, list):
+                raise ValueError(f"schedule must be a list of numbers, got {levels!r}")
             return _check_schedule([self.real("penalty level", n) for n in levels])
 
 
@@ -464,11 +470,12 @@ def _run_axioms(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _run_hypotheses(cfg: ExperimentConfig, out: Path) -> dict:
     with _config_check():
-        box = tuple(tuple(cfg.real("box bound", x) for x in pair)
-                    for pair in cfg.raw.get("box", DEFAULT_BOX))
+        box = cfg.raw.get("box", DEFAULT_BOX)
+        if not (isinstance(box, (list, tuple)) and len(box) == 4
+                and all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in box)):
+            raise ValueError(f"box must be a list of four (lo, hi) pairs, got {box!r}")
+        box = tuple(tuple(cfg.real("box bound", x) for x in pair) for pair in box)
         samples = cfg.integer("samples", 2000, low=1)
-        if [len(pair) for pair in box] != [2] * 4:
-            raise ValueError("box needs four (lo, hi) pairs")
         if not all(0.0 <= hi - lo < math.inf for lo, hi in box):  # NaN fails too
             raise ValueError(f"box needs (lo, hi) pairs with lo <= hi and hi - lo finite, "
                              f"got {box}")

@@ -206,28 +206,28 @@ def pasting_construct(
     lattice: Lattice,
     game: DynkinGame,
     scheme: str = "explicit",
-    eps_hit: Optional[float] = None,
     direct: Optional[Solution] = None,
 ):
     """Rebuild the solution from alternating one-obstacle segments.
 
     Contact frontiers are read off the limit solution as chained
-    :func:`rbsde.first_hitting` rules: the first node within ``eps`` of the
-    upper rail from the root, then the first touch of the lower rail at or
-    after it, and so on, the segment starting at each.  Segment 1 is lower,
-    and sides alternate.  Each node then takes a single one-obstacle step
-    (its segment's side only), with terminal data flowing backward out of
-    the continuation already built -- so agreement with the direct solve
-    certifies that the solution really is an alternation of one-obstacle
-    solutions between its own contact times.  ``direct`` is the direct solve
-    (:func:`solve_drbsde`), solved here when ``None``.
+    :func:`rbsde.first_hitting` rules at its :func:`rbsde.default_eps_hit`:
+    the first node within ``eps`` of the upper rail from the root, then the
+    first touch of the lower rail at or after it, and so on, the segment
+    starting at each.  Segment 1 is lower, and sides alternate.  Each node
+    then takes a single one-obstacle step (its segment's side only), with
+    terminal data flowing backward out of the continuation already built --
+    so agreement with the direct solve certifies that the solution really is
+    an alternation of one-obstacle solutions between its own contact times.
+    ``direct`` is the direct solve (:func:`solve_drbsde`), solved here when
+    ``None``.
     """
     if lattice.mode != FULL_TREE:
         raise ValueError("pasting tracks path-dependent segments: full tree only")
     if not lattice.same_grid(game.lattice):
         raise ValueError("game lives on a different lattice")
     direct = solve_drbsde(lattice, game, scheme) if direct is None else direct
-    eps = default_eps_hit(direct) if eps_hit is None else float(eps_hit)
+    eps = default_eps_hit(direct)
 
     margin = game.separation_margin()
     if margin <= 2.0 * eps:

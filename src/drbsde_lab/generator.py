@@ -6,7 +6,7 @@ A driver travels with the constants the rest of the library keys guards on:
 * ``lam``    -- one-sided monotonicity bound in ``y`` (any sign),
 * ``alpha``  -- growth exponent in ``(0, 1)`` for the ``z``-increment bound,
 * ``h``      -- nonnegative bound on ``|g(t, ., y, 0)| - kappa |y|``; a
-  constant, a callable ``(t, state)``, or an adapted process.
+  number or an adapted process.
 
 Declared constants are never re-derived; :func:`check_hypotheses` samples
 them and reports counterexamples.  A "pass" is the absence of a sampled
@@ -42,19 +42,9 @@ class Generator:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
 
-    def __call__(self, t, state, y, z):
-        return self.fn(t, state, y, z)
-
     @property
     def lam_plus(self) -> float:
         return max(self.lam, 0.0)
-
-    def h_value(self, t, state):
-        if isinstance(self.h, AdaptedProcess):
-            raise TypeError("adapted-process h is sampled on lattice nodes only")
-        if callable(self.h):
-            return self.h(t, state)
-        return float(self.h)
 
     def step_mask(self, lattice: Lattice) -> list[np.ndarray]:
         """Per-node flags realizing the attached stopping rule (all true without one).
@@ -96,6 +86,8 @@ def stop_generator(g: Generator, tau: StoppingRule) -> Generator:
 #: finite-difference cap for the continuity surrogate; differences of a
 #: continuous driver on a compact box stay far below this.
 H3_FD_CAP = 1e12
+#: a margin above this is a counterexample
+HYPOTHESIS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,34 +107,19 @@ class HypothesisReport:
     def all_pass(self) -> bool:
         return all(r.passed for r in self.results.values())
 
-    def summary(self) -> str:
-        lines = [f"hypothesis report for {self.generator} ({self.sample_count} samples)"]
-        for name, res in self.results.items():
-            verdict = "pass" if res.passed else "counterexample found"
-            lines.append(f"  {name}: {verdict} (worst ratio {res.worst:.6g})")
-            if res.counterexample is not None:
-                lines.append(f"    at (t, state, y, y', z, z') = {res.counterexample}")
-        return "\n".join(lines)
-
 
 DEFAULT_BOX = ((0.0, 1.0), (-3.0, 3.0), (-3.0, 3.0), (-3.0, 3.0))
 
 
-def check_hypotheses(
-    g: Generator,
-    sample_count: int,
-    box=DEFAULT_BOX,
-    seed: int = 0,
-    lattice: Optional[Lattice] = None,
-    tol: float = 1e-9,
-) -> HypothesisReport:
+def check_hypotheses(g: Generator, sample_count: int, box=DEFAULT_BOX,
+                     seed: int = 0) -> HypothesisReport:
     """Sample the declared bounds of ``g`` on a box of ``(t, state, y, z)``.
 
     The continuity requirement in ``y`` is not falsifiable by sampling; it
     is checked as finite differences staying bounded on the box, which is a
-    documented surrogate.  When ``g.h`` is an adapted process a lattice must
-    be supplied and ``(t, state)`` are drawn from its nodes.  A NaN margin
-    is a counterexample.
+    documented surrogate.  When ``g.h`` is an adapted process ``(t, state)``
+    are drawn from the nodes of its lattice.  A NaN margin is a
+    counterexample.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -151,8 +128,7 @@ def check_hypotheses(
 
     m = int(sample_count)
     if isinstance(g.h, AdaptedProcess):
-        if lattice is None:
-            lattice = g.h.lattice
+        lattice = g.h.lattice
         ks = rng.integers(0, lattice.N + 1, size=m)
         js = np.array([rng.integers(0, lattice.n_nodes(k)) for k in ks])
         t = ks * lattice.dt
@@ -161,7 +137,7 @@ def check_hypotheses(
     else:
         t = rng.uniform(t0, t1, size=m)
         state = rng.uniform(s0, s1, size=m)
-        hvals = np.asarray(g.h_value(t, state)) * np.ones(m)
+        hvals = np.full(m, float(g.h))
     y = rng.uniform(y0, y1, size=m)
     yp = rng.uniform(y0, y1, size=m)
     z = rng.uniform(z0, z1, size=m)
@@ -179,7 +155,7 @@ def check_hypotheses(
     def record(name, margins, which):
         # a NaN margin is a counterexample: max and argmax both stop at NaN
         worst = float(np.max(margins))
-        if not worst <= tol:
+        if not worst <= HYPOTHESIS_TOL:
             i = int(np.argmax(margins))
             results[name] = CheckResult(False, worst, which(i))
         else:

@@ -73,9 +73,6 @@ class Lattice:
             return (self.N + 1) * (self.N + 2) // 2
         return (1 << (self.N + 1)) - 1
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.N + 1) * self.dt
-
     def time(self, k: int) -> float:
         return k * self.dt
 
@@ -226,10 +223,10 @@ class AdaptedProcess:
         return cls.from_function(lattice, lambda t, s: np.full_like(s, float(c)))
 
     @classmethod
-    def from_terminal(cls, payoff: "TerminalPayoff", fill: float = math.nan) -> "AdaptedProcess":
-        """Lift terminal data to a process; pre-terminal nodes get ``fill``."""
+    def from_terminal(cls, payoff: "TerminalPayoff") -> "AdaptedProcess":
+        """Lift terminal data to a process; pre-terminal nodes are NaN."""
         lat = payoff.lattice
-        vals = [np.full(lat.n_nodes(k), fill) for k in range(lat.N)]
+        vals = [np.full(lat.n_nodes(k), math.nan) for k in range(lat.N)]
         vals.append(np.asarray(payoff.values, dtype=float))
         return cls(lat, tuple(vals))
 
@@ -357,21 +354,15 @@ class StoppingRule:
 
     @classmethod
     def from_region(cls, lattice: Lattice, region) -> "StoppingRule":
-        """First entry into a node region.
-
-        ``region`` is a predicate ``(t, states) -> bool array`` or a list of
-        boolean arrays per step.
-        """
-        if callable(region):
-            masks = [
-                np.broadcast_to(
-                    np.asarray(region(lattice.time(k), lattice.states(k)), dtype=bool),
-                    (lattice.n_nodes(k),),
-                ).copy()
-                for k in range(lattice.N + 1)
-            ]
-        else:
-            masks = [np.array(m, dtype=bool) for m in region]
+        """First entry into a node region, a predicate ``(t, states) -> bool
+        array``."""
+        masks = [
+            np.broadcast_to(
+                np.asarray(region(lattice.time(k), lattice.states(k)), dtype=bool),
+                (lattice.n_nodes(k),),
+            ).copy()
+            for k in range(lattice.N + 1)
+        ]
         masks[lattice.N][:] = True
         return cls(lattice, tuple(masks))
 

@@ -261,18 +261,6 @@ def _finite(values, what: str, k: int) -> np.ndarray:
     return values
 
 
-def _states_up(paths: PathBundle):
-    """``(k, states at step k)`` for ``k = 0 .. N - 1``, in order, built
-    ``ceil(sqrt(N))`` steps at a time by one :meth:`PathBundle.states_at`
-    pass resumed from the last step of the block before."""
-    every, mark = math.isqrt(paths.N - 1) + 1, (0, None)
-    for lo in range(0, paths.N, every):
-        steps = range(lo, min(lo + every, paths.N))
-        block = list(zip(steps, paths.states_at(steps, mark)))
-        yield from block
-        mark = block[-1]
-
-
 def _states_down(paths: PathBundle):
     """``at(k)``: the states at step ``k`` (:meth:`PathBundle.state`), for
     ``k`` taken in any order.  The first call keeps the running sum at every
@@ -295,17 +283,21 @@ def mc_terminal(paths: PathBundle, problem: McProblem) -> np.ndarray:
     """Terminal data per path, checked for shape, for the obstacle order the
     lattice solvers also require, and for finite terminal and obstacle
     values at every path step, one step at a time (:class:`PathDataError`).
-    Each obstacle's check walks the steps forward (:func:`_states_up`)."""
-    ends = paths.state(paths.N)
+    One walk over the steps, with a walker of its own (:func:`_states_down`),
+    checks both obstacles at each step; its marks are freed on return."""
+    state_at = _states_down(paths)
+    ends = state_at(paths.N)
     term = np.asarray(problem.terminal(ends), dtype=float)
     if term.shape != (paths.M,):
         raise PathDataError("terminal function must return one value per path")
     _finite(term, "terminal data", paths.N)
-    for side, fn in (("lower", problem.lower), ("upper", problem.upper)):
-        if fn is None:
-            continue
-        for k, states in _states_up(paths):
+    sides = [(side, fn) for side, fn in (("lower", problem.lower), ("upper", problem.upper))
+             if fn is not None]
+    for k in range(paths.N if sides else 0):
+        states = state_at(k)
+        for side, fn in sides:
             _finite(fn(paths.dt * k, states), f"{side} obstacle", k)
+    for side, fn in sides:
         rail = _finite(fn(paths.T, ends), f"{side} obstacle", paths.N)
         if np.any(rail > term + 1e-12 if side == "lower" else term > rail + 1e-12):
             raise PathDataError(f"terminal data {'below' if side == 'lower' else 'above'} "
@@ -336,8 +328,9 @@ def solve_mc(
     and the design depends on them alone and has one column per power, so
     :func:`lattice._ahead` takes both off the loop: with at least
     ``lattice.SPLIT_MIN`` paths and two usable CPUs, a child forked before
-    :func:`mc_terminal`'s scan builds each step's states and design up to
-    two steps ahead into a shared buffer, which the loop only reads.  The
+    :func:`mc_terminal`'s scan (one walk over the steps, on a walker of its
+    own) builds each step's states and design up to two steps ahead into a
+    shared buffer, which the loop only reads.  The
     child calls no BLAS, writes no file and leaves only through
     ``os._exit``; if it dies, this process builds the remaining steps, with
     the same bits; smaller bundles build each step here.  No child outlives

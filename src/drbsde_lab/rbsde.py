@@ -275,10 +275,7 @@ def verify_snell(
     xi: TerminalPayoff,
     g: Generator,
     mode: str = "backward",
-    scheme: Optional[str] = None,
-    tol: float = 1e-10,
     sample_rules: int = 12,
-    seed: int = 0,
 ) -> SnellReport:
     """Check that the reflected Y is the value of stopping the reward process.
 
@@ -287,13 +284,14 @@ def verify_snell(
     over every stopping rule on a small full tree.  Both modes also check
     the supermartingale sandwich: evaluating Y at any sampled rule never
     exceeds Y now, with equality once the rule is capped at the first
-    contact time.
+    contact time.  The scheme is the solution's own; every gap must stay
+    within 1e-10.
     """
     lat = lattice
     if solution.obstacle_lower is None:
         raise ValueError("verify_snell needs a lower-reflected solution")
     obstacle = solution.obstacle_lower
-    scheme = scheme or solution.meta.get("scheme", "explicit")
+    scheme = solution.meta["scheme"]
 
     # reward: obstacle while running, terminal data at the horizon
     reward_vals = [obstacle[k].copy() for k in range(lat.N)]
@@ -320,7 +318,7 @@ def verify_snell(
         raise ValueError(f"unknown verification mode {mode!r}")
 
     # sandwich on sampled rules from the root, as one sweep
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     root = StoppingRule.at_step(lat, 0)
     tau_sharp = first_hitting(solution, root, "lower")
     gammas = [random_rule(lat, rng) if lat.mode == "full-tree"
@@ -337,5 +335,5 @@ def verify_snell(
         rules_checked=rules_checked,
         sandwich_slack=sandwich_slack,
         equality_gap=equality_gap,
-        tol=tol,
+        tol=1e-10,
     )

@@ -283,7 +283,7 @@ def test_criterion_10_evaluation_axioms():
         )
         report_b = verify_evaluation_axioms(tree, half_abs_z, cases=100, seed=1, tol=1e-10)
         for report in (report_a, report_b):
-            assert report.all_pass, report.summary()
+            assert report.all_pass, report
             for check in report.checks.values():
                 assert check.status == "pass"  # all five applicable here
         # y-dependent driver: translation invariance is precondition-gated

@@ -560,16 +560,49 @@ class TestRunKinds:
         assert err.startswith("config error:") and message in err
         assert not (tmp_path / "out" / "report.json").exists()
 
-    @pytest.mark.parametrize("box,message", [
-        ([], "box needs four (lo, hi) pairs"), (False, "not iterable"), (0, "not iterable"),
-        (None, "not iterable"),
-    ], ids=["empty", "false", "zero", "null"])
-    def test_a_given_box_never_falls_back_to_the_default(self, tmp_path, capsys, box, message):
+    @pytest.mark.parametrize("box", [[], False, 0, None, [1, 2, 3, 4]],
+                             ids=["empty", "false", "zero", "null", "flat"])
+    def test_a_given_box_never_falls_back_to_the_default(self, tmp_path, capsys, box):
         config = {"kind": "hypotheses", "samples": 20, "box": box}
         path = write_config(tmp_path, "box.json", config)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"box must be a list of four (lo, hi) pairs, got {box!r}" in err
+
+    @pytest.mark.parametrize("config,message", [
+        ({**GAME_CONFIG, "kind": "mc-crosscheck", "mc": 5}, "mc must be an object, got 5"),
+        ({**GAME_CONFIG, "kind": "mc-crosscheck", "mc": []}, "mc must be an object, got []"),
+        ({**GAME_CONFIG, "kind": "pasting", "schedule": "14"},
+         "schedule must be a list of numbers, got '14'"),
+        ({**GAME_CONFIG, "kind": "pasting", "schedule": {"a": 1}},
+         "schedule must be a list of numbers, got {'a': 1}"),
+        ({**GAME_CONFIG, "kind": "drbsde", "generator": {"name": 5}},
+         "generator name must be a string, got 5"),
+        ({**GAME_CONFIG, "lattice": [3]}, "lattice must be an object, got [3]"),
+        ({**GAME_CONFIG, "tolerances": "x"}, "tolerances must be an object, got 'x'"),
+    ], ids=["mc-number", "mc-list", "schedule-string", "schedule-object", "generator-name",
+            "lattice-list", "tolerances-string"])
+    def test_values_of_the_wrong_shape_name_the_shape_exit_2(self, tmp_path, capsys, config,
+                                                            message):
+        path = write_config(tmp_path, "shape.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
+        assert "object is not" not in err and "has no attribute" not in err
+
+    def test_unknown_top_level_key_exits_2(self, tmp_path, capsys):
+        # "sheme" and "seeed" would run the explicit scheme with seed 0
+        config = {**GAME_CONFIG, "kind": "drbsde", "sheme": "implicit", "seeed": 3}
+        path = write_config(tmp_path, "typo.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "unknown keys ['seeed', 'sheme']" in err
+        assert not (tmp_path / "out").exists()
+        (tmp_path / "configs").mkdir()
+        path.rename(tmp_path / "configs" / "typo.json")
+        assert main(["verify-all", str(tmp_path / "configs")]) == 2
+        assert "CONFIG-ERROR" in capsys.readouterr().out
 
     def test_unknown_generator_key_exits_2(self, tmp_path, capsys):
         drbsde = {**GAME_CONFIG, "kind": "drbsde"}
@@ -732,23 +765,24 @@ SPOILERS = {
                   {"name": "zero"}, {"name": "linear:0.5,0.3", "kappa": -1.0},
                   {"name": "zero", "lam": "x"}, {}, {"name": "linear:0.5,0.3", "kappa": True},
                   {"name": "linear:0.5,0.3", "kappa": "2"},
-                  {"name": "linear:-0.5,0.3", "kapa": 9}],
+                  {"name": "linear:-0.5,0.3", "kapa": 9}, {"name": 5}],
     "terminal": [DROP, "min(state", "exp(state)", 7, 5, "abs(state) * 1e300 * 1e300", "state"],
     "lower": [DROP, "state + 1", "state", "x", -5],
     "upper": [DROP, "state - 1", "state", "1e300 * 1e300", 5],
     "side": ["both", None],
     "schedule": [[], [4, 1], ["a"], 5, [0.5], [1, 4, math.inf], [-150, 4], [math.nan],
-                 [True, "4", 16]],
+                 [True, "4", 16], "14", {"a": 1}],
     "cases": ["x", -1, None, 2.5, True],
     "samples": [0, -1, "x", True],
     "box": [[[0, 1]], [[0, 1, 2], [-1, 1], [-1, 1], [-1, 1]], "x",
             [[0, 1], [-1, 1], [-1, 1], [-1, 1]], [[1, 0], [-1, 1], [-1, 1], [-1, 1]],
             [[0, 1], [math.nan, 1], [-1, 1], [-1, 1]], [[0, 1], [-1, 1], [-1, math.inf], [-1, 1]],
             [[True, 1], [-1, 1], [-1, 1], [-1, 1]], [[0, 1], ["-3", 3], [-1, 1], [-1, 1]],
-            [], False, 0],
+            [], False, 0, [1, 2, 3, 4]],
     "expected_failures": [5, ["H1"]],
     "mc": [{"M": 50}, {"degree": -1}, {"M": "x"}, [], {"M": 400, "degree": 0}, {"M": 400.5},
-           {"m": 500, "degre": 1}],
+           {"m": 500, "degre": 1}, 5],
+    "sheme": ["implicit"],
     "seed": ["x", None, 1.5, -1, True],
     "tolerances": [{"value_gap": "x"}, "x", {"value_gap": 0.0}],
 }

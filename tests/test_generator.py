@@ -143,7 +143,7 @@ class TestCheckHypotheses:
             kappa=1.0, lam=-1.0, alpha=0.5, h=1.0, name="damped-sin",
         )
         report = check_hypotheses(g, 4000, seed=2)
-        assert report.all_pass, report.summary()
+        assert report.all_pass, report
 
     def test_linear_z_fails_growth_bound(self):
         g = Generator(lambda t, s, y, z: z, kappa=1.0, lam=0.0, alpha=0.5, h=1.0,
@@ -166,7 +166,7 @@ class TestCheckHypotheses:
             lambda t, s, y, z: np.abs(s) * np.cos(y), kappa=1.0, lam=1.0,
             alpha=0.5, h=h, name="state-bounded",
         )
-        report = check_hypotheses(g, 2000, seed=4, lattice=lat)
+        report = check_hypotheses(g, 2000, seed=4)
         # |g(y,0)| = |s||cos y| <= 1 + |s| = h at every node
         assert report.results["H4"].passed
 
