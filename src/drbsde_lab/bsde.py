@@ -520,8 +520,6 @@ class AxiomCheck:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    generator: str
-    tol: float
     checks: dict
 
     @property
@@ -677,7 +675,7 @@ def verify_evaluation_axioms(
         else AxiomCheck("pass" if worst[name] <= tol else "fail", worst[name], counted[name])
         for name in worst
     }
-    return AxiomReport(g.name, tol, checks)
+    return AxiomReport(checks)
 
 
 # ----------------------------------------------------------------------

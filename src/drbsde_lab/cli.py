@@ -138,7 +138,7 @@ class ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(raw)
 
@@ -560,7 +560,11 @@ _DISPATCH = {
 def run_experiment(config: ExperimentConfig, out_dir) -> int:
     """Run one experiment; returns the process exit status."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot create output directory {out}: {exc}", file=sys.stderr)
+        return 2
     started = time.time()
     status = None
     try:

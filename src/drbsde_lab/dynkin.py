@@ -13,15 +13,14 @@ terminal data when both wait to the end:
 
 The exhaustive oracle brute-forces the pair table, so its sup-inf/inf-sup
 values are exact finite maxima, independent of any solver identity.  The
-rules are one stacked-flag table per depth, classed once.  The oracle still
-enumerates every pair, but a pair's value at a node depends only on both
-rules' flags below it, so a block of ``PAIR_BLOCK`` rows works on the
-distinct pairs of subtree classes per node.  A step's value there depends
-only on the node and its two children, so each step solves every distinct
-pair of child rows per node once, a row being one distinct triple of the
-step below, and each pair of classes gathers its own.  The implicit
+canonical rules are recursive: a rule stops at once, or waits a step and
+then plays one rule on each child subtree.  The table is built the same way,
+a subtree at a time: each node's table of rule pairs comes from its two
+children's, and each step solves every pair of one distinct down-child value
+and one distinct up-child value per node once.  Arbitrary stacked rules are
+swept by the plain broadcast of every pair at every node.  The implicit
 fixed point converges each element on its own, so a pair's value depends
-only on the pair: the same in any block, in the full broadcast and in
+only on the pair: the same in the table, in the broadcast and in
 :func:`strategy_value`.
 """
 
@@ -40,7 +39,6 @@ from .lattice import (DUMP_CHUNK, FULL_TREE, Lattice, StoppingRule, _float_cells
 from .rbsde import first_hitting
 
 ORACLE_MAX_N = 4
-PAIR_BLOCK = 64  # rows of the pair table per block
 
 __all__ = [
     "StoppingRule",
@@ -88,14 +86,12 @@ def _rule_flags(depth: int) -> list[np.ndarray]:
 
 
 @functools.cache
-def _rule_table(depth: int):
-    """:func:`_rule_flags` of ``depth``, frozen, with its
-    :func:`_subtree_classes`: the enumeration, stacked and classed once."""
+def _rule_table(depth: int) -> tuple[np.ndarray, ...]:
+    """:func:`_rule_flags` of ``depth``, frozen: the enumeration, stacked once."""
     flags = _rule_flags(depth)
-    root, layout = _subtree_classes(flags, depth)
-    for a in [*flags, root, *(a for step in layout for a in step)]:
-        a.flags.writeable = False
-    return tuple(flags), (root, tuple(layout))
+    for f in flags:
+        f.flags.writeable = False
+    return tuple(flags)
 
 
 def _row_rule(tree: Lattice, flags, i: int, start: int = 0) -> StoppingRule:
@@ -109,7 +105,7 @@ def _row_rule(tree: Lattice, flags, i: int, start: int = 0) -> StoppingRule:
 def enumerate_stopping_rules(tree: Lattice):
     """Every canonical stopping rule on the tree, once, in a fixed order."""
     _check_oracle_tree(tree)
-    flags = _rule_table(tree.N)[0]
+    flags = _rule_table(tree.N)
     rules = [_row_rule(tree, flags, i) for i in range(rule_count(tree.N))]
     return rules, len(rules)
 
@@ -130,129 +126,26 @@ def payoff_R(tau: StoppingRule, gamma: StoppingRule, path, game: DynkinGame) -> 
     return float(game.xi.values[p])
 
 
-def _subtree_classes(flags: list[np.ndarray], n: int):
-    """Each row's class ``(flag, down-child class, up-child class)`` at each
-    node, hashed bottom-up and numbered per node (one class at the horizon).
+def _flags(rule: StoppingRule) -> list[np.ndarray]:
+    """One rule as stacked flags, ``(1, 2**k)`` per step."""
+    return [f[None] for f in rule.flags]
 
-    Returns the rows' root classes and, per step ``k < n``, the flags
-    ``(A_k, 2**k)`` and children's classes ``(A_k, 2**(k+1))`` of each
-    node's classes, ``A_k`` the most at one node; a node with fewer repeats
-    its last class.
+
+def _pair_table_block(tree: Lattice, game: DynkinGame, tau_flags, gamma_flags, scheme: str):
+    """Root game values of every pair of ``a`` and ``b`` stacked rules, one
+    backward sweep over their ``(a, b, 2**k)`` broadcast.
+
+    ``tau_flags[k]`` and ``gamma_flags[k]`` are the rules' ``(a, 2**k)`` and
+    ``(b, 2**k)`` flags at step ``k``, any flags, not only canonical ones;
+    the result has shape ``(a, b)``.  The pair stops at the first node either
+    rule flags; the upper rail wins ties.
     """
-    cls, width, layout = np.zeros((flags[0].shape[0], 1 << n), dtype=np.int64), 1, [None] * n
-    for k in range(n - 1, -1, -1):
-        span = 2 * width * width  # each node's key range
-        key = (flags[k] * width + cls[:, 0::2]) * width + cls[:, 1::2] + np.arange(1 << k) * span
-        cls, rep = _per_node(key, span)
-        kids = np.stack([rep // width % width, rep % width], axis=-1).reshape(len(rep), -1)
-        layout[k], width = (rep >= width * width, kids), len(rep)
-    return cls[:, 0], layout
-
-
-def _per_node(key: np.ndarray, span: int):
-    """Number each node's distinct keys: node ``j``'s keys (``key``'s last
-    axis) lie in ``[j * span, (j + 1) * span)``.  The keys are marked in a
-    dense table when it is no larger than ``key`` and sorted otherwise, so
-    memory stays O(``key``).
-
-    Returns each key's id among its node's, and each node's distinct keys
-    less its base ``(m, nodes)``, ``m`` the most at one node; a node with
-    fewer repeats its last.
-    """
-    base = np.arange(key.shape[-1], dtype=key.dtype) * span
-    size = span * key.shape[-1]
-    if size <= key.size:
-        seen = np.zeros(size, dtype=bool)
-        seen[key] = True
-        uniq, inv = np.flatnonzero(seen), (np.cumsum(seen, dtype=key.dtype) - 1)[key]
-    else:
-        uniq, inv = np.unique(key, return_inverse=True)
-        inv = inv.reshape(key.shape)
-    first = np.searchsorted(uniq, base)
-    counts = np.diff(np.append(first, uniq.size))
-    rep = uniq[first + np.minimum(np.arange(counts.max())[:, None], counts - 1)] - base
-    inv -= first.astype(inv.dtype)
-    return inv, rep
-
-
-def _rule_classes(rule: StoppingRule):
-    """:func:`_subtree_classes` of one rule."""
-    return _subtree_classes([f[None] for f in rule.flags], rule.lattice.N)
-
-
-def _distinct_children(vals: np.ndarray, ids: np.ndarray, kids_t: np.ndarray,
-                       kids_g: np.ndarray):
-    """Each node's distinct ``(down, up)`` pairs of child rows over its class
-    pairs.
-
-    The step-``k+1`` value of class pair ``(a, b)`` at node ``c`` is
-    ``vals[ids[a, b, c], c]``; ``kids_t`` ``(a, 2 * nodes)`` and ``kids_g``
-    ``(b, 2 * nodes)`` hold each step-``k`` class's children's classes.
-    A node's rows in ``vals`` are distinct triples of the step below, so a
-    pair of rows is keyed as it is; two rows that tie by value are solved
-    apart.  Returns the batch ``(m, 2 * nodes)`` that holds each node's
-    distinct pairs of rows once, ``m`` the most at one node (a node with
-    fewer repeats its last), and each class pair's row in it per node,
-    ``(a, b, nodes)``.
-    """
-    rows_n, cols = vals.shape
-    nodes, span = cols // 2, rows_n * rows_n
-    dtype = np.int32 if span * nodes <= np.iinfo(np.int32).max else np.int64
-    # every class pair's key (down row, up row) at every node: each tau
-    # class's rows against every gamma child class, then each gamma class
-    # takes its own
-    node, down, up = np.arange(nodes), np.arange(0, cols, 2), np.arange(1, cols, 2)
-    cell, base = ids.astype(dtype, copy=False), (node * span).astype(dtype)
-    rows, b1 = (len(kids_t), -1), np.arange(cell.shape[1])[:, None]
-    key = np.take((cell[kids_t[:, None, 0::2], b1, down] * rows_n + base).reshape(rows),
-                  kids_g[:, 0::2] * nodes + node, axis=1)
-    key += np.take(cell[kids_t[:, None, 1::2], b1, up].reshape(rows),
-                   kids_g[:, 1::2] * nodes + node, axis=1)
-    at, pick = _per_node(key, span)
-    batch = np.empty((len(pick), cols))
-    batch[:, 0::2] = vals[pick // rows_n, down]
-    batch[:, 1::2] = vals[pick % rows_n, up]
-    return batch, at.astype(dtype, copy=False)
-
-
-def _pair_table_block(
-    tree: Lattice,
-    game: DynkinGame,
-    tau_classes,
-    gamma_classes,
-    scheme: str,
-):
-    """Root game values for a block of rule pairs, one backward sweep.
-
-    ``tau_classes`` and ``gamma_classes`` are the :func:`_subtree_classes`
-    of ``a`` and ``b`` rules, so a side shared by many blocks is classed
-    once; the result has shape ``(a, b)``.  The pair stops at the first
-    node either rule flags; the upper rail wins ties.  This oracle keeps its
-    own loop over the shared batched step.  Each step solves every distinct
-    pair of child rows per node of the block's class pairs once
-    (:func:`_distinct_children`); where every node holds one class pair,
-    its children are the batch.  A step's values are a table, the
-    candidates and then the lower and upper rails, with each class pair's
-    row in it per node.
-    """
-    n = tree.N
-    (tau_root, tau_layout), (gamma_root, gamma_layout) = tau_classes, gamma_classes
-    vals, ids = game.xi.values[None, :], np.zeros((1, 1, 1 << n), dtype=np.int32)
-    for k in range(n - 1, -1, -1):
-        (stop_t, kids_t), (stop_g, kids_g) = tau_layout[k], gamma_layout[k]
-        if len(kids_t) * len(kids_g) == 1:
-            # one class per node here means one at every later step too, so
-            # the table is the pair's one row
-            cand, _ = step_candidate(tree, game.g, k, vals, scheme)
-            vals = np.where(stop_t | stop_g, np.where(stop_g, game.U[k], game.L[k]), cand)
-            ids = np.zeros((1, 1, 1 << k), dtype=np.int32)
-            continue
-        batch, at = _distinct_children(vals, ids, kids_t, kids_g)
-        cand, _ = step_candidate(tree, game.g, k, batch, scheme)
-        vals = np.concatenate([cand, game.L[k][None], game.U[k][None]])
-        rail = np.where(stop_g, len(cand) + 1, len(cand)).astype(at.dtype)
-        ids = np.where(stop_t[:, None, :] | stop_g[None, :, :], rail[None, :, :], at)
-    return vals[:, 0][ids[tau_root][:, gamma_root, 0]]
+    v = np.broadcast_to(game.xi.values, (len(tau_flags[0]), len(gamma_flags[0]), 1 << tree.N))
+    for k in range(tree.N - 1, -1, -1):
+        cand, _ = step_candidate(tree, game.g, k, v, scheme)
+        stop_t, stop_g = tau_flags[k][:, None, :], gamma_flags[k][None, :, :]
+        v = np.where(stop_t | stop_g, np.where(stop_g, game.U[k], game.L[k]), cand)
+    return v[..., 0]
 
 
 def strategy_value(
@@ -267,7 +160,7 @@ def strategy_value(
         raise ValueError("strategy values need the full-tree backend")
     if not tree.same_grid(game.lattice):
         raise ValueError("game lives on a different lattice")
-    val = _pair_table_block(tree, game, _rule_classes(tau), _rule_classes(gamma), scheme)
+    val = _pair_table_block(tree, game, _flags(tau), _flags(gamma), scheme)
     return float(val[0, 0])
 
 
@@ -314,18 +207,43 @@ class GameReport:
         return all(checks)
 
 
+def _distinct(tables: np.ndarray):
+    """Each node's distinct values by bit pattern in ``tables`` (nodes on the
+    last axis), ``(m, nodes)`` with ``m`` the most at one node (a node with
+    fewer repeats its last), and each entry's row among its node's."""
+    cols = tables.reshape(-1, tables.shape[-1]).view(np.int64).T
+    found = [np.unique(col, return_inverse=True) for col in cols]
+    m = max(len(u) for u, _ in found)
+    values = np.stack([np.pad(u, (0, m - len(u)), mode="edge") for u, _ in found], axis=-1)
+    rows = np.stack([inv for _, inv in found], axis=-1).reshape(tables.shape)
+    return values.view(np.float64), rows
+
+
 def pair_value_table(tree: Lattice, game: DynkinGame, scheme: str = "explicit") -> np.ndarray:
     """Root values of every rule pair, rows indexed by the first player, both
-    in :func:`enumerate_stopping_rules`' order; ``PAIR_BLOCK`` rows a sweep."""
+    in :func:`enumerate_stopping_rules`' order.
+
+    Built by subtree recursion, every node of a step at once.  At a node,
+    rule 0 stops there: its row takes L and its column U, and U wins the
+    tie at ``[0, 0]``.  The pair ``(1 + a * c + b, 1 + e * c + f)`` takes one
+    step from the down child's pair ``(a, e)`` and the up child's ``(b, f)``,
+    ``c`` the rules on a child subtree.  One ``step_candidate`` call a step
+    solves every pair of a distinct down-child value and a distinct
+    up-child value per node.
+    """
     _check_oracle_tree(tree)
-    n, (flags, every) = tree.N, _rule_table(tree.N)
-    count = rule_count(n)
-    table = np.empty((count, count))
-    for lo in range(0, count, PAIR_BLOCK):
-        rows = [f[lo:lo + PAIR_BLOCK] for f in flags]
-        table[lo:lo + PAIR_BLOCK] = _pair_table_block(
-            tree, game, _subtree_classes(rows, n), every, scheme)
-    return table
+    table = game.xi.values[None, None, :]
+    for k in range(tree.N - 1, -1, -1):
+        (down, at_down), (up, at_up) = _distinct(table[..., 0::2]), _distinct(table[..., 1::2])
+        batch = np.empty((len(down), len(up), 2 << k))
+        batch[..., 0::2], batch[..., 1::2] = down[:, None], up[None]
+        cand, _ = step_candidate(tree, game.g, k, batch, scheme)
+        c = table.shape[0]
+        waits = cand[at_down[:, None, :, None], at_up[None, :, None, :], np.arange(1 << k)]
+        table = np.empty((1 + c * c, 1 + c * c, 1 << k))
+        table[1:, 1:] = waits.reshape(c * c, c * c, -1)
+        table[0], table[:, 0] = game.L[k], game.U[k]
+    return table[..., 0]
 
 
 def game_value_oracle(
@@ -413,14 +331,13 @@ def verify_saddle(
     if solution is None:
         solution = solve_drbsde(tree, game, scheme)
     y0 = solution.root_value
-    flags, every = _rule_table(tree.N)
-    count = rule_count(tree.N)
+    flags, count = _rule_table(tree.N), rule_count(tree.N)
     tau_star = first_hitting(solution, None, "lower").canonicalize()
     gamma_star = first_hitting(solution, None, "upper").canonicalize()
 
     # every tau against gamma*; tau* against every gamma
-    col = _pair_table_block(tree, game, every, _rule_classes(gamma_star), scheme)[:, 0]
-    row = _pair_table_block(tree, game, _rule_classes(tau_star), every, scheme)[0, :]
+    col = _pair_table_block(tree, game, flags, _flags(gamma_star), scheme)[:, 0]
+    row = _pair_table_block(tree, game, _flags(tau_star), flags, scheme)[0, :]
     violation = max(float(np.max(col - y0)), float(np.max(y0 - row)))
     equality_gap = abs(strategy_value(tree, game, tau_star, gamma_star, scheme) - y0)
 

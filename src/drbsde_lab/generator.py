@@ -99,8 +99,6 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    generator: str
-    sample_count: int
     results: dict
 
     @property
@@ -192,7 +190,7 @@ def check_hypotheses(g: Generator, sample_count: int, box=DEFAULT_BOX,
     del g_yz, g_y0
     record("H5", m5, lambda i: tup(i, use_yp=False, use_zp=False))
 
-    return HypothesisReport(g.name, m, results)
+    return HypothesisReport(results)
 
 
 # ----------------------------------------------------------------------

@@ -651,24 +651,14 @@ class TestDynkinVerify:
         assert run_experiment(cfg, tmp_path) == 0
         assert calls == ["implicit"]
 
-    def test_one_enumeration_serves_the_oracle_and_the_saddle(self, tmp_path, monkeypatch):
-        # the rules' stacked table is built and classed once: one classing
-        # over all 677 rows at N = 4, the blocks and contact rules apart
+    def test_one_enumeration_serves_the_oracle_and_the_saddle(self, tmp_path):
+        # the rules' stacked table is built once at N = 4
         from drbsde_lab import dynkin
 
-        rows = []
-
-        def counted(flags, n):
-            rows.append(flags[0].shape[0])
-            return classes(flags, n)
-
-        classes = dynkin._subtree_classes
-        monkeypatch.setattr(dynkin, "_subtree_classes", counted)
         dynkin._rule_table.cache_clear()
         cfg = ExperimentConfig.from_dict(
             dict(GAME_CONFIG, lattice={"T": 1.0, "N": 4, "mode": "full-tree"}))
         assert run_experiment(cfg, tmp_path) == 0
-        assert rows.count(677) == 1
         assert dynkin._rule_table.cache_info().misses == 1
 
     def test_pair_table_is_the_oracle_table(self, tmp_path, monkeypatch):
@@ -735,6 +725,29 @@ class TestMain:
         assert status == 2
         assert "a_game.json" in out and "PASS" in out
         assert "b_bad.json" in out and "CONFIG-ERROR" in out
+
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        write_config(tmp_path, "a_game.json", GAME_CONFIG)
+        (tmp_path / "b_bytes.json").write_bytes(b'{"kind": "\xff"}')
+        assert main(["run", str(tmp_path / "b_bytes.json"), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config") and "Traceback" not in err
+        # verify-all reports it and still runs the others
+        status = main(["verify-all", str(tmp_path), "--out", str(tmp_path / "res")])
+        rows = dict(line.split() for line in capsys.readouterr().out.splitlines()[1:])
+        assert status == 2
+        assert rows == {"a_game.json": "PASS", "b_bytes.json": "CONFIG-ERROR"}
+
+    def test_output_path_that_is_a_file_is_a_config_error(self, tmp_path, capsys):
+        (tmp_path / "configs").mkdir()
+        path = write_config(tmp_path / "configs", "game.json", GAME_CONFIG)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", str(path), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot create output directory")
+        assert main(["verify-all", str(path.parent), "--out", str(taken)]) == 2
+        assert capsys.readouterr().out.splitlines()[1].split() == ["game.json", "CONFIG-ERROR"]
 
     def test_missing_config_dir(self, tmp_path, capsys):
         assert main(["verify-all", str(tmp_path / "nowhere")]) == 2

@@ -1,5 +1,4 @@
 import csv
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -96,9 +95,9 @@ class TestEnumeration:
         # recursion over rule objects: stop at once, else a rule on each
         # child subtree, the down one outer
         tree = build_lattice(1.0, n, FULL_TREE)
-        flags, (root, layout) = dynkin._rule_table(n)
+        flags = dynkin._rule_table(n)
         want = reference_shapes(n)
-        assert len(flags) == len(layout) == n and root.shape == (len(want),)
+        assert len(flags) == n and flags[0].shape == (len(want), 1)
         for k, f in enumerate(flags):
             assert f.dtype == bool and not f.flags.writeable
             np.testing.assert_array_equal(f, np.stack([shape[k] for shape in want]))
@@ -359,20 +358,6 @@ def reference_write_pair_table_csv(path, table):
                 w.writerow([i, j, f"{table[i, j]:.17g}"])
 
 
-def step_spy(seen):
-    """``step_candidate`` that records, per step, the distinct
-    ``(node, down bits, up bits)`` triples of its batch."""
-
-    def spy(lattice, g, k, next_values, scheme, stats=None):
-        down, up = lattice.split_children(next_values)
-        node = np.broadcast_to(np.arange(down.shape[-1]), down.shape)
-        triples = np.stack([node, down.view(np.int64), up.view(np.int64)], axis=-1)
-        seen[k] = np.unique(triples.reshape(-1, 3), axis=0)
-        return bsde.step_candidate(lattice, g, k, next_values, scheme, stats)
-
-    return spy
-
-
 @pytest.fixture(scope="module")
 def tabulated_driver(tmp_path_factory):
     from test_golden import write_tanh_sin_driver
@@ -437,19 +422,10 @@ class TestPairTableClasses:
                 side = "upper" if layout == "saddle-row" else "lower"
                 star = [f[None, :] for f in first_hitting(sol, None, side).canonicalize().flags]
                 tau, gamma = (stacked, star) if side == "upper" else (star, stacked)
-        got_steps, want_steps = {}, {}
-        with mock.patch.object(dynkin, "step_candidate", step_spy(got_steps)):
-            got = dynkin._pair_table_block(tree, game, dynkin._subtree_classes(tau, n),
-                                           dynkin._subtree_classes(gamma, n), scheme)
-        with mock.patch.dict(globals(), step_candidate=step_spy(want_steps)):
-            want = reference_pair_table_block(tree, game, tau, gamma, scheme)
+        got = dynkin._pair_table_block(tree, game, tau, gamma, scheme)
+        want = reference_pair_table_block(tree, game, tau, gamma, scheme)
         assert got.shape == want.shape == (tau[0].shape[0], gamma[0].shape[0])
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-        # the reason the bits agree: each step's batch holds exactly the
-        # distinct elements of the full broadcast, no fewer and no more
-        assert got_steps.keys() == want_steps.keys() == set(range(n))
-        for k in range(n):
-            np.testing.assert_array_equal(got_steps[k], want_steps[k])
 
     def test_pair_table_csv_matches_the_row_writer(self, tmp_path):
         tree = build_lattice(1.0, 3, FULL_TREE)
@@ -469,14 +445,7 @@ def implicit_game_table():
 
 
 class TestPairValuesStandAlone:
-    """A pair's value depends on the pair alone, not on its block."""
-
-    @pytest.mark.parametrize("block", [1, 8, 677])
-    def test_pair_table_is_block_invariant(self, implicit_game_table, monkeypatch, block):
-        tree, game, table = implicit_game_table
-        monkeypatch.setattr(dynkin, "PAIR_BLOCK", block)
-        other = pair_value_table(tree, game, "implicit")
-        np.testing.assert_array_equal(other.view(np.int64), table.view(np.int64))
+    """A pair's value depends on the pair alone, not on what is solved with it."""
 
     @settings(max_examples=25, deadline=None)
     @given(i=st.integers(0, 676), j=st.integers(0, 676))
@@ -515,117 +484,80 @@ def batch_spy(seen):
     return spy
 
 
-def distinct_per_node(lattice, next_values):
-    """Each node's distinct ``(down bits, up bits)`` pairs, sorted."""
-    down, up = lattice.split_children(next_values)
-    pairs = np.stack([down.view(np.int64), up.view(np.int64)], axis=-1)
-    pairs = pairs.reshape(-1, down.shape[-1], 2)
-    return [np.unique(pairs[:, j], axis=0) for j in range(down.shape[-1])]
+def distinct_bits(values):
+    """Each node's (last axis) distinct bit patterns, sorted."""
+    return [np.unique(values[..., j].view(np.int64)) for j in range(values.shape[-1])]
 
 
-def assert_same_pairs(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
-
-
-def row_pair_spy(seen):
-    """``_distinct_children`` that checks each call against brute force and
-    records each node's number of distinct ``(down row, up row)`` pairs of
-    child rows over the class pairs: the batch holds each such pair once,
-    and each class pair's row in it holds its children's values."""
-    distinct_children = dynkin._distinct_children
-
-    def spy(vals, ids, kids_t, kids_g):
-        batch, at = distinct_children(vals, ids, kids_t, kids_g)
-        cols = vals.shape[1]
-        rows = ids[kids_t[:, None, :], kids_g[None, :, :], np.arange(cols)]
-        counts = []
-        for j in range(cols // 2):
-            pairs, here = rows[..., 2 * j:2 * j + 2].reshape(-1, 2), at[..., j].ravel()
-            # the pairs and their batch rows 0 .. n-1 match one to one
-            key = pairs[:, 0].astype(np.int64) * len(vals) + pairs[:, 1]
-            n = len(np.unique(key))
-            np.testing.assert_array_equal(np.unique(here), np.arange(n))
-            assert len(np.unique(key * n + here)) == n
-            got = batch[here, 2 * j:2 * j + 2]
-            want = vals[pairs, [2 * j, 2 * j + 1]]
-            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-            counts.append(n)
-        assert batch.shape == (max(counts), cols)
-        seen.append(counts)
-        return batch, at
-
-    return spy
-
-
-def classes_pair_table_block(tree, game, tau_classes, gamma_classes, scheme):
-    """The pair-table block as classed first: each step on the ``(A, B,
-    2**(k+1))`` broadcast of every pair of subtree classes per node."""
-    (tau_root, tau_layout), (gamma_root, gamma_layout) = tau_classes, gamma_classes
-    v = game.xi.values[None, None, :]
-    for k in range(tree.N - 1, -1, -1):
-        (stop_t, kids_t), (stop_g, kids_g) = tau_layout[k], gamma_layout[k]
-        children = v[kids_t[:, None, :], kids_g[None, :, :], np.arange(2 << k)]
-        cand, _ = step_candidate(tree, game.g, k, children, scheme)
-        stop_t, stop_g = stop_t[:, None, :], stop_g[None, :, :]
-        v = np.where(stop_t | stop_g, np.where(stop_g, game.U[k], game.L[k]), cand)
-    return v[tau_root[:, None], gamma_root[None, :], 0]
+def reference_table(tree, game, scheme):
+    """Every canonical pair's root value by the full broadcast, ``64`` rows
+    of the first player a sweep."""
+    stacked = stacked_rules(tree)
+    return np.concatenate([
+        reference_pair_table_block(tree, game, [f[lo:lo + 64] for f in stacked], stacked, scheme)
+        for lo in range(0, len(stacked[0]), 64)])
 
 
 class TestDistinctChildValues:
-    """Each step solves every distinct pair of child rows per node once."""
+    """Each step solves every pair of a distinct down-child value and a
+    distinct up-child value per node once."""
 
-    def test_root_batch_is_one_row_per_distinct_pair(self):
-        tree = build_lattice(1.0, 4, FULL_TREE)
-        game = readme_game(tree)
-        stacked = stacked_rules(tree)
-        seen, counts = [], []
-        with mock.patch.object(dynkin, "step_candidate", batch_spy(seen)), \
-                mock.patch.object(dynkin, "_distinct_children", row_pair_spy(counts)):
-            pair_value_table(tree, game, "implicit")
-        roots = [batch for k, batch in seen if k == 0]
-        assert len(roots) == -(-677 // 64)
-        assert [[len(batch)] for batch in roots] == [c for c in counts if len(c) == 1]
-        for lo, batch in zip(range(0, 677, 64), roots):
-            full = []
-            with mock.patch.dict(globals(), step_candidate=batch_spy(full)):
-                reference_pair_table_block(tree, game, [f[lo:lo + 64] for f in stacked],
-                                           stacked, "implicit")
-            assert_same_pairs(distinct_per_node(tree, batch), distinct_per_node(tree, full[-1][1]))
-        # about a tenth of the 677 x 677 pairs
-        assert sum(len(batch) for batch in roots) < 677 * 677 / 4
+    DRIVERS = [*TestPairTableClasses.DRIVERS, "zero"]
 
-    @pytest.mark.parametrize("layout", ["block", "saddle-row"])
-    def test_every_batch_is_the_largest_distinct_count_per_node(self, layout):
-        tree = build_lattice(1.0, 4, FULL_TREE)
-        game = readme_game(tree)
-        stacked = stacked_rules(tree)
-        if layout == "block":
-            tau, gamma = [f[64:128] for f in stacked], stacked
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    @pytest.mark.parametrize("n,driver", [(n, d) for d in DRIVERS for n in (1, 2, 3)]
+                             + [(4, "linear:-0.5,0.3")])
+    def test_pair_value_table_is_the_full_broadcast(self, tabulated_driver, n, driver, scheme):
+        tree = build_lattice(1.0, n, FULL_TREE)
+        rng = np.random.default_rng(n)
+        if driver == "tabulated":
+            g = registry_generator(tabulated_driver)
+        elif driver == "stopped":
+            g = stop_generator(registry_generator("linear:0.5,0.3"),
+                               StoppingRule.at_step(tree, int(rng.integers(0, n + 1))))
         else:
-            star = first_hitting(solve_drbsde(tree, game, "implicit"), None, "upper")
-            tau, gamma = stacked, [f[None, :] for f in star.canonicalize().flags]
-        got, want, counts = [], [], []
-        with mock.patch.object(dynkin, "step_candidate", batch_spy(got)), \
-                mock.patch.object(dynkin, "_distinct_children", row_pair_spy(counts)):
-            dynkin._pair_table_block(tree, game, dynkin._subtree_classes(tau, 4),
-                                     dynkin._subtree_classes(gamma, 4), "implicit")
+            g = registry_generator(driver)
+        game = separated_game(tree, g, shift=float(rng.uniform(-0.5, 0.5)))
+        got = pair_value_table(tree, game, scheme)
+        want = reference_table(tree, game, scheme)
+        assert got.shape == want.shape == (rule_count(n),) * 2
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    @pytest.mark.parametrize("lopsided", [False, True], ids=["readme", "lopsided"])
+    def test_each_step_solves_each_nodes_distinct_child_values(self, scheme, lopsided):
+        # the full broadcast's step-(k+1) values at a node are that node's
+        # subtree table: every pair of canonical rules there; on the down
+        # half, terminal data at the upper rail makes waiting pay that rail,
+        # so its nodes have fewer distinct values
+        n = 3
+        tree = build_lattice(1.0, n, FULL_TREE)
+        if lopsided:
+            game = constant_rails_game(tree, [0.5] * 4 + [0.1, -0.2, 0.3, 0.05], -0.5, 0.5)
+        else:
+            game = readme_game(tree)
+        got, want = [], []
+        with mock.patch.object(dynkin, "step_candidate", batch_spy(got)):
+            pair_value_table(tree, game, scheme)
         with mock.patch.dict(globals(), step_candidate=batch_spy(want)):
-            reference_pair_table_block(tree, game, tau, gamma, "implicit")
-        assert [k for k, _ in got] == [k for k, _ in want] == [3, 2, 1, 0]
-        assert [len(c) for c in counts] == [8, 4, 2, 1]
-        for (k, batch), (_, full), count in zip(got, want, counts):
-            # the most distinct pairs of child rows at one node, and no more
-            # rows: a node with fewer repeats its last pair
-            assert batch.shape == (max(count), 2 << k)
-            # and the full broadcast's distinct values, no fewer and no more
-            assert_same_pairs(distinct_per_node(tree, batch), distinct_per_node(tree, full))
+            stacked = stacked_rules(tree)
+            reference_pair_table_block(tree, game, stacked, stacked, scheme)
+        assert [k for k, _ in got] == [k for k, _ in want] == list(range(n - 1, -1, -1))
+        for (k, batch), (_, full) in zip(got, want):
+            down, up = distinct_bits(full[..., 0::2]), distinct_bits(full[..., 1::2])
+            assert batch.shape == (max(map(len, down)), max(map(len, up)), 2 << k)
+            # each node's own children's distinct values, no fewer and no
+            # more: a node with fewer repeats one of its own
+            for g, w in zip(distinct_bits(batch[..., 0::2]), down):
+                np.testing.assert_array_equal(g, w)
+            for g, w in zip(distinct_bits(batch[..., 1::2]), up):
+                np.testing.assert_array_equal(g, w)
         assert sum(b.size for _, b in got) < sum(b.size for _, b in want) / 10
 
     def test_signed_zeros_stay_separate_rows(self):
         # the lower rail is -0.0 at one step-1 node, where continuing gives
-        # +0.0: a pair that stops there and one that goes on keep two rows
+        # +0.0: that node's table holds both, and the root batch keeps them
+        # apart
         tree = build_lattice(1.0, 2, FULL_TREE)
         lower = (np.array([-1.0]), np.array([-0.0, -1.0]), np.full(4, -1.0))
         game = DynkinGame(
@@ -634,103 +566,25 @@ class TestDistinctChildValues:
             L=AdaptedProcess(tree, lower),
             U=AdaptedProcess(tree, tuple(np.ones(tree.n_nodes(k)) for k in range(3))),
         )
-        tau = [np.zeros((2, 1), bool), np.array([[True, False], [False, False]]),
-               np.ones((2, 4), bool)]
-        gamma = [np.zeros((1, 1), bool), np.zeros((1, 2), bool), np.ones((1, 4), bool)]
         seen = []
         with mock.patch.object(dynkin, "step_candidate", batch_spy(seen)):
-            got = dynkin._pair_table_block(tree, game, dynkin._subtree_classes(tau, 2),
-                                           dynkin._subtree_classes(gamma, 2), "explicit")
+            got = pair_value_table(tree, game, "explicit")
         root = dict(seen)[0]
-        assert root.shape == (2, 2)
-        assert set(root[:, 0].view(np.int64)) == {0, np.float64(-0.0).view(np.int64)}
-        want = reference_pair_table_block(tree, game, tau, gamma, "explicit")
+        assert set(root[..., 0].ravel().view(np.int64)) == {
+            0, np.float64(-0.0).view(np.int64), np.float64(1.0).view(np.int64)}
+        want = reference_table(tree, game, "explicit")
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-
-    def test_single_pair_steps_on_its_children(self):
-        # strategy_value: one class pair per node, no distinct-value pass
-        tree = build_lattice(1.0, 6, FULL_TREE)
-        game = readme_game(tree)
-        rng = np.random.default_rng(3)
-        tau, gamma = random_rule(tree, rng), random_rule(tree, rng)
-        seen = []
-        with mock.patch.object(dynkin, "step_candidate", batch_spy(seen)), \
-                mock.patch.object(dynkin, "_distinct_children") as distinct:
-            value = strategy_value(tree, game, tau, gamma, "implicit")
-        distinct.assert_not_called()
-        assert [batch.shape for _, batch in seen] == [(1, 2 << k) for k in range(5, -1, -1)]
-        want = reference_pair_table_block(
-            tree, game, [f[None] for f in tau.flags], [f[None] for f in gamma.flags], "implicit")
-        assert np.float64(value).view(np.int64) == want[0, 0].view(np.int64)
-
-    def test_pair_value_table_stacks_the_flags_once(self, monkeypatch):
-        # the rules' table is built and classed once, then each block of
-        # PAIR_BLOCK rows is classed on its own
-        tree = build_lattice(1.0, 3, FULL_TREE)
-        game = readme_game(tree)
-        monkeypatch.setattr(dynkin, "PAIR_BLOCK", 4)
-        dynkin._rule_table.cache_clear()
-        with mock.patch.object(dynkin, "_subtree_classes",
-                               wraps=dynkin._subtree_classes) as classes:
-            table = pair_value_table(tree, game, "implicit")
-        assert dynkin._rule_table.cache_info().misses == 1
-        rows = [call.args[0][0].shape[0] for call in classes.call_args_list]
-        assert rows == [26] + [4] * 6 + [2]
-        want = reference_pair_table_block(tree, game, stacked_rules(tree), stacked_rules(tree),
-                                          "implicit")
-        np.testing.assert_array_equal(table.view(np.int64), want.view(np.int64))
-
-    @pytest.mark.parametrize("wide", [False, True], ids=["marked", "sorted"])
-    def test_per_node_numbers_each_nodes_distinct_keys(self, wide):
-        # node j's keys lie in [j * span, (j + 1) * span); a range far
-        # wider than the keys is sorted in memory of the keys' order
-        rng = np.random.default_rng(5)
-        scale = 10**6 if wide else 1
-        span = 3 * scale
-        base = np.arange(4) * span
-        key = (rng.integers(0, 3, (200, 4)) * scale + base).astype(np.int32)
-        key[:, 3] = base[3]  # one key at the last node: its column repeats
-        tracemalloc.start()
-        try:
-            ids, reps = dynkin._per_node(key, span)
-            used = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert used < 64 * key.nbytes
-        uniques = [np.unique(key[:, j]) for j in range(4)]
-        want = np.stack([np.searchsorted(u, key[:, j]) for j, u in enumerate(uniques)], axis=1)
-        np.testing.assert_array_equal(ids, want)
-        assert reps.shape == (3, 4)
-        for j, u in enumerate(uniques):
-            padded = np.concatenate([u, np.repeat(u[-1], 3 - len(u))])
-            np.testing.assert_array_equal(reps[:, j], padded - base[j])
 
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     def test_a_family_at_depth(self, scheme):
         # 128 random-flag rows against one rule at N = 12: bitwise the full
-        # broadcast, and below the memory of the classes' broadcast; some
-        # step's dense (node, down row, up row) table would be larger than
-        # its keys, so those steps sort them
+        # broadcast
         n = 12
         tree = build_lattice(1.0, n, FULL_TREE)
         game = separated_game(tree, registry_generator("linear:-0.5,0.3"))
         rng = np.random.default_rng(12)
         tau = [rng.random((128, 1 << k)) < 0.5 for k in range(n + 1)]
         gamma = [f[None] for f in random_rule(tree, rng).flags]
-        classes = dynkin._subtree_classes(tau, n), dynkin._subtree_classes(gamma, n)
-
-        def peak(block):
-            tracemalloc.start()
-            try:
-                return block(tree, game, *classes, scheme), tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        value, used = peak(dynkin._pair_table_block)
-        assert used < peak(classes_pair_table_block)[1]
-        with mock.patch.object(dynkin, "_per_node", wraps=dynkin._per_node) as per_node:
-            dynkin._pair_table_block(tree, game, *classes, scheme)
-        assert any(span * key.shape[-1] > key.size for key, span in
-                   (call.args for call in per_node.call_args_list))
+        value = dynkin._pair_table_block(tree, game, tau, gamma, scheme)
         want = reference_pair_table_block(tree, game, tau, gamma, scheme)
         np.testing.assert_array_equal(value.view(np.int64), want.view(np.int64))
