@@ -42,8 +42,7 @@ from .lattice import (
     StoppingRule,
     TerminalPayoff,
 )
-from .rbsde import (_check_schedule, _penalization_report, _started_mask,
-                    default_eps_hit, first_hitting)
+from .rbsde import _check_schedule, _penalization_report, _started_mask, first_hitting
 
 SEPARATION_FLOOR = 1e-9
 
@@ -211,14 +210,14 @@ def pasting_construct(
     """Rebuild the solution from alternating one-obstacle segments.
 
     Contact frontiers are read off the limit solution as chained
-    :func:`rbsde.first_hitting` rules at its :func:`rbsde.default_eps_hit`:
-    the first node within ``eps`` of the upper rail from the root, then the
-    first touch of the lower rail at or after it, and so on, the segment
-    starting at each.  Segment 1 is lower, and sides alternate.  Each node
-    then takes a single one-obstacle step (its segment's side only), with
-    terminal data flowing backward out of the continuation already built --
-    so agreement with the direct solve certifies that the solution really is
-    an alternation of one-obstacle solutions between its own contact times.
+    :func:`rbsde.first_hitting` rules: the first node where it equals the
+    upper rail from the root, then the first node where it equals the lower
+    rail at or after it, and so on, the segment starting at each.  Segment
+    1 is lower, and sides alternate.  Each node then takes a single
+    one-obstacle step (its segment's side only), with terminal data flowing
+    backward out of the continuation already built -- so agreement with the
+    direct solve certifies that the solution really is an alternation of
+    one-obstacle solutions between its own contact times.
     ``direct`` is the direct solve (:func:`solve_drbsde`), solved here when
     ``None``.
     """
@@ -227,21 +226,13 @@ def pasting_construct(
     if not lattice.same_grid(game.lattice):
         raise ValueError("game lives on a different lattice")
     direct = solve_drbsde(lattice, game, scheme) if direct is None else direct
-    eps = default_eps_hit(direct)
-
-    margin = game.separation_margin()
-    if margin <= 2.0 * eps:
-        raise SeparationError(
-            f"separation margin {margin:.3g} is inside the contact tolerance "
-            f"band 2*eps = {2 * eps:.3g}; contacts would be ambiguous"
-        )
 
     # contact frontiers: boundary d is the first touch of the upper rail (d
     # odd) or the lower rail (d even) at or after boundary d-1; no node
     # touches both, so each falls strictly later and at most N stop inside
     boundaries, start = [], None
     for d in range(1, lattice.N + 1):
-        rule = first_hitting(direct, start, "upper" if d % 2 else "lower", eps).canonicalize()
+        rule = first_hitting(direct, start, "upper" if d % 2 else "lower").canonicalize()
         if not any(f.any() for f in rule.flags[:-1]):
             break
         boundaries.append(start := rule)
@@ -264,8 +255,7 @@ def pasting_construct(
     Y, Z, dK, dJ = (_row_process(lattice, stack) for stack in stacks)
     pasted = Solution(
         kind="doubly-reflected", Y=Y, Z=Z, dK=dK, dJ=dJ,
-        meta={**_base_meta(lattice, game.g, scheme), **_row_stats(stats), "route": "pasting",
-              "eps_hit": eps},
+        meta={**_base_meta(lattice, game.g, scheme), **_row_stats(stats), "route": "pasting"},
         obstacle_lower=game.L, obstacle_upper=game.U,
     )
 

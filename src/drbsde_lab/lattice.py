@@ -112,9 +112,13 @@ class Lattice:
         if self.mode == RECOMBINING:
             return pool[i]
         width = max(int(k.max(initial=0)), 1)
-        shift = k[:, None] - 1 - np.arange(width)  # the bit behind each digit
-        digits = np.where(shift >= 0, 48 + ((i[:, None] >> np.maximum(shift, 0)) & 1), 0)
-        return digits.astype(np.uint8).view(f"S{width}")[:, 0]
+        # each row: the 32 bits of i as ASCII digits, msb first, then NULs;
+        # a word's cell starts at its step's first bit
+        rows = np.zeros((i.size, 32 + width), np.uint8)
+        rows[:, :32] = np.unpackbits(i.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
+        rows[:, :32] += ord("0")
+        return _windows(rows.reshape(-1), np.arange(32, 32 + i.size * rows.shape[1],
+                                                    rows.shape[1]) - k, width)
 
     def split_children(self, next_values: np.ndarray):
         """Split step-``k+1`` values into (down, up) children per step-``k`` node.
@@ -483,11 +487,40 @@ def _float_cells(values: np.ndarray, memo: dict | None = None) -> np.ndarray:
     formatted once or read from ``memo``."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     if memo is None:
-        return _text(b"%.17g", bits.view(np.float64).tolist())[inverse]
+        return _cells17(bits)[inverse]
     keys = bits.tolist()
     new = np.array([b for b in keys if b not in memo], dtype=np.int64)
-    memo.update(zip(new.tolist(), _text(b"%.17g", new.view(np.float64).tolist())))
+    memo.update(zip(new.tolist(), _cells17(new)))
     return np.array([memo[b] for b in keys], dtype="S")[inverse]
+
+
+# distinct values in [1e-4, 1e16), where ``%.17g`` writes fixed notation,
+# below which ``dtoa.fixed17``'s fixed cost per call exceeds what it saves
+# over ``bytes %`` (measured on 2-core x86-64)
+FIXED_MIN = 256
+
+# that range as two runs of int64 bit patterns: a negative float's pattern
+# grows with its magnitude
+_FIXED_RUNS = np.array([-1e-4, -1e16, 1e-4, 1e16]).view(np.int64)
+
+
+def _cells17(bits: np.ndarray) -> np.ndarray:
+    """``{:.17g}`` of the float64 bit patterns ``bits``, sorted as int64,
+    as an ``S`` array."""
+    runs = np.searchsorted(bits, _FIXED_RUNS)
+    if runs[1] - runs[0] + runs[3] - runs[2] < FIXED_MIN:
+        return _text(b"%.17g", bits.view(np.float64).tolist())
+    # imported here: a run that never needs the kernel never compiles it,
+    # which without cached bytecode costs resident memory for the whole run
+    from .dtoa import cells17
+
+    return cells17(bits, runs)
+
+
+def _windows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """``buf[s:s + width]`` of the flat uint8 ``buf`` for each ``s`` in
+    ``starts``, as an ``S{width}`` array (one gather)."""
+    return np.ndarray((max(buf.size - width + 1, 0),), f"S{width}", buf, strides=(1,))[starts]
 
 
 def _write_rows(fh, cells) -> None:

@@ -196,21 +196,17 @@ def penalization_run(
 # ----------------------------------------------------------------------
 
 
-def default_eps_hit(solution: Solution) -> float:
-    # contact sets {Y = L} have measure zero under floating point
-    return 1e-9 * (1.0 + solution.Y.sup_norm())
-
-
 def first_hitting(
     solution: Solution,
     nu: Optional[StoppingRule] = None,
     target: str = "lower",
-    eps_hit: Optional[float] = None,
 ) -> StoppingRule:
-    """First node at/after ``nu`` where Y touches the requested obstacle.
+    """First node at/after ``nu`` where Y meets the requested obstacle.
 
-    Interior nodes enter the rule when ``Y <= L + eps`` (lower) or
-    ``Y >= U - eps`` (upper); the horizon stops unconditionally.
+    Interior nodes enter the rule where ``Y <= L`` (lower) or ``Y >= U``
+    (upper), which on a reflected solution is ``Y == L`` or ``Y == U``: the
+    projection writes the rail's own bits where it binds, so contacts need
+    no tolerance band.  The horizon stops unconditionally.
     """
     lat = solution.lattice
     obstacle = (
@@ -220,9 +216,6 @@ def first_hitting(
         raise ValueError(f"unknown hitting target {target!r}")
     if obstacle is None:
         raise ValueError(f"solution carries no {target} obstacle")
-    eps = default_eps_hit(solution) if eps_hit is None else float(eps_hit)
-    if eps < 0:
-        raise ValueError("eps_hit must be nonnegative")
 
     if nu is None:
         nu = StoppingRule.at_step(lat, 0)
@@ -234,11 +227,7 @@ def first_hitting(
     started = _started_mask(nu)
     flags = []
     for k in range(lat.N):
-        hit = (
-            solution.Y[k] <= obstacle[k] + eps
-            if target == "lower"
-            else solution.Y[k] >= obstacle[k] - eps
-        )
+        hit = solution.Y[k] <= obstacle[k] if target == "lower" else solution.Y[k] >= obstacle[k]
         flags.append(hit & started[k])
     flags.append(np.ones(lat.n_nodes(lat.N), dtype=bool))
     return StoppingRule(lat, tuple(flags))

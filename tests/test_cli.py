@@ -661,6 +661,21 @@ class TestDynkinVerify:
         assert run_experiment(cfg, tmp_path) == 0
         assert dynkin._rule_table.cache_info().misses == 1
 
+    # the README game at N = 4 with one rail moved to 1e-9 of y0 at the root
+    # alone: Y keeps every bit, so the rule stopping at the root where Y
+    # misses the rail is no contact, and the saddle check must pass
+    @pytest.mark.parametrize("rail", [
+        {"lower": "max(max(state, -0.8) - 0.3 - 0.1*t, 0.18327367575781253 - 1000*t)"},
+        {"upper": "min(max(state, -0.8) + 0.25 + 0.1*t, 0.18327367775781253 + 1000*t)"},
+    ], ids=["lower", "upper"])
+    def test_a_rail_just_off_y_at_the_root_is_no_contact(self, tmp_path, rail):
+        config = dict(GAME_CONFIG, lattice={"T": 1.0, "N": 4, "mode": "full-tree"}, **rail)
+        path = write_config(tmp_path, "near.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+        assert checks["y0"] == checks["sup_inf"] == checks["inf_sup"] == 0.18327367675781253
+        assert checks["saddle_violation"] == checks["saddle_equality_gap"] == 0.0
+
     def test_pair_table_is_the_oracle_table(self, tmp_path, monkeypatch):
         from drbsde_lab import dynkin
 
@@ -737,6 +752,18 @@ class TestMain:
         rows = dict(line.split() for line in capsys.readouterr().out.splitlines()[1:])
         assert status == 2
         assert rows == {"a_game.json": "PASS", "b_bytes.json": "CONFIG-ERROR"}
+
+    def test_config_nested_too_deep_is_a_config_error(self, tmp_path, capsys):
+        write_config(tmp_path, "a_game.json", GAME_CONFIG)
+        (tmp_path / "b_deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["run", str(tmp_path / "b_deep.json"), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config") and "Traceback" not in err
+        # verify-all reports it and still runs the others
+        status = main(["verify-all", str(tmp_path), "--out", str(tmp_path / "res")])
+        rows = dict(line.split() for line in capsys.readouterr().out.splitlines()[1:])
+        assert status == 2
+        assert rows == {"a_game.json": "PASS", "b_deep.json": "CONFIG-ERROR"}
 
     def test_output_path_that_is_a_file_is_a_config_error(self, tmp_path, capsys):
         (tmp_path / "configs").mkdir()

@@ -12,6 +12,7 @@ import hashlib
 import math
 import mmap
 import os
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,15 +20,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drbsde_lab import dtoa
 from drbsde_lab import lattice as lattice_module
 from drbsde_lab import mc as mc_module
 from drbsde_lab.bsde import SOLUTION_HEADER, Solution, write_solution_csv
 from drbsde_lab.lattice import (
     DUMP_CHUNK,
+    FIXED_MIN,
     FULL_TREE,
     PROCESS_HEADER,
     RECOMBINING,
     AdaptedProcess,
+    _float_cells,
     build_lattice,
     write_lattice_csv,
     write_process_csv,
@@ -224,6 +228,142 @@ def test_node_id_ranges_match_whole_step(mode):
             for stop in edges:
                 if start <= stop:
                     assert lat.node_ids(k, start, stop) == ids[start:stop]
+
+
+# ----------------------------------------------------------------------
+# each float against "{:.17g}".format: the fixed-notation kernel
+# (dtoa.fixed17, for a column with FIXED_MIN values in [1e-4, 1e16)) and
+# bytes % for the rest
+# ----------------------------------------------------------------------
+
+
+def _log_uniform(rng, n):
+    """Magnitudes 1e-6 .. 1e18, both signs: the fixed range and past both ends."""
+    return 10.0 ** rng.uniform(-6, 18, n) * rng.choice([-1.0, 1.0], n)
+
+
+def _powers_of_ten():
+    """``10**E`` for E in [-4, 16], read two ways, and the doubles next to
+    them: where ``floor(log10|x|)`` can miss the exponent by one."""
+    p = np.array([10.0 ** e for e in range(-4, 17)] + [float(f"1e{e}") for e in range(-4, 17)])
+    p = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+    return np.concatenate([p, -p])
+
+
+def _binary_ties(rng, n):
+    """``x = m * 2**(-1 - p)`` with ``m`` odd and ``m * 5**p / 2`` in
+    ``[1e16, 1e17)``: ``x * 10**(16 - E)`` is exactly half an odd integer,
+    so round-half-even decides the 17th digit, up or down."""
+    p = rng.integers(2, 21, n)
+    lo = np.ceil(2e16 / 5.0 ** p)
+    hi = np.minimum(2e17 / 5.0 ** p, 2.0 ** 53 - 1)
+    m = np.floor(lo + rng.random(n) * (hi - lo)).astype(np.int64) | 1
+    return np.ldexp(m.astype(np.float64), -1 - p) * rng.choice([-1.0, 1.0], n)
+
+
+def _decimal_fractions(rng, n):
+    """Integers below 10**17 divided by ``10**j``: short decimals, trailing
+    zeros and whole numbers."""
+    ints = rng.integers(1, 10 ** 17, n).astype(np.float64)
+    return ints / 10.0 ** rng.integers(0, 23, n) * rng.choice([-1.0, 1.0], n)
+
+
+def _bit_patterns(rng, n):
+    """Random float64 bit patterns: NaN payloads, infinities, subnormals."""
+    return rng.integers(-2 ** 63, 2 ** 63 - 1, n, dtype=np.int64, endpoint=True).view(np.float64)
+
+
+def _formatted(values) -> list:
+    return [_fmt(v).encode() for v in values.tolist()]
+
+
+def _chunked_cells(values) -> list:
+    return [c for start in range(0, values.size, DUMP_CHUNK)
+            for c in _float_cells(values[start:start + DUMP_CHUNK]).tolist()]
+
+
+def test_a_million_floats_have_the_bytes_of_format(monkeypatch):
+    rng = np.random.default_rng(20141207)
+    families = [
+        _log_uniform(rng, 500_000),
+        np.tile(_powers_of_ten(), 8),
+        _binary_ties(rng, 200_000),
+        _decimal_fractions(rng, 200_000),
+        _bit_patterns(rng, 100_000),
+        np.tile(np.array(SPECIAL), 20),
+    ]
+    # shuffled, so that every chunk holds enough values in [1e-4, 1e16) for
+    # the kernel and each family's values reach it
+    values = rng.permutation(np.concatenate(families))
+    assert values.size >= 10 ** 6
+    kernel = []
+    real = dtoa.fixed17
+    monkeypatch.setattr(dtoa, "fixed17", lambda x, neg: kernel.append(x.size) or real(x, neg))
+    got, want = _chunked_cells(values), _formatted(values)
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, f"{len(bad)} mismatches, the first {bad[:3]}"
+    assert len(kernel) == -(-values.size // DUMP_CHUNK)  # every chunk
+    assert sum(kernel) > 750_000  # three quarters of the values
+
+
+def test_no_double_in_the_fixed_range_rounds_up_to_a_power_of_ten():
+    # why dtoa._decimal17 has no carry to handle: 10**E is a double for
+    # E >= 0, and the doubles nearest 10**-1 .. 10**-4 lie above them
+    for k in range(1, 5):
+        assert Fraction(float(f"1e-{k}")) > Fraction(1, 10 ** k)
+
+
+def test_fewer_than_fixed_min_values_in_range_keep_bytes_percent(monkeypatch):
+    def no_kernel(x, neg):
+        raise AssertionError("the kernel ran below FIXED_MIN")
+
+    monkeypatch.setattr(dtoa, "fixed17", no_kernel)
+    values = np.concatenate([np.linspace(1.0, 2.0, FIXED_MIN - 1), np.full(500, math.nan),
+                             np.arange(1000) * 1e-300])
+    assert _float_cells(values).tolist() == _formatted(values)
+
+
+def test_the_memo_formats_only_new_values():
+    memo = {}
+    first = np.linspace(-3.0, 3.0, 2 * FIXED_MIN)
+    second = np.concatenate([first[::2], np.linspace(5.0, 6.0, FIXED_MIN)])
+    for values in (first, second):
+        assert _float_cells(values, memo).tolist() == _formatted(values)
+    assert len(memo) == 3 * FIXED_MIN
+
+
+def _in_range_fill(seed):
+    """Node values mostly in [1e-4, 1e16), a few zeros and out-of-range
+    values, and all distinct enough that each chunk column takes the kernel."""
+    rng = np.random.default_rng(seed)
+
+    def values(size):
+        out = rng.standard_normal(size) * 10.0 ** rng.uniform(-3.5, 15, size)
+        out[rng.random(size) < 0.02] = 0.0
+        out[rng.random(size) < 0.02] *= 1e-9
+        return out
+
+    return values
+
+
+@pytest.mark.parametrize("mode,n", [(FULL_TREE, 13), (RECOMBINING, 150)])
+def test_node_dumps_in_the_fixed_range_match_reference(mode, n, monkeypatch, tmp_path):
+    lat = build_lattice(1.0, n, mode)
+    kernel = []
+    real = dtoa.fixed17
+    monkeypatch.setattr(dtoa, "fixed17", lambda x, neg: kernel.append(x.size) or real(x, neg))
+    monkeypatch.setattr(lattice_module, "_usable_cpus", lambda: 1)  # no fork: calls counted here
+    fills = [_in_range_fill(seed) for seed in range(5)]
+
+    def proc(fill):
+        return AdaptedProcess(lat, tuple(fill(lat.n_nodes(k)) for k in range(lat.N + 1)))
+
+    sol = Solution("doubly-reflected", *map(proc, fills[1:]))
+    assert_same_bytes(write_process_csv, reference_process_csv, proc(fills[0]), tmp_path)
+    assert_same_bytes(write_solution_csv, reference_solution_csv, sol, tmp_path)
+    # at least the process dump's values and Y, K and J of every chunk (a
+    # chunk of terminal rows has no Z)
+    assert len(kernel) >= 4 * math.ceil(lat.total_nodes / DUMP_CHUNK)
 
 
 # ----------------------------------------------------------------------

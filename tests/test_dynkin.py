@@ -1,4 +1,5 @@
 import csv
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from drbsde_lab import bsde, dynkin
 from drbsde_lab.bsde import random_rule, step_candidate
-from drbsde_lab.drbsde import DynkinGame, solve_drbsde
+from drbsde_lab.drbsde import DynkinGame, SeparationError, solve_drbsde
 from drbsde_lab.dynkin import (
     StoppingRule,
     enumerate_stopping_rules,
@@ -330,6 +331,37 @@ class TestSaddle:
         assert report.max_saddle_violation <= 1e-10
         assert report.saddle_equality_gap <= 1e-10
         assert report.sandwich_slack <= 1e-10
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_a_rail_just_off_y_at_one_node_keeps_the_saddle(self, scheme):
+        # the README game at N = 4 with one rail moved to delta from Y at one
+        # node where it does not bind: Y keeps its bits, the node is no
+        # contact, and the saddle check passes wherever the oracle does
+        tree = build_lattice(1.0, 4, FULL_TREE)
+        f = lambda s: np.maximum(s, -0.8)
+        xi, g = TerminalPayoff.from_function(tree, f), registry_generator("linear:-0.5,0.3")
+        rails = {"L": AdaptedProcess.from_function(tree, lambda t, s: f(s) - 0.3 - 0.1 * t),
+                 "U": AdaptedProcess.from_function(tree, lambda t, s: f(s) + 0.25 + 0.1 * t)}
+        y = solve_drbsde(tree, DynkinGame(xi=xi, g=g, **rails), scheme).Y
+        checked = 0
+        for delta, k, side in itertools.product((1.5e-10, 9e-10, 2.7e-9), range(4), rails):
+            free = np.flatnonzero(y[k] != rails[side][k])
+            if not free.size:
+                continue
+            moved = [a.copy() for a in rails[side].values]
+            moved[k][free[0]] = y[k][free[0]] + (-delta if side == "L" else delta)
+            try:
+                game = DynkinGame(xi=xi, g=g, **{**rails, side: AdaptedProcess(tree, tuple(moved))})
+            except SeparationError:  # the moved rail came within the floor of the other
+                continue
+            sol = solve_drbsde(tree, game, scheme)
+            for a, b in zip(sol.Y.values, y.values, strict=True):
+                np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+            oracle = game_value_oracle(tree, game, scheme, solution=sol)
+            saddle = verify_saddle(tree, game, sol, scheme)
+            assert oracle.passed and saddle.passed, (delta, k, side, saddle.max_saddle_violation)
+            checked += 1
+        assert checked == 20  # the separation floor refuses the other 4
 
 
 def reference_pair_table_block(tree, game, tau_flags, gamma_flags, scheme):

@@ -26,7 +26,7 @@ from drbsde_lab.lattice import (
     TerminalPayoff,
     build_lattice,
 )
-from drbsde_lab.rbsde import _started_mask, default_eps_hit
+from drbsde_lab.rbsde import _started_mask
 
 
 def same_bits(got, want):
@@ -44,7 +44,8 @@ def same_bits(got, want):
 
 def pasting_reference(lattice, game, scheme, direct, eps):
     """Forward sweep of segment side and index per node, the boundary rules
-    rebuilt from the index, and the one-sided backward sweep."""
+    rebuilt from the index, and the one-sided backward sweep; a node within
+    ``eps`` of a rail is a contact."""
     side, seg = [], []
     LOWER, UPPER = 0, 1
     for k in range(lattice.N + 1):
@@ -243,7 +244,8 @@ def test_pasting_is_the_forward_state_machine(case):
     lat, game, scheme = case
     pasted, ledger = pasting_construct(lat, game, scheme)
     direct = solve_drbsde(lat, game, scheme)
-    want = pasting_reference(lat, game, scheme, direct, default_eps_hit(direct))
+    # pasting reads contacts by equality: the reference's band is 0
+    want = pasting_reference(lat, game, scheme, direct, 0.0)
     for name in ("Y", "Z", "dK", "dJ"):
         for got, ref in zip(getattr(pasted, name).values, want[name], strict=True):
             same_bits(got, ref)

@@ -11,7 +11,6 @@ from drbsde_lab.lattice import (
     build_lattice,
 )
 from drbsde_lab.rbsde import (
-    default_eps_hit,
     first_hitting,
     penalization_run,
     solve_rbsde,
@@ -340,12 +339,27 @@ class TestFirstHitting:
         rule = first_hitting(sol, None, "lower")
         assert rule.flags[0][0]
 
-    def test_eps_hit_default_scales_with_solution(self):
-        lat = build_lattice(1.0, 4)
-        xi = TerminalPayoff.from_function(lat, lambda s: 100.0 * np.ones_like(s))
-        sol = solve_rbsde(lat, xi, registry_generator("zero"),
-                          AdaptedProcess.constant(lat, -1.0))
-        assert default_eps_hit(sol) == pytest.approx(1e-9 * 101.0)
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_contacts_are_the_nodes_where_y_equals_the_rail(self, side):
+        # the rail moved to 1e-12 from Y wherever it did not bind: Y keeps
+        # its bits, every such node is a near miss and no contact
+        lat = build_lattice(1.0, 8, FULL_TREE)
+        sign = 1.0 if side == "lower" else -1.0
+        xi = TerminalPayoff.from_function(lat, lambda s: sign * np.maximum(s, -0.3))
+        g = registry_generator("linear:-0.5,0.3")
+        rail = AdaptedProcess.from_function(
+            lat, lambda t, s: sign * (np.maximum(s, -0.3) - 0.05 * (1 - t)))
+        sol = solve_rbsde(lat, xi, g, rail, side=side)
+        near = AdaptedProcess(lat, tuple(np.where(y == r, r, y - sign * 1e-12)
+                                         for y, r in zip(sol.Y.values, rail.values)))
+        again = solve_rbsde(lat, xi, g, near, side=side)
+        rule = first_hitting(again, None, side)
+        contacts = 0
+        for k in range(lat.N):
+            np.testing.assert_array_equal(again.Y[k].view(np.int64), sol.Y[k].view(np.int64))
+            np.testing.assert_array_equal(rule.flags[k], again.Y[k] == near[k])
+            contacts += int(rule.flags[k].sum())
+        assert 0 < contacts < sum(lat.n_nodes(k) for k in range(lat.N))
 
     def test_missing_obstacle_rejected(self):
         lat = build_lattice(1.0, 4)
