@@ -42,7 +42,8 @@ from .lattice import (
     StoppingRule,
     TerminalPayoff,
 )
-from .rbsde import _check_schedule, _penalization_report, _started_mask, first_hitting
+from .rbsde import (DEFAULT_SCHEDULE, _check_schedule, _penalization_report, _started_mask,
+                    first_hitting)
 
 SEPARATION_FLOOR = 1e-9
 
@@ -127,7 +128,7 @@ def solve_drbsde(lattice: Lattice, game: DynkinGame, scheme: str = "explicit") -
 def double_penalization(
     lattice: Lattice,
     game: DynkinGame,
-    schedule=(1.0, 4.0, 16.0, 64.0, 256.0, 1024.0),
+    schedule=DEFAULT_SCHEDULE,
     direction: str = "increasing",
     scheme: str = "explicit",
 ):
@@ -295,7 +296,7 @@ def cross_validate(
     lattice: Lattice,
     game: DynkinGame,
     scheme: str = "explicit",
-    schedule=(1.0, 4.0, 16.0, 64.0, 256.0, 1024.0),
+    schedule=DEFAULT_SCHEDULE,
 ) -> CrossReport:
     """Drive every route to the solution and report their disagreements.
 

@@ -51,6 +51,9 @@ def _check_reflected_inputs(lattice, xi, obstacle, side):
 REFLECTED_ROW = {"lower": CLAMP_ROW,
                  "upper": (math.inf, math.inf, {"route": "sign-flip of lower solve"})}
 
+# penalty levels of every penalization route and of a config without a schedule
+DEFAULT_SCHEDULE = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0)
+
 
 def solve_rbsde(
     lattice: Lattice,
@@ -170,7 +173,7 @@ def penalization_run(
     g: Generator,
     obstacle: AdaptedProcess,
     side: str = "lower",
-    schedule=(1.0, 4.0, 16.0, 64.0, 256.0, 1024.0),
+    schedule=DEFAULT_SCHEDULE,
     scheme: str = "explicit",
 ):
     """Solve the penalized family along ``schedule`` and report convergence.

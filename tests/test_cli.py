@@ -421,7 +421,9 @@ class TestRunKinds:
             "expected-failures-nested", "mc-degree-negative", "lattice-unknown-key",
             "mc-unknown-key"])
     def test_config_reachable_solver_checks_exit_2(self, tmp_path, capsys, config, message):
-        assert run_experiment(ExperimentConfig.from_dict(config), tmp_path / "out") == 2
+        # through main: some are found by the config walk, others by the run
+        path = write_config(tmp_path, "reach.json", config)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
 

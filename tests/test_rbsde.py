@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -411,6 +413,37 @@ class TestVerifySnell:
         report = verify_snell(tree, sol, xi, g, "backward", sample_rules=20)
         assert report.equality_gap <= 1e-10
         assert report.sandwich_slack <= 1e-10
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_a_rail_just_under_y_at_one_node_is_no_contact(self, scheme):
+        # the README game's lower rail at N = 4, moved to delta under Y at one
+        # node where it does not bind: Y keeps its bits, tau_sharp flags
+        # exactly the contacts Y == L, and both Snell checks pass
+        tree = build_lattice(1.0, 4, FULL_TREE)
+        f = lambda s: np.maximum(s, -0.8)
+        xi, g = TerminalPayoff.from_function(tree, f), registry_generator("linear:-0.5,0.3")
+        rail = AdaptedProcess.from_function(tree, lambda t, s: f(s) - 0.3 - 0.1 * t)
+        y = solve_rbsde(tree, xi, g, rail, "lower", scheme).Y
+        checked = 0
+        for delta, k in itertools.product((1.5e-10, 9e-10, 2.7e-9), range(4)):
+            free = np.flatnonzero(y[k] != rail[k])
+            if not free.size:
+                continue
+            moved = [a.copy() for a in rail.values]
+            moved[k][free[0]] = y[k][free[0]] - delta
+            L = AdaptedProcess(tree, tuple(moved))
+            sol = solve_rbsde(tree, xi, g, L, "lower", scheme)
+            for a, b in zip(sol.Y.values, y.values, strict=True):
+                np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+            tau = first_hitting(sol)
+            for flags, yk, lk in zip(tau.flags[:-1], sol.Y.values, L.values):
+                np.testing.assert_array_equal(flags, yk == lk)
+            assert tau.flags[-1].all()
+            for mode in ("backward", "enumerate"):
+                report = verify_snell(tree, sol, xi, g, mode)
+                assert report.passed, (delta, k, mode, report)
+            checked += 1
+        assert checked == 12
 
     def test_enumerate_needs_small_tree(self):
         lat = build_lattice(1.0, 8)
