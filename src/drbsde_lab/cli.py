@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .bsde import (FixedPointError, Solution, solve_bsde, verify_evaluation_axioms,
                    write_solution_csv, write_solution_sidecar)
-from .drbsde import DynkinGame, SeparationError, cross_validate, solve_drbsde, write_ledger_csv
+from .drbsde import DynkinGame, cross_validate, solve_drbsde, write_ledger_csv
 from .dynkin import (_check_oracle_tree, game_value_oracle, verify_saddle, write_game_report,
                      write_pair_table_csv)
 from .exprs import ExpressionError, compile_expression
@@ -85,14 +85,17 @@ def _nodes(v) -> int:
     return (1 << n + 1) - 1 if v["lattice.mode"] == "full-tree" else (n + 1) * (n + 2) // 2
 
 
-def _node_sets(v) -> int:
+def _node_sets(v, levels: int) -> int:
     """Node arrays a run holds, in sets of ``NODE_BYTES``: its data and one
-    per solution, a penalty sweep holding every level of both families."""
-    return 2 + 2 * len(v["schedule"]) if v["kind"] in ("penalization", "pasting") else 2
+    per solution, a penalty sweep of ``levels`` holding every level of both
+    families."""
+    return 2 + 2 * levels if v["kind"] in ("penalization", "pasting") else 2
 
 
+# lattice.N counts at most the default schedule's levels, so a longer schedule
+# is blamed on the schedule's own ceiling
 def _lattice_ceiling(v):
-    per_node = NODE_BYTES * _node_sets(v)
+    per_node = NODE_BYTES * _node_sets(v, min(len(v["schedule"]), len(DEFAULT_SCHEDULE)))
     most, mode = MEMORY_BUDGET // per_node, v["lattice.mode"]
     n = (most + 1).bit_length() - 2 if mode == "full-tree" else (math.isqrt(8 * most + 1) - 3) // 2
     return n, f"a {mode} lattice of at most {most} nodes at {per_node} bytes a node"
@@ -100,7 +103,7 @@ def _lattice_ceiling(v):
 
 def _path_bytes(v) -> int:
     """Budget the lattice solve leaves to the path bundle and regressions."""
-    return MEMORY_BUDGET - _nodes(v) * NODE_BYTES * _node_sets(v)
+    return MEMORY_BUDGET - _nodes(v) * NODE_BYTES * _node_sets(v, len(v["schedule"]))
 
 
 # a path holds PATH_STEP_BYTES a step and COLUMN_BYTES for each of the basis's
@@ -115,6 +118,13 @@ def _degree_ceiling(v):
     if v["kind"] == "mc-crosscheck":
         per_path = _path_bytes(v) // v["mc.M"] - PATH_STEP_BYTES * v["lattice.N"]
         return per_path // COLUMN_BYTES - 4, f"regressions on {v['mc.M']} paths"
+
+
+def _levels_ceiling(v):
+    if v["kind"] in ("penalization", "pasting"):
+        sets = MEMORY_BUDGET // (NODE_BYTES * _nodes(v))
+        return (sets - 2) // 2, (f"penalty levels on {_nodes(v)} nodes at "
+                                 f"{2 * NODE_BYTES} bytes a node and level")
 
 
 def _cases_ceiling(v):
@@ -167,7 +177,7 @@ FIELDS = {
     "terminal": Field("expression"),
     "lower": Field("expression"),
     "upper": Field("expression"),
-    "schedule": Field("schedule", DEFAULT_SCHEDULE),
+    "schedule": Field("schedule", DEFAULT_SCHEDULE, ceiling=_levels_ceiling),
     "seed": Field("int", 0, low=0),
     "cases": Field("int", 50, low=1, ceiling=_cases_ceiling),
     "samples": Field("int", 2000, low=1, ceiling=_samples_ceiling),
@@ -257,7 +267,7 @@ def _check(path: str, f: Field, value):
             raise ConfigError(f"{label!r} must be an expression string, got {value!r}")
         try:
             return compile_expression(value)
-        except (ExpressionError, RecursionError) as exc:  # RecursionError: nested too deep
+        except ExpressionError as exc:
             raise ConfigError(f"bad {label!r} expression: {exc}") from exc
     if f.type == "schedule":
         if not isinstance(value, list):
@@ -315,12 +325,14 @@ class ExperimentConfig:
                 values[path] = f.default
         for path, f in FIELDS.items():
             ceiling = f.ceiling and f.ceiling(values)
-            if ceiling and values[path] > ceiling[0]:
+            size = len(values[path]) if f.type == "schedule" else values[path]
+            if ceiling and size > ceiling[0]:
                 parent, _, key = path.rpartition(".")
+                got = (f"{size} levels" if f.type == "schedule"
+                       else repr((values[parent] or {}).get(key, values[path])))
                 raise ConfigError(
                     f"{f.label or path} must be <= {ceiling[0]} ({ceiling[1]}, within the "
-                    f"{MEMORY_BUDGET >> 20} MiB memory budget), "
-                    f"got {(values[parent] or {}).get(key, values[path])!r}")
+                    f"{MEMORY_BUDGET >> 20} MiB memory budget), got {got}")
         return cls(raw, values)
 
     def __getitem__(self, path: str):
@@ -421,7 +433,7 @@ def _game(cfg: ExperimentConfig, lat: Lattice) -> DynkinGame:
         raise ConfigError("two-obstacle configs need 'lower' and 'upper' expressions")
     try:
         return DynkinGame(xi=cfg.terminal(lat), g=cfg.generator(), L=lower, U=upper)
-    except (SeparationError, ValueError) as exc:
+    except ValueError as exc:  # SeparationError included
         raise ConfigError(str(exc)) from exc
 
 
@@ -558,7 +570,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> int:
     status = None
     try:
         payload = _DISPATCH[config["kind"]](config, out)
-    except (ConfigError, SeparationError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 -- any other exception is exit 4

@@ -3,12 +3,16 @@
 Configs carry obstacles as strings over a closed grammar -- ``+``, ``-``,
 ``*``, ``min``, ``max``, ``abs``, numeric constants, ``t`` and ``state`` --
 instead of arbitrary code, so runs are reproducible without an embedded
-evaluation environment.  Parsing is a tiny recursive descent; evaluation
-broadcasts over numpy arrays.
+evaluation environment.  One loop compiles a string to a flat postfix
+program and one loop evaluates it, broadcasting over numpy arrays; both
+read the operator table ``_OPS`` and neither recurses, so an expression may
+be any length, with at most ``MAX_NESTING`` parentheses, calls and pending
+operators open at once.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Callable
 
@@ -20,134 +24,100 @@ _TOKEN = re.compile(
     r"|(?P<sym>[-+*(),]))"
 )
 
+# name -> (function, operand count, binding strength); strength 0 marks a
+# function called by name, and "neg" is the prefix "-"
+_OPS = {
+    "+": (operator.add, 2, 1),
+    "-": (operator.sub, 2, 1),
+    "*": (operator.mul, 2, 2),
+    "neg": (operator.neg, 1, 3),
+    "abs": (np.abs, 1, 0),
+    "min": (np.minimum, 2, 0),
+    "max": (np.maximum, 2, 0),
+}
+MAX_NESTING = 1000
+
 
 class ExpressionError(ValueError):
     pass
 
 
-def _tokenize(src: str):
-    pos = 0
-    out = []
-    while pos < len(src):
+def _error(what: str, src: str, pos: int) -> ExpressionError:
+    """An error quoting at most 50 characters of ``src`` around ``pos``."""
+    near = ascii(src[max(pos - 25, 0):pos + 25])[:60]
+    return ExpressionError(f"{what} at character {pos} of {len(src)} near {near}")
+
+
+def _compile(src: str) -> list:
+    """The postfix program of ``src``: floats, ``"t"``, ``"state"`` and ``_OPS``
+    keys.  ``pending`` holds the operators not yet emitted and the open groups,
+    ``[commas still due, name]``, a parenthesis having no name."""
+    program, pending, operand, pos = [], [], True, 0  # operand: one comes next
+    while True:
         m = _TOKEN.match(src, pos)
-        if not m or m.end() == pos:
-            raise ExpressionError(f"cannot tokenize {src[pos:]!r} in {src!r}")
-        if m.lastgroup == "num":
-            out.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
+        if m is None and pos < len(src):
+            raise _error("cannot read a token", src, pos)
+        kind, tok = (m.lastgroup, m.group(m.lastgroup)) if m else ("end", "")
+        start, pos = (m.start(kind), m.end()) if m else (pos, pos)
+        unexpected = f"unexpected {ascii(tok[:20]) if tok else 'end'}"
+        if operand:
+            if kind == "num" or tok in ("t", "state"):
+                program.append(float(tok) if kind == "num" else tok)
+                operand = False
+            elif tok == "-" or tok == "(":
+                pending.append("neg" if tok == "-" else [0])
+            elif kind == "name" and _OPS.get(tok, (None, 0, 1))[2] == 0:
+                paren = _TOKEN.match(src, pos)  # a function name takes "(" next
+                if not (paren and paren.group("sym") == "("):
+                    raise _error(f"expected '(' after {tok!r}", src, pos)
+                pending.append([_OPS[tok][1] - 1, tok])
+                pos = paren.end()
+            else:
+                raise _error(unexpected, src, start)
+        elif kind == "sym" and tok in "+-*":
+            while (pending and isinstance(pending[-1], str)
+                   and _OPS[pending[-1]][2] >= _OPS[tok][2]):
+                program.append(pending.pop())
+            pending.append(tok)
+            operand = True
+        else:  # ",", ")" and the end emit every pending operator
+            while pending and isinstance(pending[-1], str):
+                program.append(pending.pop())
+            group = pending[-1] if pending else None
+            if kind == "end" and group is None:
+                return program
+            if tok == "," and group and group[0] > 0:
+                group[0] -= 1
+                operand = True
+            elif tok == ")" and group and group[0] == 0:
+                program += pending.pop()[1:]
+            else:
+                raise _error(unexpected, src, start)
+        if len(pending) > MAX_NESTING:
+            raise _error(f"over {MAX_NESTING} parentheses, calls and operators open", src, start)
+
+
+def _run(program: list, t, state):
+    """Evaluate a postfix program.  Operations pop their operands: none outlives
+    its call, and numpy may reuse a temporary's buffer, as in ``a - b``."""
+    stack, names = [], {"t": t, "state": state}
+    for op in program:
+        if op in _OPS:
+            f, n, _ = _OPS[op]
+            stack.append(f(stack.pop(-2), stack.pop()) if n == 2 else f(stack.pop()))
         else:
-            out.append(("sym", m.group("sym")))
-        pos = m.end()
-    out.append(("end", ""))
-    return out
-
-
-class _Parser:
-    FUNCS = {"min": 2, "max": 2, "abs": 1}
-
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, sym: str):
-        kind, val = self.take()
-        if kind != "sym" or val != sym:
-            raise ExpressionError(f"expected {sym!r} in {self.src!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ExpressionError(f"trailing input in {self.src!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("sym", "+") or self.peek() == ("sym", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            node = (op, node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("sym", "*"):
-            self.take()
-            node = ("*", node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek() == ("sym", "-"):
-            self.take()
-            return ("neg", self.unary())
-        return self.atom()
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return ("const", val)
-        if kind == "name":
-            if val in ("t", "state"):
-                return (val,)
-            arity = self.FUNCS.get(val)
-            if arity is None:
-                raise ExpressionError(f"unknown name {val!r} in {self.src!r}")
-            self.expect("(")
-            args = [self.expr()]
-            for _ in range(arity - 1):
-                self.expect(",")
-                args.append(self.expr())
-            self.expect(")")
-            return (val, *args)
-        if (kind, val) == ("sym", "("):
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ExpressionError(f"unexpected token {val!r} in {self.src!r}")
-
-
-def _evaluate(node, t, state):
-    op = node[0]
-    if op == "const":
-        return node[1]
-    if op == "t":
-        return t
-    if op == "state":
-        return state
-    if op == "neg":
-        return -_evaluate(node[1], t, state)
-    if op == "+":
-        return _evaluate(node[1], t, state) + _evaluate(node[2], t, state)
-    if op == "-":
-        return _evaluate(node[1], t, state) - _evaluate(node[2], t, state)
-    if op == "*":
-        return _evaluate(node[1], t, state) * _evaluate(node[2], t, state)
-    if op == "abs":
-        return np.abs(_evaluate(node[1], t, state))
-    if op == "min":
-        return np.minimum(_evaluate(node[1], t, state), _evaluate(node[2], t, state))
-    if op == "max":
-        return np.maximum(_evaluate(node[1], t, state), _evaluate(node[2], t, state))
-    raise ExpressionError(f"unknown node {op!r}")
+            stack.append(names.get(op, op))
+    return stack[0]
 
 
 def compile_expression(src: str) -> Callable:
     """Compile a grammar string to a broadcasting ``(t, state) -> value``."""
-    tree = _Parser(src).parse()
+    program = _compile(src)
 
     def fn(t, state):
         # an overflow is data, not a warning: callers reject non-finite values
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _evaluate(tree, t, state)
+            out = _run(program, t, state)
         return np.broadcast_to(np.asarray(out, dtype=float), np.shape(state)).copy() \
             if np.shape(out) != np.shape(state) else np.asarray(out, dtype=float)
 

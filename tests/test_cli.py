@@ -16,6 +16,7 @@ from drbsde_lab.cli import (
     run_experiment,
 )
 from drbsde_lab.exprs import ExpressionError, compile_expression
+from drbsde_lab.lattice import build_lattice
 
 
 def write_config(tmp_path, name, payload):
@@ -766,6 +767,32 @@ class TestMain:
         rows = dict(line.split() for line in capsys.readouterr().out.splitlines()[1:])
         assert status == 2
         assert rows == {"a_game.json": "PASS", "b_deep.json": "CONFIG-ERROR"}
+
+    def test_a_payoff_of_a_thousand_kinks_runs(self, tmp_path):
+        kinks = " + ".join(f"0.001*max(state - {i / 1000:g}, 0)" for i in range(1000))
+        path = write_config(tmp_path, "long.json", {
+            "kind": "bsde", "lattice": {"N": 4}, "generator": "zero", "terminal": kinks})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        lat = build_lattice(1.0, 4, "recombining")
+        s = lat.states(4)
+        xi = sum(0.001 * np.maximum(s - i / 1000, 0) for i in range(1000))
+        assert abs(report["y0"] - lat.terminal_weights() @ xi) <= 1e-12
+
+    @pytest.mark.parametrize("terminal, message", [
+        ("*".join(["state"] * 5000), "terminal payoff must be finite"),
+        ("(" * 1001 + "state" + ")" * 1001, "over 1000 parentheses, calls and operators"),
+        ("(" * 5000 + "state" + ")" * 5000, "over 1000 parentheses, calls and operators"),
+        ("state + " * 2500 + "exp(state)", "unexpected 'exp'"),
+    ], ids=["overflowing-product", "nested-1001", "nested-5000", "long-unknown-name"])
+    def test_a_long_terminal_that_fails_exits_2_with_one_short_line(self, tmp_path, capsys,
+                                                                      terminal, message):
+        path = write_config(tmp_path, "bad.json", {
+            "kind": "bsde", "lattice": {"N": 4}, "generator": "zero", "terminal": terminal})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert err.count("\n") == 1 and len(err) <= 200
 
     def test_output_path_that_is_a_file_is_a_config_error(self, tmp_path, capsys):
         (tmp_path / "configs").mkdir()

@@ -1,5 +1,6 @@
-"""The config table ``cli.FIELDS``: mutations generated from each row, and
-the README's key list checked against it."""
+"""The config table ``cli.FIELDS``: mutations generated from each row, the
+README's key list checked against it, and the schedule's ceiling checked
+against the lattice ceiling that used to count every level."""
 
 import json
 import math
@@ -10,7 +11,9 @@ import sys
 import textwrap
 from pathlib import Path
 
-from drbsde_lab.cli import FIELDS, MEMORY_BUDGET, ExperimentConfig
+import pytest
+
+from drbsde_lab.cli import FIELDS, MEMORY_BUDGET, NODE_BYTES, ConfigError, ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -152,3 +155,47 @@ def test_readme_key_bullets_name_exactly_the_table_keys():
     heads = re.findall(r"^\s*\* ((?:`[\w.]+`(?:, )?)+)", block, re.M)
     named = [key for head in heads for key in re.findall(r"`([\w.]+)`", head)]
     assert sorted(named) == sorted(FIELDS)
+
+
+def _sized(kind, mode, n, levels):
+    return {**BASE, "kind": kind, "lattice": {"T": 1.0, "N": n, "mode": mode},
+            "schedule": [float(2 ** i) for i in range(levels)]}
+
+
+def _old_lattice_ceiling(kind, mode, levels):
+    """``lattice.N``'s ceiling when it counted every level of a schedule."""
+    per_node = NODE_BYTES * (2 + 2 * levels if kind in ("penalization", "pasting") else 2)
+    most = MEMORY_BUDGET // per_node
+    if mode == "full-tree":
+        return (most + 1).bit_length() - 2
+    return (math.isqrt(8 * most + 1) - 3) // 2
+
+
+def test_a_long_schedule_is_blamed_on_the_schedule():
+    base = _sized("pasting", "full-tree", 20, 6)
+    del base["schedule"]
+    ExperimentConfig.from_dict(base)  # the default 6 levels
+    ExperimentConfig.from_dict(_sized("pasting", "full-tree", 20, 7))
+    with pytest.raises(ConfigError, match=r"^schedule must be <= 7 \(penalty levels on 2097151 "
+                                          r"nodes .*\), got 8 levels$"):
+        ExperimentConfig.from_dict(_sized("pasting", "full-tree", 20, 8))
+
+
+@pytest.mark.parametrize("kind", ["penalization", "pasting", "drbsde"])
+@pytest.mark.parametrize("mode", ["full-tree", "recombining"])
+@pytest.mark.parametrize("levels", [1, 2, 5, 6, 7, 8, 12, 100, 1000])
+def test_the_schedule_ceiling_keeps_every_verdict_of_the_lattice_ceiling(kind, mode, levels):
+    """A config is admitted exactly when the lattice ceiling that counted every
+    level admitted it, and up to 6 levels a rejection keeps its message."""
+    limit = _old_lattice_ceiling(kind, mode, levels)
+    for n in (limit - 1, limit, limit + 1):
+        config = _sized(kind, mode, n, levels)
+        if n <= limit:
+            ExperimentConfig.from_dict(config)
+            continue
+        # lattice.N counts at most the default schedule's 6 levels
+        lattice_limit = _old_lattice_ceiling(kind, mode, min(levels, 6))
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict(config)
+        assert str(info.value).startswith(f"lattice.N must be <= {lattice_limit} ("
+                                          if n > lattice_limit else "schedule must be <= ")
