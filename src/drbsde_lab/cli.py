@@ -417,11 +417,8 @@ def _run_rbsde(cfg: ExperimentConfig, out: Path) -> dict:
     _solution_files(out, sol)
     write_process_csv(out / "obstacle.csv", obstacle)
     flat = sol.flat_off_lower() if side == "lower" else sol.flat_off_upper()
-    bound_ok = all(
-        bool(np.all(sol.Y[k] >= obstacle[k] - 1e-15)) if side == "lower"
-        else bool(np.all(sol.Y[k] <= obstacle[k] + 1e-15))
-        for k in range(lat.N + 1)
-    )
+    bound_ok = all(np.all(y >= o if side == "lower" else y <= o)
+                   for y, o in zip(sol.Y.values, obstacle.values))
     return {"passed": flat <= cfg["tolerances.flat_off"] and bound_ok,
             "checks": {"flat_off": flat, "obstacle_respected": bound_ok}, "y0": sol.root_value}
 
@@ -443,10 +440,8 @@ def _run_drbsde(cfg: ExperimentConfig, out: Path) -> dict:
     sol = solve_drbsde(lat, game, cfg["scheme"])
     _solution_files(out, sol)
     flat = max(sol.flat_off_lower(), sol.flat_off_upper())
-    between = all(
-        bool(np.all((sol.Y[k] >= game.L[k] - 1e-15) & (sol.Y[k] <= game.U[k] + 1e-15)))
-        for k in range(lat.N + 1)
-    )
+    between = all(np.all((y >= lo) & (y <= up))
+                  for y, lo, up in zip(sol.Y.values, game.L.values, game.U.values))
     checks = {"flat_off": flat, "between_obstacles": between,
               "separation_margin": game.separation_margin()}
     return {"passed": flat <= cfg["tolerances.flat_off"] and between, "checks": checks,

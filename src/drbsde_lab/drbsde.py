@@ -25,7 +25,6 @@ given as -inf or +inf.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -41,6 +40,7 @@ from .lattice import (
     Lattice,
     StoppingRule,
     TerminalPayoff,
+    _write_table,
 )
 from .rbsde import (DEFAULT_SCHEDULE, _check_schedule, _penalization_report, _started_mask,
                     first_hitting)
@@ -181,25 +181,16 @@ class PastingLedger:
     segments_by_terminal: np.ndarray      # nonempty segments along each path
     direct: Solution                      # the solve the contacts were read off
 
-    def rows(self):
-        out = []
-        for i, side in enumerate(self.sides):
-            start = self.boundaries[i - 1].hash_hex() if i > 0 else "root"
-            end = (
-                self.boundaries[i].hash_hex()
-                if i < len(self.boundaries)
-                else "horizon"
-            )
-            out.append((i + 1, side, start, end, self.node_counts[i]))
-        return out
-
 
 def write_ledger_csv(path, ledger: PastingLedger) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["segment", "side", "start_rule", "end_rule", "node_count"])
-        for row in ledger.rows():
-            w.writerow(row)
+    """One row per segment: its side, opening and closing rules and node count."""
+    n = len(ledger.sides)
+    rules = [rule.hash_hex() for rule in ledger.boundaries]
+    columns = [np.array(col, dtype="S") for col in (
+        [str(i) for i in range(1, n + 1)], ledger.sides, (["root"] + rules)[:n],
+        (rules + ["horizon"])[:n], [str(c) for c in ledger.node_counts])]
+    _write_table(path, ["segment", "side", "start_rule", "end_rule", "node_count"], n,
+                 lambda start, stop: [c[start:stop] for c in columns])
 
 
 def pasting_construct(

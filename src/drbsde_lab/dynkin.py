@@ -34,8 +34,7 @@ import numpy as np
 
 from .bsde import g_evaluate, step_candidate
 from .drbsde import DynkinGame, solve_drbsde
-from .lattice import (DUMP_CHUNK, FULL_TREE, Lattice, StoppingRule, _float_cells, _text,
-                      _write_rows)
+from .lattice import FULL_TREE, Lattice, StoppingRule, _float_cells, _text, _write_table
 from .rbsde import first_hitting
 
 ORACLE_MAX_N = 4
@@ -301,16 +300,15 @@ def write_game_report(path, report: GameReport) -> None:
 
 
 def write_pair_table_csv(path, table: np.ndarray) -> None:
-    """Dump a pair-value table (``GameReport.table``) row-major,
-    ``DUMP_CHUNK`` rows per write."""
+    """Dump a pair-value table (``GameReport.table``) row-major."""
     flat = table.ravel()
     pool = _text(b"%d", range(max(table.shape)))
-    with open(path, "wb") as fh:
-        fh.write(b"tau_index,gamma_index,value\r\n")
-        for start in range(0, flat.size, DUMP_CHUNK):
-            chunk = flat[start:start + DUMP_CHUNK]
-            rows, cols = np.divmod(np.arange(start, start + chunk.size), table.shape[1])
-            _write_rows(fh, [pool[rows], pool[cols], _float_cells(chunk)])
+
+    def cells(start, stop):
+        rows, cols = np.divmod(np.arange(start, stop), table.shape[1])
+        return [pool[rows], pool[cols], _float_cells(flat[start:stop])]
+
+    _write_table(path, ["tau_index", "gamma_index", "value"], flat.size, cells)
 
 
 def verify_saddle(

@@ -684,49 +684,30 @@ def _ahead(steps, build, shapes):
         os.waitpid(pid, 0)
 
 
-def _write_node_dump(path, header, lattice: Lattice, step_columns) -> None:
-    """Stream ``k,node-id,state`` and the value columns ``step_columns(k)``
-    (``None``: empty fields) of every node, in chunks of ``DUMP_CHUNK`` rows
-    of the flattened node order, which span steps.  Each chunk is assembled
-    as one byte matrix (:func:`_write_rows`): its bytes are those of a
-    ``csv.writer`` loop over its rows.
-
-    With two usable CPUs and at least ``SPLIT_MIN`` rows (:func:`_in_two`),
-    a forked child writes the chunks from the boundary nearest half the
-    rows into a tail file beside ``path``, which is then appended by a
-    kernel copy; each chunk's bytes depend on its own rows alone, so the
-    bytes are those of the serial write."""
-    firsts = np.cumsum([0] + [lattice.n_nodes(k) for k in range(lattice.N + 1)])
-    bounds = np.append(np.arange(0, firsts[-1], DUMP_CHUNK), firsts[-1])
-    pool = _text(b"%d", range(lattice.N + 1))  # every k, and the walk's ids
+def _write_table(path, header, n: int, cells) -> None:
+    """The one CSV writer: a ``header`` row, then rows ``[0, n)`` in chunks
+    of ``DUMP_CHUNK``, each ``cells(start, stop)`` (its columns of NUL-padded
+    ``S`` cells; ``cells`` keeps :func:`_fork`'s contract) assembled as one
+    byte matrix by :func:`_write_rows`, so the bytes are a ``csv.writer``
+    loop's.  With at least ``SPLIT_MIN`` rows and two usable CPUs
+    (:func:`_in_two`), a forked child writes the chunks from the boundary
+    nearest half the rows into a tail file beside ``path``, then appended by
+    a kernel copy; a chunk's bytes depend on its own rows alone, so they are
+    the serial write's."""
+    bounds = np.append(np.arange(0, n, DUMP_CHUNK), n)
     tail = f"{os.fspath(path)}.{os.getpid()}.tail"
 
     def write(lo, hi):
-        state_text: dict[int, bytes] = {}  # few distinct states (2N+1 on the walk)
         with open(tail if lo else path, "wb") as fh:
             if not lo:
                 fh.write((",".join(header) + "\r\n").encode())
             # the chunks between the boundaries nearest rows lo and hi
             a, b = (int(np.argmin(np.abs(bounds - row))) for row in (lo, hi))
             for start, stop in zip(bounds[a:b], bounds[a + 1:b + 1]):
-                rows = np.arange(start, stop)
-                k = np.searchsorted(firsts, rows, side="right") - 1
-                steps = range(k[0], k[-1] + 1)
-                spans = [slice(max(start - firsts[s], 0), min(stop, firsts[s + 1]) - firsts[s])
-                         for s in steps]
-                states = np.concatenate([lattice.states(s)[sl] for s, sl in zip(steps, spans)])
-                cells = [pool[k], lattice._id_cells(k, rows - firsts[k], pool),
-                         _float_cells(states, state_text)]
-                for pieces in zip(*map(step_columns, steps)):
-                    # a None piece gives its step's rows empty cells
-                    text = _float_cells(np.concatenate(
-                        [c[sl] for c, sl in zip(pieces, spans) if c is not None] or [np.empty(0)]))
-                    cells.append(np.zeros(rows.size, text.dtype))
-                    cells[-1][np.array([c is not None for c in pieces])[k - k[0]]] = text
-                _write_rows(fh, cells)
+                _write_rows(fh, cells(start, stop))
 
     try:
-        if _in_two(int(firsts[-1]), write):
+        if _in_two(n, write):
             # a kernel copy, with no user-space buffer; sendfile refuses an
             # O_APPEND target, so seek to the end instead
             with open(path, "r+b") as out, open(tail, "rb") as src:
@@ -737,6 +718,34 @@ def _write_node_dump(path, header, lattice: Lattice, step_columns) -> None:
     finally:
         if os.path.exists(tail):
             os.remove(tail)
+
+
+def _write_node_dump(path, header, lattice: Lattice, step_columns) -> None:
+    """Write ``k,node-id,state`` and the value columns ``step_columns(k)``
+    (``None``: empty fields) of every node through :func:`_write_table`,
+    whose chunks run over the flattened node order and so span steps."""
+    firsts = np.cumsum([0] + [lattice.n_nodes(k) for k in range(lattice.N + 1)])
+    pool = _text(b"%d", range(lattice.N + 1))  # every k, and the walk's ids
+    state_text: dict[int, bytes] = {}  # few distinct states (2N+1 on the walk)
+
+    def cells(start, stop):
+        rows = np.arange(start, stop)
+        k = np.searchsorted(firsts, rows, side="right") - 1
+        steps = range(k[0], k[-1] + 1)
+        spans = [slice(max(start - firsts[s], 0), min(stop, firsts[s + 1]) - firsts[s])
+                 for s in steps]
+        states = np.concatenate([lattice.states(s)[sl] for s, sl in zip(steps, spans)])
+        out = [pool[k], lattice._id_cells(k, rows - firsts[k], pool),
+               _float_cells(states, state_text)]
+        for pieces in zip(*map(step_columns, steps)):
+            # a None piece gives its step's rows empty cells
+            text = _float_cells(np.concatenate(
+                [c[sl] for c, sl in zip(pieces, spans) if c is not None] or [np.empty(0)]))
+            out.append(np.zeros(rows.size, text.dtype))
+            out[-1][np.array([c is not None for c in pieces])[k - k[0]]] = text
+        return out
+
+    _write_table(path, header, int(firsts[-1]), cells)
 
 
 def _write_json(path, payload: dict) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bsde import _driver_update, _reflect
 from .generator import Generator
-from .lattice import DUMP_CHUNK, _ahead, _float_cells, _in_two, _text, _write_json, _write_rows
+from .lattice import _ahead, _float_cells, _in_two, _text, _write_json, _write_table
 
 CONDITION_WARN = 1e8
 
@@ -220,21 +220,22 @@ class McResult:
 
 
 def write_bundle_csv(path, bundle: PathBundle) -> None:
-    """Path dump: one row per (path, step), the states rebuilt per chunk of
-    paths; ``coord`` is always 0."""
-    steps = _text(b"%d", range(bundle.N))
-    per_chunk = max(1, DUMP_CHUNK // bundle.N)
-    with open(path, "wb") as fh:
-        fh.write(b"path,k,coord,dB,state\r\n")
-        for lo in range(0, bundle.M, per_chunk):
-            hi = min(lo + per_chunk, bundle.M)
-            inc = bundle.increments[lo:hi]
-            _write_rows(fh, [np.repeat(_text(b"%d", range(lo, hi)), bundle.N),
-                             np.tile(steps, hi - lo), np.full(inc.size, b"0"),
-                             _float_cells(inc.reshape(-1)),
-                             # the chunk's states, steps 1 .. N: the bits of
-                             # PathBundle.state
-                             _float_cells(np.cumsum(inc, axis=1).reshape(-1))])
+    """Path dump through ``lattice._write_table``: one row per (path, step),
+    ``coord`` always 0.  A chunk rebuilds the states of the paths it touches
+    (steps 1 .. N, the bits of ``PathBundle.state``), so it may cut a path."""
+    n = bundle.N
+    steps = _text(b"%d", range(n))
+
+    def cells(start, stop):
+        first, last = start // n, -(-stop // n)  # the paths the chunk touches
+        inc = bundle.increments[first:last]
+        path, k = np.divmod(np.arange(start, stop), n)
+        rows = slice(start - first * n, stop - first * n)
+        return [_text(b"%d", range(first, last))[path - first], steps[k], np.full(k.size, b"0"),
+                _float_cells(inc.reshape(-1)[rows]),
+                _float_cells(np.cumsum(inc, axis=1).reshape(-1)[rows])]
+
+    _write_table(path, ["path", "k", "coord", "dB", "state"], bundle.increments.size, cells)
 
 
 def write_mc_sidecar(path, result: "McResult") -> None:
@@ -299,7 +300,7 @@ def mc_terminal(paths: PathBundle, problem: McProblem) -> np.ndarray:
             _finite(fn(paths.dt * k, states), f"{side} obstacle", k)
     for side, fn in sides:
         rail = _finite(fn(paths.T, ends), f"{side} obstacle", paths.N)
-        if np.any(rail > term + 1e-12 if side == "lower" else term > rail + 1e-12):
+        if np.any(rail > term if side == "lower" else term > rail):
             raise PathDataError(f"terminal data {'below' if side == 'lower' else 'above'} "
                                 f"the {side} obstacle on a path")
     return term

@@ -20,7 +20,6 @@ convergence structure the reports assert.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -30,7 +29,8 @@ import numpy as np
 from .bsde import (CLAMP_ROW, Solution, _reflected_sweep, g_evaluate, random_rule,
                    step_candidate)
 from .generator import Generator
-from .lattice import AdaptedProcess, Lattice, StoppingRule, TerminalPayoff
+from .lattice import (AdaptedProcess, Lattice, StoppingRule, TerminalPayoff, _float_cells, _text,
+                      _write_table)
 
 
 def _check_reflected_inputs(lattice, xi, obstacle, side):
@@ -96,16 +96,14 @@ class PenalizationReport:
     def total_violations(self) -> int:
         return sum(self.monotonicity_violations)
 
-    def rows(self):
-        return list(zip(self.schedule, self.sup_gaps, self.monotonicity_violations))
-
 
 def write_penalization_csv(path, report: PenalizationReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "sup_gap", "violations"])
-        for n, gap, viol in report.rows():
-            w.writerow([f"{n:.17g}", f"{gap:.17g}", viol])
+    """One row per penalty level: ``n,sup_gap,violations``."""
+    columns = [_float_cells(np.array(report.schedule, dtype=float)),
+               _float_cells(np.array(report.sup_gaps, dtype=float)),
+               _text(b"%d", report.monotonicity_violations)]
+    _write_table(path, ["n", "sup_gap", "violations"], len(report.schedule),
+                 lambda start, stop: [c[start:stop] for c in columns])
 
 
 def _check_schedule(schedule) -> tuple[float, ...]:

@@ -175,6 +175,36 @@ class TestRunKinds:
         assert lines[0] == "n,sup_gap,violations"
         assert len(lines) == 5
 
+    # the solve returns Y one ulp below the lower rail at the root, which a
+    # slack of 1e-15 would let pass: the bound checks compare exactly
+    @pytest.mark.parametrize("kind,check", [("rbsde", "obstacle_respected"),
+                                            ("drbsde", "between_obstacles")])
+    def test_bound_check_catches_one_ulp_below_the_lower_rail(self, kind, check, tmp_path,
+                                                             monkeypatch):
+        import dataclasses
+
+        from drbsde_lab import cli
+        from drbsde_lab.lattice import AdaptedProcess
+
+        solve = getattr(cli, f"solve_{kind}")
+
+        def tampered(*args):
+            sol = solve(*args)
+            vals = [v.copy() for v in sol.Y.values]
+            vals[0][0] = np.nextafter(sol.obstacle_lower[0][0], -np.inf)
+            assert vals[0][0] >= sol.obstacle_lower[0][0] - 1e-15
+            return dataclasses.replace(sol, Y=AdaptedProcess(sol.lattice, tuple(vals)))
+
+        monkeypatch.setattr(cli, f"solve_{kind}", tampered)
+        cfg = {**GAME_CONFIG, "kind": kind}
+        if kind == "rbsde":
+            cfg["side"] = "lower"
+            del cfg["upper"]
+        assert run_experiment(ExperimentConfig.from_dict(cfg), tmp_path / "out") == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["checks"][check] is False
+        assert report["checks"]["flat_off"] <= DEFAULT_TOLERANCES["flat_off"]
+
     def test_pasting_kind(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
             "kind": "pasting",

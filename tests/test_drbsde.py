@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,29 @@ class TestPasting:
         lines = (tmp_path / "ledger.csv").read_text().splitlines()
         assert lines[0] == "segment,side,start_rule,end_rule,node_count"
         assert len(lines) == 1 + ledger.max_depth
+
+
+def reference_write_ledger_csv(path, ledger):
+    """The ledger dump as first written: one ``csv`` row per segment."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["segment", "side", "start_rule", "end_rule", "node_count"])
+        for i, side in enumerate(ledger.sides):
+            start = ledger.boundaries[i - 1].hash_hex() if i > 0 else "root"
+            end = ledger.boundaries[i].hash_hex() if i < len(ledger.boundaries) else "horizon"
+            w.writerow([i + 1, side, start, end, ledger.node_counts[i]])
+
+
+# contact-rich games with several segments, and one whose rails never bind
+@pytest.mark.parametrize("seed,low_off,up_off", [(s, 0.15, 0.12) for s in range(4)]
+                         + [(0, 0.3, 0.3)])
+def test_ledger_csv_matches_the_row_writer(seed, low_off, up_off, tmp_path):
+    tree = build_lattice(1.0, 7, FULL_TREE)
+    _, ledger = pasting_construct(tree, make_game(tree, seed, low_off=low_off, up_off=up_off))
+    write_ledger_csv(tmp_path / "new.csv", ledger)
+    reference_write_ledger_csv(tmp_path / "old.csv", ledger)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert len(ledger.sides) == ledger.max_depth
 
 
 class TestBackendAgreement:

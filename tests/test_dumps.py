@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from drbsde_lab import dtoa
 from drbsde_lab import lattice as lattice_module
-from drbsde_lab import mc as mc_module
 from drbsde_lab.bsde import SOLUTION_HEADER, Solution, write_solution_csv
 from drbsde_lab.lattice import (
     DUMP_CHUNK,
@@ -36,7 +35,7 @@ from drbsde_lab.lattice import (
     write_lattice_csv,
     write_process_csv,
 )
-from drbsde_lab.mc import PathBundle, write_bundle_csv
+from drbsde_lab.mc import PathBundle, simulate_paths, write_bundle_csv
 
 
 def _fmt(x) -> str:
@@ -210,10 +209,27 @@ def test_node_dumps_match_reference_at_package_chunk(fill, y, z, dk, dj, tmp_pat
 def test_bundle_dump_matches_reference(chunk, dB, tmp_path_factory):
     m, n = 5, 6
     bundle = PathBundle(1.0, n, m, 0, _values(dB, m * n).reshape(m, n))
-    with mock.patch.object(mc_module, "DUMP_CHUNK", chunk), np.errstate(invalid="ignore",
-                                                                        over="ignore"):
+    with mock.patch.object(lattice_module, "DUMP_CHUNK", chunk), np.errstate(invalid="ignore",
+                                                                             over="ignore"):
         assert_same_bytes(write_bundle_csv, reference_bundle_csv, bundle,
                           tmp_path_factory.mktemp("bundle"))
+
+
+# N = 7 rows per path does not divide the chunk, so chunks cut paths, and
+# the bundle has enough rows for the split child to write the upper half
+def test_split_bundle_dump_matches_reference(force_split, tmp_path):
+    n = 7
+    m = -(-lattice_module.SPLIT_MIN // n) + 5
+    assert DUMP_CHUNK % n
+    bundle = simulate_paths(1.0, n, m, 5)
+    reference_bundle_csv(tmp_path / "reference.csv", bundle)
+    for on in (False, True):
+        forks = force_split(on)
+        write_bundle_csv(tmp_path / f"{on}.csv", bundle)
+        assert len(forks) == on
+        assert (tmp_path / f"{on}.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["False.csv", "True.csv",
+                                                         "reference.csv"]
 
 
 @pytest.mark.parametrize("mode", [RECOMBINING, FULL_TREE])

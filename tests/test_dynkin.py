@@ -476,6 +476,18 @@ def implicit_game_table():
     return tree, game, pair_value_table(tree, game, "implicit")
 
 
+# 677 ** 2 = 458,329 rows, past SPLIT_MIN: the split child writes the upper half
+def test_pair_table_csv_split_and_serial_match_the_row_writer(implicit_game_table,
+                                                              force_split, tmp_path):
+    _, _, table = implicit_game_table
+    reference_write_pair_table_csv(tmp_path / "old.csv", table)
+    for on in (False, True):
+        forks = force_split(on)
+        write_pair_table_csv(tmp_path / f"{on}.csv", table)
+        assert len(forks) == on
+        assert (tmp_path / f"{on}.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 class TestPairValuesStandAlone:
     """A pair's value depends on the pair alone, not on what is solved with it."""
 

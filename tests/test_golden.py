@@ -9,7 +9,9 @@ hashes that moved when the implicit fixed point began to converge each
 element on its own (its old stopping test was a sup norm over the batch).  The ``obstacle.csv``
 and ``paths.csv`` dumps are pinned too, with hashes recorded before the
 dump writers were replaced by the streaming column writer, and so is the
-``ledger.csv`` of a contact-rich pasting game.
+``ledger.csv`` of a contact-rich pasting game.  ``penalization.csv`` is
+pinned with hashes recorded before its ``csv.writer`` loop gave way to the
+package's one CSV writer.
 """
 
 import ctypes
@@ -102,6 +104,7 @@ GOLDEN = {
         "status": 0,
         "report.json": "006682f3b81ab0ab8a396993cb21f126d89f71c09074886eb2e96906224dd4f1",
         "solution.csv": "f4b8b219ccd97045f3fa57928a0239a98f5bf6bc14f8eb7fd5c1f92c45ab5bb1",
+        "penalization.csv": "5ea174909208ab579d8bea46cef2478df9859f622bf754ffb55b537eebb03bfa",
     },
     # per-element fixed point: 23 of 624 values of the last level moved, by
     # at most 13 ulps (2.2e-16), and 2 of penalization.csv's 6 gaps by 8 ulps;
@@ -110,6 +113,7 @@ GOLDEN = {
         "status": 0,
         "report.json": "7437e6ff9f66b470078be4ad93c03a821fb1a1dbcc1c2a23161aae1532c262c0",
         "solution.csv": "931718624780382ecac5e019cfe21ee0c9c68ce5b1bf1b99f5fff536ec1b9a0b",
+        "penalization.csv": "a0e63580a0e794118079a05def5c527acb6f7c97d37ce53a29eec656c87235c4",
     },
     "pasting/explicit": {
         "status": 0,
@@ -197,7 +201,7 @@ def _cases():
 def output_hashes(cfg, out):
     status = run_experiment(ExperimentConfig.from_dict(cfg), out)
     hashes = {"status": status}
-    for name in ("report.json", "solution.csv"):
+    for name in ("report.json", "solution.csv", "penalization.csv"):
         path = out / name
         if path.exists():
             hashes[name] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -311,7 +315,8 @@ TABULATED = {
          "side": "upper", "terminal": RAILS["terminal"], "upper": RAILS["upper"]},
         {"status": 0,
          "report.json": "ec3040943fc355996a1d2744c4ac7e888f3fe9ceda45471d5da3917f405f4da1",
-         "solution.csv": "d56a94471bad2ef15fa2ea504fb8b7cd4745219fecdd17968b577b5f104a8ee5"},
+         "solution.csv": "d56a94471bad2ef15fa2ea504fb8b7cd4745219fecdd17968b577b5f104a8ee5",
+         "penalization.csv": "45b970c55c5cf990407f9a50959f8530346829e3eadb9f8d238f1e159102277a"},
     ),
     "pasting/implicit": (
         dict(CONFIGS["pasting"], scheme="implicit"),

@@ -282,6 +282,18 @@ class TestSolve:
         with pytest.raises(ValueError, match="below the lower obstacle"):
             solve_mc(paths, prob, registry_generator("zero"))
 
+    # the order is exact, as on the lattice: 1e-13 above or below is out of order
+    @pytest.mark.parametrize("side,shift", [("lower", 1e-13), ("upper", -1e-13)])
+    def test_terminal_order_has_no_slack(self, side, shift):
+        paths = simulate_paths(1.0, 4, 500, 2)
+        prob = McProblem(terminal=lambda s: np.tanh(s),
+                         **{side: lambda t, s: np.tanh(s) + shift})
+        where = "below" if side == "lower" else "above"
+        with pytest.raises(PathDataError, match=f"terminal data {where} the {side} obstacle"):
+            mc_terminal(paths, prob)
+        assert mc_terminal(paths, McProblem(terminal=lambda s: np.tanh(s),
+                                            **{side: lambda t, s: np.tanh(s)})).shape == (500,)
+
     @pytest.mark.parametrize("spoiled", ["terminal", "lower", "upper"])
     def test_non_finite_data_on_a_path_rejected(self, spoiled):
         # one path's state at step 3 spoils the data there and nowhere else

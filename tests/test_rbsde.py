@@ -1,3 +1,4 @@
+import csv
 import itertools
 
 import numpy as np
@@ -7,7 +8,9 @@ from drbsde_lab import bsde, rbsde
 from drbsde_lab.bsde import penalty_step, solve_bsde, step_candidate
 from drbsde_lab.generator import Generator, registry_generator
 from drbsde_lab.lattice import (
+    DUMP_CHUNK,
     FULL_TREE,
+    SPLIT_MIN,
     AdaptedProcess,
     TerminalPayoff,
     build_lattice,
@@ -320,6 +323,37 @@ class TestPenalizationRun:
         assert report.converged
         scale = report.gap_tolerance / 1e-6
         assert report.flat_off_residuals[-1] <= 1e-6 * scale
+
+
+def reference_write_penalization_csv(path, report):
+    """The penalization dump as first written: one ``csv`` row per level."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["n", "sup_gap", "violations"])
+        for n, gap, viol in zip(report.schedule, report.sup_gaps,
+                                report.monotonicity_violations):
+            w.writerow([f"{n:.17g}", f"{gap:.17g}", viol])
+
+
+# more levels than one chunk holds, and past SPLIT_MIN with the split on;
+# levels and gaps in and out of the fixed-notation range, special gaps too
+@pytest.mark.parametrize("levels,split", [(DUMP_CHUNK + 905, False), (SPLIT_MIN + 1, True)])
+def test_penalization_csv_matches_the_row_writer(levels, split, force_split, tmp_path):
+    rng = np.random.default_rng(levels)
+    specials = [0.0, -0.0, np.nan, np.inf, 5e-324, 1 / 3, 1e-5, 1e16, 1e300]
+    gaps = np.where(rng.random(levels) < 0.1, rng.choice(specials, levels),
+                    10.0 ** rng.uniform(-8, 20, levels))
+    report = rbsde.PenalizationReport(
+        side="lower", schedule=tuple(np.geomspace(1e-3, 1e20, levels).tolist()),
+        sup_gaps=tuple(gaps.tolist()),
+        monotonicity_violations=tuple(rng.integers(0, 10**6, levels).tolist()),
+        flat_off_residuals=(0.0,) * levels, converged=False, final_gap=gaps[-1],
+        gap_tolerance=1e-6)
+    forks = force_split(split)
+    write_penalization_csv(tmp_path / "new.csv", report)
+    reference_write_penalization_csv(tmp_path / "old.csv", report)
+    assert len(forks) == split
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestFirstHitting:
