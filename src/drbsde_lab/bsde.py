@@ -89,8 +89,6 @@ def monotone_guard(lattice: Lattice, g: Generator) -> tuple[float, bool]:
 def _nan_sup(x) -> float:
     """Sup norm ignoring NaN entries (post-frontier nodes); 0 when empty."""
     x = np.asarray(x)
-    if x.size == 0:
-        return 0.0
     keep = ~np.isnan(x)
     if not keep.any():
         return 0.0
@@ -466,8 +464,10 @@ def g_evaluate(
             checked.add((id(nu_r), id(tau_r)))
         reach = tau_r.not_yet_stopped()
         for k in range(lattice.N + 1):
-            if np.any(~np.isfinite(pay_r[k][tau_r.flags[k] & reach[k]])):
-                raise ValueError(f"payoff undefined at a step-{k} stop node")
+            bad = ~np.isfinite(pay_r[k]) & tau_r.flags[k] & reach[k]
+            if bad.any():
+                raise ValueError("payoff undefined at stop node "
+                                 f"{lattice.node_label(k, int(np.argmax(bad)))}")
 
     def collect(k, cand):
         flagged = np.stack([t.flags[k] for t in taus])
@@ -534,30 +534,21 @@ def random_rule(lattice: Lattice, rng) -> StoppingRule:
     return StoppingRule(lattice, tuple(flags))
 
 
-def _probe_grid(lattice: Lattice):
+def _probe_driver(g: Generator, lattice: Lattice) -> tuple[bool, bool, bool]:
+    """Probe the driver on one grid of ``(t, s, y, z)``: whether it is free
+    of ``y``, whether it vanishes at ``z = 0`` and whether it vanishes at
+    ``y = z = 0``."""
     t = np.array([0.0, lattice.T / 3, lattice.T])
     s = np.array([-2.0, -0.5, 0.0, 1.0, 2.5])
     y = np.array([-3.0, -1.0, 0.0, 0.7, 2.0])
     z = np.array([-2.5, -1.0, 0.0, 0.4, 3.0])
-    tt, ss, yy, zz = np.meshgrid(t, s, y, z, indexing="ij")
-    return tt.ravel(), ss.ravel(), yy.ravel(), zz.ravel()
-
-
-def _is_y_free(g: Generator, lattice: Lattice) -> bool:
-    tt, ss, yy, zz = _probe_grid(lattice)
-    base = g.fn(tt, ss, np.zeros_like(yy), zz)
-    return _nan_sup(np.asarray(g.fn(tt, ss, yy, zz)) - base) <= 1e-14
-
-
-def _kills_zero_z(g: Generator, lattice: Lattice) -> bool:
-    tt, ss, yy, zz = _probe_grid(lattice)
-    return _nan_sup(np.asarray(g.fn(tt, ss, yy, np.zeros_like(zz)))) <= 1e-14
-
-
-def _kills_origin(g: Generator, lattice: Lattice) -> bool:
-    tt, ss, yy, zz = _probe_grid(lattice)
+    tt, ss, yy, zz = (a.ravel() for a in np.meshgrid(t, s, y, z, indexing="ij"))
     zero = np.zeros_like(tt)
-    return _nan_sup(np.asarray(g.fn(tt, ss, zero, zero))) <= 1e-14
+    base = g.fn(tt, ss, zero, zz)
+    y_free = _nan_sup(np.asarray(g.fn(tt, ss, yy, zz)) - base) <= 1e-14
+    const_ok = _nan_sup(np.asarray(g.fn(tt, ss, yy, zero))) <= 1e-14
+    origin_ok = _nan_sup(np.asarray(g.fn(tt, ss, zero, zero))) <= 1e-14
+    return y_free, const_ok, origin_ok
 
 
 def _subtree_indicator(lattice: Lattice, rule: StoppingRule, picks: np.ndarray):
@@ -619,9 +610,7 @@ def verify_evaluation_axioms(
     n_cases = 20 if cases is None else int(cases)
     rng = np.random.default_rng(seed)
 
-    y_free = _is_y_free(g, lattice)
-    const_ok = _kills_zero_z(g, lattice)
-    origin_ok = _kills_origin(g, lattice)
+    y_free, const_ok, origin_ok = _probe_driver(g, lattice)
 
     worst = dict.fromkeys(["monotonicity", "time-consistency", "constant-preserving",
                            "zero-one-law", "translation-invariance"], 0.0)

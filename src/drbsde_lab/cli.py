@@ -204,8 +204,6 @@ _KEYS: dict = {}
 for _parent, _, _key in (path.rpartition(".") for path in FIELDS):
     _KEYS.setdefault(_parent, []).append(_key)
 
-DEFAULT_TOLERANCES = {key: FIELDS[f"tolerances.{key}"].default for key in _KEYS["tolerances"]}
-
 
 def _check_keys(what: str, spec, known) -> None:
     """A config object must be a JSON object, and an unknown key of one is an
@@ -376,9 +374,8 @@ class ExperimentConfig:
         for k, values in enumerate(process.values):
             bad = ~np.isfinite(values)
             if bad.any():
-                i = int(np.argmax(bad))
                 raise ConfigError(f"{key!r} obstacle is not finite at node "
-                                  f"(k={k}, id={lattice.node_ids(k, i, i + 1)[0]})")
+                                  f"{lattice.node_label(k, int(np.argmax(bad)))}")
         return process
 
 
@@ -457,7 +454,8 @@ def _run_dynkin_verify(cfg: ExperimentConfig, out: Path) -> dict:
     sol = solve_drbsde(lat, game, cfg["scheme"])  # one solve serves both checks
     oracle = game_value_oracle(lat, game, cfg["scheme"], tol, solution=sol)
     saddle = verify_saddle(lat, game, sol, cfg["scheme"], tol, cfg["seed"])
-    write_game_report(out / "game_report.txt", oracle)
+    passed = oracle.passed and saddle.passed
+    write_game_report(out / "game_report.txt", oracle, passed)
     if cfg["write_pair_table"]:
         write_pair_table_csv(out / "pair_table.csv", oracle.table)
     checks = {"y0": oracle.y0, "sup_inf": oracle.sup_inf, "inf_sup": oracle.inf_sup,
@@ -465,7 +463,7 @@ def _run_dynkin_verify(cfg: ExperimentConfig, out: Path) -> dict:
               "saddle_violation": saddle.max_saddle_violation,
               "saddle_equality_gap": saddle.saddle_equality_gap,
               "sandwich_slack": saddle.sandwich_slack}
-    return {"passed": oracle.passed and saddle.passed, "checks": checks, "y0": oracle.y0}
+    return {"passed": passed, "checks": checks, "y0": oracle.y0}
 
 
 def _run_penalization(cfg: ExperimentConfig, out: Path) -> dict:

@@ -67,18 +67,16 @@ class DynkinGame:
             raise ValueError("obstacles must live on the terminal data's lattice")
         margin, floor = self.separation_margin(), SEPARATION_FLOOR * self.scale()
         if not margin > floor:  # a NaN margin fails too
-            k, i = self._worst_node()
             raise SeparationError(
                 f"obstacles are not strictly separated at node "
-                f"(k={k}, id={lat.node_ids(k, i, i + 1)[0]}): U - L = {margin:.3g} "
+                f"{lat.node_label(*self._worst_node())}: U - L = {margin:.3g} "
                 f"(floor {floor:.3g})"
             )
         for bad, where in ((self.L.terminal() > self.xi.values, "below the lower"),
                            (self.xi.values > self.U.terminal(), "above the upper")):
             if bad.any():
-                i = int(np.argmax(bad))
                 raise ValueError(f"terminal data {where} rail at node "
-                                 f"(k={lat.N}, id={lat.node_ids(lat.N, i, i + 1)[0]})")
+                                 f"{lat.node_label(lat.N, int(np.argmax(bad)))}")
 
     @property
     def lattice(self) -> Lattice:

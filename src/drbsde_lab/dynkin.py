@@ -26,7 +26,6 @@ only on the pair: the same in the table, in the broadcast and in
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -84,15 +83,6 @@ def _rule_flags(depth: int) -> list[np.ndarray]:
     return [first] + [np.concatenate([np.zeros((1, f.shape[1]), dtype=bool), f]) for f in waits]
 
 
-@functools.cache
-def _rule_table(depth: int) -> tuple[np.ndarray, ...]:
-    """:func:`_rule_flags` of ``depth``, frozen: the enumeration, stacked once."""
-    flags = _rule_flags(depth)
-    for f in flags:
-        f.flags.writeable = False
-    return tuple(flags)
-
-
 def _row_rule(tree: Lattice, flags, i: int, start: int = 0) -> StoppingRule:
     """Row ``i`` of stacked ``flags`` as a rule on ``tree``, its flags before
     step ``start`` cleared: the rule then starts at ``start``."""
@@ -104,9 +94,8 @@ def _row_rule(tree: Lattice, flags, i: int, start: int = 0) -> StoppingRule:
 def enumerate_stopping_rules(tree: Lattice):
     """Every canonical stopping rule on the tree, once, in a fixed order."""
     _check_oracle_tree(tree)
-    flags = _rule_table(tree.N)
-    rules = [_row_rule(tree, flags, i) for i in range(rule_count(tree.N))]
-    return rules, len(rules)
+    flags = _rule_flags(tree.N)
+    return [_row_rule(tree, flags, i) for i in range(rule_count(tree.N))]
 
 
 def payoff_R(tau: StoppingRule, gamma: StoppingRule, path, game: DynkinGame) -> float:
@@ -277,24 +266,19 @@ def game_value_oracle(
     )
 
 
-def write_game_report(path, report: GameReport) -> None:
-    """Structured-text dump of a game report."""
+def write_game_report(path, report: GameReport, passed: bool) -> None:
+    """Structured-text dump of an oracle report (:func:`game_value_oracle`)
+    and the verdict ``passed`` of the whole run, saddle check included."""
     lines = [f"y0 {report.y0:.17g}"]
-    for name in ("sup_inf", "inf_sup", "saddle_equality_gap",
-                 "max_saddle_violation", "sandwich_slack"):
+    for name in ("sup_inf", "inf_sup"):
         value = getattr(report, name)
         if value is not None:
             lines.append(f"{name} {value:.17g}")
     if report.optimal_pair is not None:
         lines.append(f"optimal_pair {report.optimal_pair[0]} {report.optimal_pair[1]}")
-    if report.saddle_pair is not None:
-        lines.append(
-            f"saddle_pair {report.saddle_pair[0].hash_hex()} "
-            f"{report.saddle_pair[1].hash_hex()}"
-        )
     lines.append(f"n_rules {report.n_rules}")
     lines.append(f"tolerance {report.effective_tol:.17g}")
-    lines.append(f"passed {str(report.passed).lower()}")
+    lines.append(f"passed {str(passed).lower()}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -329,7 +313,7 @@ def verify_saddle(
     if solution is None:
         solution = solve_drbsde(tree, game, scheme)
     y0 = solution.root_value
-    flags, count = _rule_table(tree.N), rule_count(tree.N)
+    flags, count = _rule_flags(tree.N), rule_count(tree.N)
     tau_star = first_hitting(solution, None, "lower").canonicalize()
     gamma_star = first_hitting(solution, None, "upper").canonicalize()
 

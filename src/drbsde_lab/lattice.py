@@ -95,6 +95,10 @@ class Lattice:
         self._states[k] = st
         return st
 
+    def node_label(self, k: int, i: int) -> str:
+        """``(k=…, id=…)`` of node ``i`` of step ``k``, for error messages."""
+        return f"(k={k}, id={self.node_ids(k, i, i + 1)[0]})"
+
     def node_ids(self, k: int, start: int = 0, stop: int | None = None):
         """Serialization ids of the step-``k`` nodes ``start..stop-1``:
         up-count ``j`` (recombining) or the bit word (full tree), decoded
@@ -186,15 +190,6 @@ def build_lattice(T: float, N: int, mode: str = RECOMBINING) -> Lattice:
 # ----------------------------------------------------------------------
 
 
-def _freeze(arrays) -> tuple[np.ndarray, ...]:
-    out = []
-    for a in arrays:
-        a = np.asarray(a, dtype=float)
-        a.flags.writeable = False
-        out.append(a)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class AdaptedProcess:
     """One real value per lattice node; adapted by construction."""
@@ -208,7 +203,10 @@ class AdaptedProcess:
         for k, arr in enumerate(self.values):
             if arr.shape != (self.lattice.n_nodes(k),):
                 raise ValueError(f"step {k}: expected {self.lattice.n_nodes(k)} values")
-        object.__setattr__(self, "values", _freeze(self.values))
+        values = tuple(np.asarray(a, dtype=float) for a in self.values)
+        for a in values:
+            a.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_function(cls, lattice: Lattice, fn) -> "AdaptedProcess":
@@ -255,8 +253,10 @@ class TerminalPayoff:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.lattice.n_nodes(self.lattice.N),):
             raise ValueError("terminal payoff must cover every terminal node")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("terminal payoff must be finite at every node")
+        bad = ~np.isfinite(v)
+        if bad.any():
+            where = self.lattice.node_label(self.lattice.N, int(np.argmax(bad)))
+            raise ValueError(f"terminal payoff must be finite at every node, not at {where}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -443,7 +443,6 @@ class StoppingRule:
             fresh = (nxt < 0) & self.flags[k]
             nxt[fresh] = k
             cur = nxt
-        cur[cur < 0] = lat.N
         cur.flags.writeable = False
         return cur
 
@@ -481,17 +480,12 @@ def _text(fmt: bytes, values) -> np.ndarray:
     return np.array(((fmt + b"\0") * len(values) % values).split(b"\0")[:-1], dtype="S")
 
 
-def _float_cells(values: np.ndarray, memo: dict | None = None) -> np.ndarray:
+def _float_cells(values: np.ndarray) -> np.ndarray:
     """``{:.17g}`` of each value as an ``S`` array; each distinct bit
     pattern (never value: ``-0.0``, ``0.0`` and NaN payloads differ) is
-    formatted once or read from ``memo``."""
+    formatted once per call."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    if memo is None:
-        return _cells17(bits)[inverse]
-    keys = bits.tolist()
-    new = np.array([b for b in keys if b not in memo], dtype=np.int64)
-    memo.update(zip(new.tolist(), _cells17(new)))
-    return np.array([memo[b] for b in keys], dtype="S")[inverse]
+    return _cells17(bits)[inverse]
 
 
 # distinct values in [1e-4, 1e16), where ``%.17g`` writes fixed notation,
@@ -726,7 +720,6 @@ def _write_node_dump(path, header, lattice: Lattice, step_columns) -> None:
     whose chunks run over the flattened node order and so span steps."""
     firsts = np.cumsum([0] + [lattice.n_nodes(k) for k in range(lattice.N + 1)])
     pool = _text(b"%d", range(lattice.N + 1))  # every k, and the walk's ids
-    state_text: dict[int, bytes] = {}  # few distinct states (2N+1 on the walk)
 
     def cells(start, stop):
         rows = np.arange(start, stop)
@@ -736,7 +729,7 @@ def _write_node_dump(path, header, lattice: Lattice, step_columns) -> None:
                  for s in steps]
         states = np.concatenate([lattice.states(s)[sl] for s, sl in zip(steps, spans)])
         out = [pool[k], lattice._id_cells(k, rows - firsts[k], pool),
-               _float_cells(states, state_text)]
+               _float_cells(states)]
         for pieces in zip(*map(step_columns, steps)):
             # a None piece gives its step's rows empty cells
             text = _float_cells(np.concatenate(

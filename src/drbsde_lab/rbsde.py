@@ -41,10 +41,9 @@ def _check_reflected_inputs(lattice, xi, obstacle, side):
     lower = side == "lower"
     bad = obstacle.terminal() > xi.values if lower else xi.values > obstacle.terminal()
     if bad.any():
-        i = int(np.argmax(bad))
         what = "obstacle above terminal data" if lower else "terminal data above obstacle"
         raise ValueError(f"terminal order violated: {what} at node "
-                         f"(k={lattice.N}, id={lattice.node_ids(lattice.N, i, i + 1)[0]})")
+                         f"{lattice.node_label(lattice.N, int(np.argmax(bad)))}")
 
 
 # the sweep row of the reflected solve; an upper one runs as a mirror and says so
@@ -299,7 +298,7 @@ def verify_snell(
     elif mode == "enumerate":
         from .dynkin import enumerate_stopping_rules  # dynkin imports this module
 
-        rules, _ = enumerate_stopping_rules(lat)  # its guard: full tree, N <= ORACLE_MAX_N
+        rules = enumerate_stopping_rules(lat)  # its guard: full tree, N <= ORACLE_MAX_N
         tables = g_evaluate(lat, StoppingRule.at_step(lat, 0), rules, reward, g, scheme)
         best = max(float(table[0][0]) for table in tables)
         rules_checked = len(rules)

@@ -110,6 +110,17 @@ class TestSolveBsde:
         assert not sol.meta["monotone_guard_ok"]
         assert any("guard" in w for w in sol.meta["warnings"])
 
+    @pytest.mark.parametrize("scheme", ["implicit", "explicit"])
+    def test_a_fixed_point_that_may_stall_is_a_warning(self, scheme):
+        lat = build_lattice(1.0, 4)
+        g = registry_generator("linear:4,0")  # dt*lam+ = 1
+        sol = solve_bsde(lat, TerminalPayoff.from_function(lat, np.zeros_like), g, scheme)
+        assert sol.root_value == 0.0
+        want = ["monotone-step guard violated: sqrt(dt)*kappa + dt*lam+ = 3 > 1"]
+        if scheme == "implicit":  # the explicit step has no fixed point
+            want.append("dt*lam+ = 1 >= 1: damped fixed point may stall")
+        assert sol.meta["warnings"] == want
+
     def test_fixed_point_divergence_raises(self):
         lat = build_lattice(1.0, 4)
         g = registry_generator("linear:-300,0")  # dt*|g_y| = 75, undamped blowup
@@ -282,6 +293,14 @@ class TestGEvaluate:
                           ([early, early, late], [late, early, early])):
             with pytest.raises(ValueError, match="no later"):
                 g_evaluate(tree, nus, taus, pays, g)
+
+    def test_an_undefined_payoff_names_its_node(self):
+        lat = build_lattice(1.0, 3)
+        vals = [np.zeros(lat.n_nodes(k)) for k in range(lat.N + 1)]
+        vals[2][1] = math.nan
+        with pytest.raises(ValueError, match=r"payoff undefined at stop node \(k=2, id=1\)$"):
+            g_evaluate(lat, StoppingRule.at_step(lat, 0), StoppingRule.at_step(lat, 2),
+                       AdaptedProcess(lat, tuple(vals)), registry_generator("zero"))
 
     def test_payoff_must_cover_stop_nodes(self):
         tree = build_lattice(1.0, 3, FULL_TREE)
@@ -581,12 +600,12 @@ def reference_axiom_rows(lattice, g, cases, seed, scheme):
     """The draws and evaluations of the case loop as it ran before the
     sweeps were batched: each case drawn just before its ``g_evaluate``
     calls, one call per table."""
-    from drbsde_lab.bsde import _is_y_free, _kills_zero_z
+    from drbsde_lab.bsde import _probe_driver
     from drbsde_lab.bsde import _subtree_indicator as events
 
     rows, ev = [], recording_g_evaluate([])
     rng = np.random.default_rng(seed)
-    y_free, const_ok = _is_y_free(g, lattice), _kills_zero_z(g, lattice)
+    y_free, const_ok, _ = _probe_driver(g, lattice)
     n = lattice.total_nodes
     for _ in range(cases):
         tau = random_rule(lattice, rng)

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from drbsde_lab.cli import (
-    DEFAULT_TOLERANCES,
+    FIELDS,
     ConfigError,
     ExperimentConfig,
     main,
@@ -203,7 +203,7 @@ class TestRunKinds:
         assert run_experiment(ExperimentConfig.from_dict(cfg), tmp_path / "out") == 1
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["checks"][check] is False
-        assert report["checks"]["flat_off"] <= DEFAULT_TOLERANCES["flat_off"]
+        assert report["checks"]["flat_off"] <= FIELDS["tolerances.flat_off"].default
 
     def test_pasting_kind(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
@@ -444,13 +444,28 @@ class TestRunKinds:
         ({**GAME_CONFIG, "kind": "mc-crosscheck", "lattice": {"T": 1.0, "N": 4},
           "mc": {"m": 500, "degre": 1}},
          "unknown keys ['degre', 'm'], expected among ['M', 'degree']"),
+        # a missing expression or a value out of its row of the config table
+        ({key: v for key, v in GAME_CONFIG.items() if key != "terminal"},
+         "dynkin-verify config needs a 'terminal' expression"),
+        ({key: v for key, v in GAME_CONFIG.items() if key != "upper"},
+         "two-obstacle configs need 'lower' and 'upper' expressions"),
+        ({key: v for key, v in GAME_CONFIG.items() if key != "upper"}
+         | {"kind": "rbsde", "side": "upper"}, "rbsde config needs a 'upper' obstacle expression"),
+        ({**GAME_CONFIG, "generator": 5}, "generator must be a registry name or an object, got 5"),
+        ({**GAME_CONFIG, "lattice": {"T": 0, "N": 3, "mode": "full-tree"}},
+         "lattice.T must be a finite number > 0, got 0"),
+        # inf at the top node of the walk's last step (state 2), 0 elsewhere
+        ({"kind": "bsde", "lattice": {"N": 4}, "generator": "zero",
+          "terminal": "1e308*max(state - 1.5, 0)*10"},
+         "terminal payoff must be finite at every node, not at (k=4, id=4)"),
     ], ids=["terminal-order", "schedule",
             *(f"schedule-{kind}-{bad}" for kind in ("penalization", "pasting")
               for bad in ("inf", "negative", "nan")),
             "oracle-cap", "full-tree-only", "scheme", "cases-0", "cases-negative",
             "expected-failures-string", "expected-failures-unknown",
             "expected-failures-nested", "mc-degree-negative", "lattice-unknown-key",
-            "mc-unknown-key"])
+            "mc-unknown-key", "no-terminal", "no-upper", "rbsde-no-upper", "generator-number",
+            "T-zero", "terminal-infinite-at-a-node"])
     def test_config_reachable_solver_checks_exit_2(self, tmp_path, capsys, config, message):
         # through main: some are found by the config walk, others by the run
         path = write_config(tmp_path, "reach.json", config)
@@ -664,7 +679,9 @@ class TestRunKinds:
         assert main(["run", str(path), "--out", str(tmp_path / "typo")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "'flat-off'" in err
-        assert all(repr(key) in err for key in DEFAULT_TOLERANCES)
+        tolerances = [path.partition(".")[2] for path in FIELDS
+                      if path.startswith("tolerances.")]
+        assert tolerances and all(repr(key) in err for key in tolerances)
 
 
 class TestDynkinVerify:
@@ -684,15 +701,23 @@ class TestDynkinVerify:
         assert run_experiment(cfg, tmp_path) == 0
         assert calls == ["implicit"]
 
-    def test_one_enumeration_serves_the_oracle_and_the_saddle(self, tmp_path):
-        # the rules' stacked table is built once at N = 4
+    def test_the_rule_table_is_built_once_per_run(self, tmp_path, monkeypatch):
+        # the rules' stacked table is built once at N = 4, by the saddle check;
+        # the recursion's own calls are at smaller depths
         from drbsde_lab import dynkin
 
-        dynkin._rule_table.cache_clear()
+        depths = []
+
+        def counted(depth):
+            depths.append(depth)
+            return build(depth)
+
+        build = dynkin._rule_flags
+        monkeypatch.setattr(dynkin, "_rule_flags", counted)
         cfg = ExperimentConfig.from_dict(
             dict(GAME_CONFIG, lattice={"T": 1.0, "N": 4, "mode": "full-tree"}))
         assert run_experiment(cfg, tmp_path) == 0
-        assert dynkin._rule_table.cache_info().misses == 1
+        assert depths.count(4) == 1
 
     # the README game at N = 4 with one rail moved to 1e-9 of y0 at the root
     # alone: Y keeps every bit, so the rule stopping at the root where Y
@@ -708,6 +733,20 @@ class TestDynkinVerify:
         checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
         assert checks["y0"] == checks["sup_inf"] == checks["inf_sup"] == 0.18327367675781253
         assert checks["saddle_violation"] == checks["saddle_equality_gap"] == 0.0
+
+    def test_a_failed_saddle_check_fails_the_game_report_too(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        from drbsde_lab import cli
+
+        def violated(*args, **kwargs):
+            return dataclasses.replace(saddle(*args, **kwargs), max_saddle_violation=1.0)
+
+        saddle = cli.verify_saddle
+        monkeypatch.setattr(cli, "verify_saddle", violated)
+        assert run_experiment(ExperimentConfig.from_dict(GAME_CONFIG), tmp_path) == 1
+        assert json.loads((tmp_path / "report.json").read_text())["passed"] is False
+        assert (tmp_path / "game_report.txt").read_text().endswith("\npassed false\n")
 
     def test_pair_table_is_the_oracle_table(self, tmp_path, monkeypatch):
         from drbsde_lab import dynkin

@@ -339,15 +339,6 @@ def test_fewer_than_fixed_min_values_in_range_keep_bytes_percent(monkeypatch):
     assert _float_cells(values).tolist() == _formatted(values)
 
 
-def test_the_memo_formats_only_new_values():
-    memo = {}
-    first = np.linspace(-3.0, 3.0, 2 * FIXED_MIN)
-    second = np.concatenate([first[::2], np.linspace(5.0, 6.0, FIXED_MIN)])
-    for values in (first, second):
-        assert _float_cells(values, memo).tolist() == _formatted(values)
-    assert len(memo) == 3 * FIXED_MIN
-
-
 def _in_range_fill(seed):
     """Node values mostly in [1e-4, 1e16), a few zeros and out-of-range
     values, and all distinct enough that each chunk column takes the kernel."""
@@ -434,11 +425,11 @@ def test_work_failing_in_the_child_is_redone_by_the_parent(mode, n, force_split,
     real_format = lattice_module._float_cells
     raised = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)  # seen by the children
 
-    def format_in_parent_only(values, memo=None):
+    def format_in_parent_only(values):
         if os.getpid() != parent:
             raised[0] += 1
             raise KeyboardInterrupt  # a BaseException: the child still exits 1
-        return real_format(values, memo)
+        return real_format(values)
 
     monkeypatch.setattr(lattice_module, "_float_cells", format_in_parent_only)
     (tmp_path / "split").mkdir()
